@@ -214,7 +214,7 @@ def is_face_closed(b: BaseComplex, cells) -> bool:
 
 def subcomplex(b: BaseComplex, cells) -> BaseComplex:
     chosen = set(cells)
-    unknown = chosen - set(b.cells)
+    unknown = [c for c in chosen if c not in b.cells]
     if unknown:
         raise StructureError(f"unknown cells {sorted(unknown)}")
     if not is_face_closed(b, chosen):
@@ -255,36 +255,38 @@ def connected_components(nodes, edges) -> list[set]:
     return [groups[k] for k in sorted(groups)]
 
 
-def poset_spanning_tree(b: BaseComplex) -> list[tuple[str, str]]:
-    """Spanning tree of the cell-incidence graph, BFS from the least cell id.
+def bfs_tree(b: BaseComplex) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
+    """Breadth-first spanning tree of the cell-incidence graph.
 
-    Tree edges are returned as (face, cell) pairs in discovery order;
-    raises on a disconnected complex.
+    Starts from the least cell id and visits neighbours in sorted order.
+    Returns the cells in discovery order and, for each cell, its tree
+    parent with the connecting incidence as ``(prev, (face, cell))``, or
+    None at the root; raises on a disconnected complex.
     """
     nodes = b.sorted_cells()
     if not nodes:
-        return []
-    adj: dict[str, list[tuple[str, str, str]]] = {n: [] for n in nodes}
+        return [], {}
+    adj: dict[str, list[tuple[str, tuple[str, str]]]] = {n: [] for n in nodes}
     for f, c in b.incidences:
-        adj[f].append((c, f, c))
-        adj[c].append((f, f, c))
-    for n in adj:
-        adj[n].sort()
+        adj[f].append((c, (f, c)))
+        adj[c].append((f, (f, c)))
     root = nodes[0]
-    seen = {root}
-    queue = [root]
-    tree: list[tuple[str, str]] = []
-    while queue:
-        cur = queue.pop(0)
-        for nxt, f, c in adj[cur]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            tree.append((f, c))
-            queue.append(nxt)
-    if len(seen) != len(nodes):
+    order = [root]
+    parent: dict[str, tuple[str, tuple[str, str]] | None] = {root: None}
+    for cur in order:  # the list grows while it is walked: a FIFO queue
+        for nxt, edge in sorted(adj[cur]):
+            if nxt not in parent:
+                parent[nxt] = (cur, edge)
+                order.append(nxt)
+    if len(order) != len(nodes):
         raise StructureError("incidence graph is disconnected")
-    return tree
+    return order, parent
+
+
+def poset_spanning_tree(b: BaseComplex) -> list[tuple[str, str]]:
+    """Tree edges of ``bfs_tree`` as (face, cell) pairs in discovery order."""
+    order, parent = bfs_tree(b)
+    return [parent[c][1] for c in order[1:]]
 
 
 @dataclass

@@ -61,12 +61,6 @@ class TotalComplex:
     elements: tuple[tuple[str, str], ...]
     relations: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
 
-    def projection(self, element: tuple[str, str]) -> str:
-        return element[0]
-
-    def fibre_elements(self, cell: str) -> list[tuple[str, str]]:
-        return [e for e in self.elements if e[0] == cell]
-
     def n_components(self) -> int:
         comps = cellbase.connected_components(list(self.elements), list(self.relations))
         return len(comps)
@@ -122,9 +116,12 @@ def validate_bundle(x: StratBundle, include_base: bool = True) -> ValidationRepo
             rep.add("transition-typing", f"({f}, {c}) -> {mid}")
     if not rep.ok:
         return rep
+    is_iso: dict[str, bool] = {}
     for (f, c), mid in sorted(x.transition.items()):
         if x.strat.strata[f] == x.strat.strata[c]:
-            if not fincat.is_iso_in_image(x.cat, x.ff, mid):
+            if mid not in is_iso:
+                is_iso[mid] = fincat.is_iso_in_image(x.cat, x.ff, mid)
+            if not is_iso[mid]:
                 rep.add(
                     "stratum-iso",
                     f"within-stratum transition ({f}, {c}) -> {mid} is not invertible",
@@ -238,15 +235,6 @@ def validate_fbundle_map(h: FBundleMap) -> ValidationReport:
         if lhs != rhs:
             rep.add("naturality", f"square over incidence ({f}, {c}) does not commute")
     return rep
-
-
-def identity_fbundle_map(x: StratBundle) -> FBundleMap:
-    return FBundleMap(
-        x,
-        x,
-        cellbase.identity_map(x.base),
-        {c: x.cat.identities[x.fibre_obj[c]] for c in x.base.cells},
-    )
 
 
 def validate_fibrewise_map(m: FibrewiseMap) -> ValidationReport:

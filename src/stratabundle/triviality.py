@@ -43,22 +43,26 @@ class TrivializeResult:
         return self.trivialization is not None
 
 
-def _tree_paths(sub, tree):
-    """Parent links and path-to-root recovery for a spanning tree."""
-    adjacency: dict[str, list[tuple[str, str, str]]] = {c: [] for c in sub.cells}
-    for f, c in tree:
-        adjacency[f].append((c, f, c))
-        adjacency[c].append((f, f, c))
-    return adjacency
-
-
 def trivialize_over(x: StratBundle, region) -> TrivializeResult:
     """Charts onto one fibre object over a connected region, or a holonomy loop.
 
     Requires every transition inside the region to be invertible in the
     image of the fibre functor.
     """
+    return _trivialize(x, region, {})
+
+
+def _image_inverse(x: StratBundle, mid: str, memo: dict[str, str | None]) -> str | None:
+    if mid not in memo:
+        memo[mid] = fincat.image_inverse(x.cat, x.ff, mid)
+    return memo[mid]
+
+
+def _trivialize(x: StratBundle, region, memo: dict[str, str | None]) -> TrivializeResult:
+    """``trivialize_over`` with image inverses memoised by morphism id in ``memo``."""
     cells = sorted(set(region))
+    if not cells:
+        raise StructureError("region is empty")
     unknown = [c for c in cells if c not in x.base.cells]
     if unknown:
         raise StructureError(f"unknown cells {unknown}")
@@ -66,47 +70,37 @@ def trivialize_over(x: StratBundle, region) -> TrivializeResult:
     inverses: dict[tuple[str, str], str] = {}
     for f, c in sub.incidences:
         mid = x.transition[(f, c)]
-        inv = fincat.image_inverse(x.cat, x.ff, mid)
+        inv = _image_inverse(x, mid, memo)
         if inv is None:
             raise PreconditionError(
                 f"transition ({f}, {c}) -> {mid} is not invertible over the region"
             )
         inverses[(f, c)] = inv
-    tree = cellbase.poset_spanning_tree(sub)
+    order, parent = cellbase.bfs_tree(sub)
 
-    root = sub.sorted_cells()[0]
+    root = order[0]
     obj = x.fibre_obj[root]
     charts = {root: x.cat.identities[obj]}
-    parents = _tree_paths(sub, tree)
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        for nxt, f, c in sorted(parents[cur]):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt == f:  # stepping down: invert the transition afterwards
-                charts[nxt] = x.cat.compose(charts[cur], inverses[(f, c)])
-            else:  # stepping up along (f, c) with cur == f
-                charts[nxt] = x.cat.compose(charts[cur], x.transition[(f, c)])
-            order.append(nxt)
+    for nxt in order[1:]:
+        cur, (f, c) = parent[nxt]
+        if nxt == f:  # stepping down: invert the transition afterwards
+            charts[nxt] = x.cat.compose(charts[cur], inverses[(f, c)])
+        else:  # stepping up along (f, c) with cur == f
+            charts[nxt] = x.cat.compose(charts[cur], x.transition[(f, c)])
 
-    tree_set = set(tree)
+    tree = {parent[n][1] for n in order[1:]}
     ff = x.ff
     for f, c in sub.incidences:
-        if (f, c) in tree_set:
+        if (f, c) in tree:
             continue
         lhs = compose_tables(ff.on_morphisms[charts[f]], x.transition_table(f, c))
         rhs = ff.on_morphisms[charts[c]]
         if lhs != rhs:
             holonomy = x.cat.compose(
                 x.cat.compose(charts[f], x.transition[(f, c)]),
-                fincat.image_inverse(x.cat, x.ff, charts[c]),
+                _image_inverse(x, charts[c], memo),
             )
-            loop = _loop_through(sub, tree, f, c)
+            loop = _loop_through(parent, f, c)
             return TrivializeResult(
                 None,
                 Obstruction(
@@ -119,23 +113,13 @@ def trivialize_over(x: StratBundle, region) -> TrivializeResult:
     return TrivializeResult(Trivialization(tuple(cells), obj, charts), None)
 
 
-def _loop_through(sub, tree, f: str, c: str) -> tuple[str, ...]:
-    parent: dict[str, str | None] = {}
-    root = sub.sorted_cells()[0]
-    adjacency = _tree_paths(sub, tree)
-    parent[root] = None
-    queue = [root]
-    while queue:
-        cur = queue.pop(0)
-        for nxt, _, _ in sorted(adjacency[cur]):
-            if nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
+def _loop_through(parent, f: str, c: str) -> tuple[str, ...]:
+    """Cycle closed by the non-tree incidence (f, c): c up to the meet, back down to f."""
 
     def path_to_root(cell):
         out = [cell]
         while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
+            out.append(parent[out[-1]][0])
         return out
 
     up_f = path_to_root(f)
@@ -216,8 +200,9 @@ def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
             f"structure category is not a groupoid in its faithful image; witness {witness}"
         )
     stars = {}
+    memo: dict[str, str | None] = {}
     for c in x.base.sorted_cells():
-        res = trivialize_over(x, cellbase.star_cells(x.base, c))
+        res = _trivialize(x, cellbase.star_cells(x.base, c), memo)
         if not res.ok:
             raise StructureError(
                 f"closed star of {c} failed to trivialize: {res.obstruction.detail}; "
@@ -311,50 +296,29 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
     basepoint = base_nodes[0]
     monodromy = []
     if len(base_comps) == 1:
-        tree = cellbase.poset_spanning_tree(x.base)
-        tree_set = set(tree)
-        parent: dict[str, tuple[str, tuple[str, str]] | None] = {basepoint: None}
-        adjacency: dict[str, list[tuple[str, tuple[str, str]]]] = {c: [] for c in base_nodes}
-        for f, c in tree:
-            adjacency[f].append((c, (f, c)))
-            adjacency[c].append((f, (f, c)))
-        queue = [basepoint]
-        while queue:
-            cur = queue.pop(0)
-            for nxt, edge in sorted(adjacency[cur]):
-                if nxt not in parent:
-                    parent[nxt] = (cur, edge)
-                    queue.append(nxt)
+        order, parent = cellbase.bfs_tree(x.base)
+        # transport[cell]: the fibre bijection carrying the basepoint fibre
+        # out to ``cell`` along the tree path
+        transport = {basepoint: fincat.identity_table(x.fibre_set(basepoint))}
+        for nxt in order[1:]:
+            cur, (f, c) = parent[nxt]
+            step = x.transition_table(f, c)
+            if nxt == f:  # moving down applies the transition
+                transport[nxt] = compose_tables(step, transport[cur])
+            else:  # moving up applies the inverse bijection
+                inv = {w: v for v, w in step.items()}
+                transport[nxt] = compose_tables(inv, transport[cur])
 
+        tree = {parent[n][1] for n in order[1:]}
         for f, c in x.base.incidences:
-            if (f, c) in tree_set:
+            if (f, c) in tree:
                 continue
-            out = _root_to(x, parent, c)
-            back = {w: v for v, w in _root_to(x, parent, f).items()}
-            perm = compose_tables(back, compose_tables(x.transition_table(f, c), out))
+            back = {w: v for v, w in transport[f].items()}
+            perm = compose_tables(back, compose_tables(x.transition_table(f, c), transport[c]))
             monodromy.append(MonodromyEntry((f, c), perm, permutation_cycle_type(perm)))
     return CoveringCertificate(
         total, len(total_comps), sheets, even, basepoint, monodromy
     )
-
-
-def _root_to(x: StratBundle, parent, cell) -> dict[str, str]:
-    """Fibre bijection transporting the basepoint fibre out to ``cell``."""
-    path = []
-    cur = cell
-    while parent[cur] is not None:
-        prev, edge = parent[cur]
-        path.append((cur, edge))
-        cur = prev
-    table = fincat.identity_table(x.fibre_set(cur))
-    for cell_at, (f, c) in reversed(path):
-        step = x.transition_table(f, c)
-        if cell_at == f:  # moving down applies the transition
-            table = compose_tables(step, table)
-        else:  # moving up applies the inverse bijection
-            inv = {w: v for v, w in step.items()}
-            table = compose_tables(inv, table)
-    return table
 
 
 @dataclass

@@ -1,0 +1,46 @@
+"""Builders shared by several test modules: small triangulated tori."""
+import pytest
+
+from stratabundle import cellbase, corpus, strabundle
+
+
+def build_torus(n: int):
+    """n x n triangulated torus (n >= 3): n^2 vertices t<i>_<j>, 6 n^2 cells."""
+    def name(i, j):
+        return f"t{i % n}_{j % n}"
+
+    entries = [(name(i, j), 0, []) for i in range(n) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            a, right, down, diag = name(i, j), name(i, j + 1), name(i + 1, j), name(i + 1, j + 1)
+            for u, v in ((a, right), (a, down), (a, diag)):
+                entries.append((cellbase.simplex_name([u, v]), 1, [u, v]))
+            for u in (down, right):
+                faces = [cellbase.simplex_name(e) for e in ((a, u), (u, diag), (a, diag))]
+                entries.append((cellbase.simplex_name([a, u, diag]), 2, faces))
+    b = cellbase.complex_from_cells(entries)
+    return b, cellbase.single_stratum(b)
+
+
+def build_torus_cover(n: int) -> strabundle.StratBundle:
+    """Pull-back of ``corpus.double_cover_c3`` along (i, j) -> v_{i mod 3}.
+
+    n must be a multiple of 3.  Each row-direction cycle winds n / 3 times
+    around the circle, so the cover is connected when n / 3 is odd and
+    splits into two sheets when it is even.
+    """
+    b, s = build_torus(n)
+    circle = corpus.double_cover_c3()
+    vertex_map = {f"t{i}_{j}": f"v{i % 3}" for i in range(n) for j in range(n)}
+    fbar = cellbase.SimplicialMap.from_vertex_map(b, circle.base, vertex_map)
+    return strabundle.pullback(circle, fbar, s).bundle
+
+
+@pytest.fixture
+def torus():
+    return build_torus
+
+
+@pytest.fixture
+def torus_cover():
+    return build_torus_cover

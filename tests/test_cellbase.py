@@ -1,8 +1,12 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import cellbase, corpus, oracle
+from stratabundle import cellbase, corpus, jsonio, oracle
 from stratabundle.cellbase import SimplicialMap, Stratification
 from stratabundle.validation import StructureError
 
@@ -90,6 +94,116 @@ class TestSpanningTree:
     def test_deterministic(self):
         b, _ = corpus.fan_disk()
         assert cellbase.poset_spanning_tree(b) == cellbase.poset_spanning_tree(b)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# poset_spanning_tree of each golden base, recorded before it moved onto bfs_tree
+C3_TREE = [
+    ("v0", "v0.v1"), ("v0", "v0.v2"), ("v1", "v0.v1"), ("v2", "v0.v2"), ("v1", "v1.v2"),
+]
+GOLDEN_TREES = {
+    "bz2_double_cover_c3": C3_TREE,
+    "c3_complex": C3_TREE,
+    "c6_complex": [
+        ("u0", "u0.u1"), ("u0", "u0.u5"), ("u1", "u0.u1"), ("u5", "u0.u5"), ("u1", "u1.u2"),
+        ("u5", "u4.u5"), ("u2", "u1.u2"), ("u4", "u4.u5"), ("u2", "u2.u3"), ("u4", "u3.u4"),
+        ("u3", "u2.u3"),
+    ],
+    "disk_collapse_two_strata": [
+        ("v0", "v0.v1"), ("v0", "v0.v2"), ("v0.v1", "v0.v1.v2"), ("v1", "v0.v1"),
+        ("v2", "v0.v2"), ("v1.v2", "v0.v1.v2"),
+    ],
+    "disk_trivial_two_strata": [
+        ("v0.v1", "u0.u1.u2"), ("v0.v2", "u0.u1.u2"), ("v1.v2", "u0.u1.u2"),
+        ("v0", "v0.v1"), ("v1", "v0.v1"), ("v2", "v0.v2"),
+    ],
+    "double_cover_c3": C3_TREE,
+    "fan_disk_complex": [
+        ("v0", "v0.v1"), ("v0", "v0.v2"), ("v0", "v0.w"), ("v0.v1", "v0.v1.w"),
+        ("v1", "v0.v1"), ("v0.v2", "v0.v2.w"), ("v2", "v0.v2"), ("w", "v0.w"),
+        ("v1.w", "v0.v1.w"), ("v1", "v1.v2"), ("v2.w", "v0.v2.w"), ("v1.w", "v1.v2.w"),
+    ],
+    "orbit_free_bundle_c3": C3_TREE,
+    "product_bundle_c3": C3_TREE,
+    "triple_cover_c3": C3_TREE,
+    "trivial_two_sheets_c3": C3_TREE,
+}
+# sha256 of json.dumps of the tree as a list of [face, cell] lists
+TORUS_TREE_SHA256 = {
+    3: "1b33edc191e4387e",
+    6: "04e9a0f06fd981c9",
+}
+
+
+def golden_base(name):
+    doc = jsonio.read_doc(GOLDEN / f"{name}.json")
+    if jsonio.detect_kind(doc) == "complex":
+        return jsonio.complex_from_doc(doc)[0]
+    return jsonio.bundle_from_doc(doc).base
+
+
+def kernel_cases():
+    return [pytest.param(name, id=name) for name in GOLDEN_TREES] + [
+        pytest.param(n, id=f"torus{n}") for n in TORUS_TREE_SHA256
+    ]
+
+
+def kernel_base(case, torus):
+    return torus(case)[0] if isinstance(case, int) else golden_base(case)
+
+
+class TestBfsTree:
+    def test_every_golden_base_is_covered(self):
+        bases = []
+        for path in sorted(GOLDEN.glob("*.json")):
+            if jsonio.detect_kind(jsonio.read_doc(path)) in ("complex", "bundle"):
+                bases.append(path.stem)
+        assert bases == sorted(GOLDEN_TREES)
+
+    @pytest.mark.parametrize("case", kernel_cases())
+    def test_visits_every_cell_once(self, case, torus):
+        b = kernel_base(case, torus)
+        order, parent = cellbase.bfs_tree(b)
+        assert len(order) == len(set(order)) == len(b.cells)
+        assert set(order) == set(parent) == set(b.cells)
+        assert order[0] == min(b.cells)
+
+    @pytest.mark.parametrize("case", kernel_cases())
+    def test_parent_edges_form_a_tree(self, case, torus):
+        b = kernel_base(case, torus)
+        order, parent = cellbase.bfs_tree(b)
+        position = {c: i for i, c in enumerate(order)}
+        incidences = set(b.incidences)
+        assert parent[order[0]] is None
+        for c in order[1:]:
+            prev, edge = parent[c]
+            assert edge in incidences
+            assert set(edge) == {prev, c}
+            # parents come earlier in the order, so every path climbs to the root
+            assert position[prev] < position[c]
+
+    @pytest.mark.parametrize("case", kernel_cases())
+    def test_spanning_tree_is_unchanged(self, case, torus):
+        tree = cellbase.poset_spanning_tree(kernel_base(case, torus))
+        if isinstance(case, int):
+            digest = hashlib.sha256(json.dumps([list(e) for e in tree]).encode()).hexdigest()
+            assert digest.startswith(TORUS_TREE_SHA256[case])
+        else:
+            assert tree == GOLDEN_TREES[case]
+
+    def test_disconnected_is_rejected(self, torus):
+        with pytest.raises(StructureError):
+            cellbase.bfs_tree(cellbase.complex_from_cells([("p", 0, []), ("q", 0, [])]))
+        b = torus(3)[0]
+        two = cellbase.disjoint_union(b, cellbase.relabel_complex(b, lambda c: "s" + c))
+        with pytest.raises(StructureError):
+            cellbase.bfs_tree(two)
+        with pytest.raises(StructureError):
+            cellbase.poset_spanning_tree(two)
+
+    def test_empty_complex_has_empty_tree(self):
+        assert cellbase.bfs_tree(cellbase.BaseComplex({})) == ([], {})
 
 
 class TestAttachBase:

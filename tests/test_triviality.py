@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import cellbase, corpus, fincat, oracle, strabundle, triviality
-from stratabundle.validation import PreconditionError
+from stratabundle import cellbase, cli, corpus, fincat, jsonio, oracle, strabundle, triviality
+from stratabundle.validation import PreconditionError, StructureError
 
 
 class TestTrivializeOver:
@@ -33,6 +37,10 @@ class TestTrivializeOver:
             res = triviality.trivialize_over(x, cellbase.star_cells(x.base, c))
             assert res.ok
             assert triviality.validate_trivialization(x, res.trivialization).ok
+
+    def test_empty_region_is_refused(self):
+        with pytest.raises(StructureError):
+            triviality.trivialize_over(corpus.double_cover_c3(), [])
 
     def test_non_invertible_transition_is_refused(self):
         x = corpus.disk_collapse_two_strata()
@@ -147,3 +155,125 @@ class TestStratify:
 def test_cycle_type_helper():
     assert triviality.permutation_cycle_type({"a": "b", "b": "a", "c": "c"}) == (2, 1)
     assert triviality.permutation_cycle_type({}) == ()
+
+
+def _walk_transport(x, walk) -> dict[str, str]:
+    """Fibre bijection of walk[0] obtained by walking the closed walk once."""
+    table = fincat.identity_table(x.fibre_set(walk[0]))
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        if (b, a) in x.transition:  # down from the cell a to its face b
+            step = x.transition_table(b, a)
+        else:  # up from the face a to the cell b
+            step = {w: v for v, w in x.transition_table(a, b).items()}
+        table = fincat.compose_tables(step, table)
+    return table
+
+
+# sha256 of the cover, certify and trivialize documents of the n = 9 torus
+# cover, recorded before these commands moved onto the shared BFS tree
+TORUS9_SHA256 = {
+    "cover": "96c4b952deff6c68850a576df01583f98a5dacac8a8d051b1669de53a68aeeb4",
+    "certify": "43694321a87068e961032f99ea0dcd71991351865f2eb0708dbe7a9f46990a00",
+    "trivialize": "9dcd615057f421f46afecf31b49eca522fc693b1d0ad377eda9b699ec5412b4d",
+}
+
+
+class TestTorusCrossChecks:
+    """Trivialization, covering and monodromy agree on double covers of tori."""
+
+    @pytest.mark.parametrize("n, components", [(3, 1), (6, 2), (9, 1)])
+    def test_components_are_monodromy_orbits(self, torus_cover, n, components):
+        x = torus_cover(n)
+        cov = triviality.covering_space(x)
+        assert cov.components == components
+        fibre = x.fibre_set(cov.basepoint)
+        moves = [(v, w) for e in cov.monodromy for v, w in e.permutation.items()]
+        assert cov.components == len(cellbase.connected_components(fibre, moves))
+        assert len(cov.monodromy) == len(x.base.incidences) - len(x.base.cells) + 1
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_global_chart_exactly_when_monodromy_is_trivial(self, torus_cover, n):
+        x = torus_cover(n)
+        cov = triviality.covering_space(x)
+        trivial = all(
+            all(v == w for v, w in e.permutation.items()) for e in cov.monodromy
+        )
+        res = triviality.trivialize_over(x, set(x.base.cells))
+        assert res.ok == trivial
+        assert res.ok == (n == 6)
+        if res.ok:
+            assert triviality.validate_trivialization(x, res.trivialization).ok
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_obstruction_loop_is_a_closed_walk(self, torus_cover, n):
+        x = torus_cover(n)
+        obs = triviality.trivialize_over(x, set(x.base.cells)).obstruction
+        loop = list(obs.loop)
+        assert len(set(loop)) == len(loop) >= 3
+        incidences = set(x.base.incidences)
+        for a, b in zip(loop, loop[1:]):
+            assert (a, b) in incidences or (b, a) in incidences
+        closing = (loop[-1], loop[0])
+        assert closing in incidences
+        assert f"incidence ({loop[-1]}, {loop[0]})" in obs.detail
+        walked = _walk_transport(x, loop)
+        holonomy = x.ff.on_morphisms[obs.holonomy]
+        assert triviality.permutation_cycle_type(walked) == (2,)
+        assert triviality.permutation_cycle_type(holonomy) == (2,)
+
+    def test_documents_are_unchanged(self, torus_cover, tmp_path):
+        bundle = tmp_path / "bundle.json"
+        jsonio.write_doc(bundle, jsonio.bundle_to_doc(torus_cover(9)))
+        for command, digest in TORUS9_SHA256.items():
+            out = tmp_path / f"{command}.json"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([command, str(bundle), "-o", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestImageInverseCalls:
+    """The certificate and the validator ask once per distinct transition morphism."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        calls = []
+        original = fincat.image_inverse
+
+        def counting(cat, ff, mid):
+            calls.append(mid)
+            return original(cat, ff, mid)
+
+        monkeypatch.setattr(fincat, "image_inverse", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_certificate(self, torus_cover, asked, n):
+        x = torus_cover(n)
+        cert = triviality.local_triviality_certificate(x)
+        assert len(cert.stars) == len(x.base.cells)
+        assert len(asked) == len(set(asked)) <= len(set(x.transition.values()))
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_validator(self, torus_cover, asked, n):
+        x = torus_cover(n)
+        assert strabundle.validate_bundle(x).ok
+        assert len(asked) == len(set(asked)) <= len(set(x.transition.values()))
+
+    def test_stratum_iso_reported_per_incidence(self, asked):
+        cat, ff = corpus.finset_category((2,))
+        base, strat = corpus.c3()
+        x = strabundle.product_bundle(base, strat, cat, ff, "n2")
+        for i, key in enumerate(base.incidences):
+            x.transition[key] = "f:n2>n2:00" if i % 2 else "f:n2>n2:11"  # two collapses
+        rep = strabundle.validate_bundle(x)
+        assert [(v.code, v.detail) for v in rep.violations] == [
+            ("stratum-iso", f"within-stratum transition ({f}, {c}) -> {m} is not invertible")
+            for (f, c), m in sorted(x.transition.items())
+        ]
+        assert sorted(asked) == ["f:n2>n2:00", "f:n2>n2:11"]
+
+    def test_global_trivialization(self, torus_cover, asked):
+        x = torus_cover(3)
+        assert not triviality.trivialize_over(x, set(x.base.cells)).ok
+        # one per transition morphism, plus the inverse of the closing chart
+        assert len(asked) <= len(set(x.transition.values())) + 1
