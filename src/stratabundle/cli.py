@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import cellbase, corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
-from .validation import DocumentError, PreconditionError, StructureError
+from .validation import DocumentError, PreconditionError, StructureError, ValidationReport
 
 OK, INVALID, REFUSED, UNREADABLE = 0, 1, 2, 3
 
@@ -34,10 +34,11 @@ def _load_bundle(path: str) -> strabundle.StratBundle:
 
 
 def _require_valid_bundle(x: strabundle.StratBundle):
-    rep = strabundle.validate_bundle(x)
-    rep.merge(fincat.validate_category(x.cat))
-    rep.merge(fincat.validate_fibre_functor(x.cat, x.ff))
-    return rep
+    """Category and fibre functor first; the bundle checks assume both are valid."""
+    structure = fincat.validate_structure(x.cat, x.ff)
+    if not structure.ok:
+        return ValidationReport("bundle", structure.violations)
+    return strabundle.validate_bundle(x)
 
 
 def cmd_validate(args) -> int:
@@ -45,8 +46,7 @@ def cmd_validate(args) -> int:
     kind = args.kind or jsonio.detect_kind(doc)
     if kind == "category":
         cat, ff = jsonio.category_from_doc(doc)
-        rep = fincat.validate_category(cat)
-        rep.merge(fincat.validate_fibre_functor(cat, ff))
+        rep = fincat.validate_structure(cat, ff)
     elif kind == "complex":
         b, s = jsonio.complex_from_doc(doc)
         rep = cellbase.validate_complex(b, s)

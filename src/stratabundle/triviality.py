@@ -267,20 +267,13 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
 
     Requires every transition to act bijectively on fibres.  The
     certificate records component and sheet counts, the even-covering
-    check over every cell, and the monodromy permutation of the basepoint
+    flag, and the monodromy permutation of the basepoint
     fibre around each fundamental cycle of the incidence graph.
     """
     for (f, c), mid in sorted(x.transition.items()):
         if not fincat.is_bijective_table(x.ff.on_morphisms[mid], x.fibre_set(f)):
             raise PreconditionError(f"transition ({f}, {c}) -> {mid} is not a bijection")
     total = strabundle.realize_total(x)
-
-    even = True
-    for f, c in x.base.incidences:
-        table = x.transition_table(f, c)
-        for v in x.fibre_set(f):
-            if sum(1 for w in table.values() if w == v) != 1:
-                even = False
 
     base_nodes = x.base.sorted_cells()
     base_comps = cellbase.connected_components(base_nodes, list(x.base.incidences))
@@ -316,8 +309,9 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
             back = {w: v for v, w in transport[f].items()}
             perm = compose_tables(back, compose_tables(x.transition_table(f, c), transport[c]))
             monodromy.append(MonodromyEntry((f, c), perm, permutation_cycle_type(perm)))
+    # every transition is a bijection onto its face fibre, so the cover is even
     return CoveringCertificate(
-        total, len(total_comps), sheets, even, basepoint, monodromy
+        total, len(total_comps), sheets, True, basepoint, monodromy
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,3 +185,109 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "double_cover_c3" in proc.stdout
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# sha256 of the `validate -o` report of every golden bundle and category
+# document, recorded before `validate_structure` existed
+VALID_REPORT = {
+    "bundle": "290d90f83d02e1c1495e4cc6acd9e48247179bc8c82b74f7890fdcb4b5500164",
+    "category": "6809ed04743ef674f7c9eeb6749896709fdcd14f1cd6d0ecf053e5ec7f1542c6",
+}
+GOLDEN_VALIDATE_SHA256 = {
+    "bz2_category.json": VALID_REPORT["category"],
+    "bz2_double_cover_c3.json": VALID_REPORT["bundle"],
+    "disk_collapse_two_strata.json": VALID_REPORT["bundle"],
+    "disk_trivial_two_strata.json": VALID_REPORT["bundle"],
+    "double_cover_c3.json": VALID_REPORT["bundle"],
+    "finset12_category.json": VALID_REPORT["category"],
+    "orbit_free_bundle_c3.json": VALID_REPORT["bundle"],
+    "orbit_z2_category.json": VALID_REPORT["category"],
+    "perm2_category.json": VALID_REPORT["category"],
+    "product_bundle_c3.json": VALID_REPORT["bundle"],
+    "triple_cover_c3.json": VALID_REPORT["bundle"],
+    "trivial_two_sheets_c3.json": VALID_REPORT["bundle"],
+}
+# the same, for the invalid mutants of ``mutate_golden``; these pin the
+# order of the violations
+MUTANT_VALIDATE_SHA256 = {
+    "bz2_category.json": "bd84b3b283f730161c10607b894f0b9e0fc72cb2882d282b53ab244c5235579a",
+    "disk_trivial_two_strata.json": "c2259f75357fdd9c4ccec9c3bae9544677594acc50e7a4c1d64a452d1096d9de",
+    "finset12_category.json": "aab84024de0f4fded6e751a27301bddd860be14ecd52d6b7d056850de9420f9a",
+    "orbit_z2_category.json": "bd84b3b283f730161c10607b894f0b9e0fc72cb2882d282b53ab244c5235579a",
+    "perm2_category.json": "133fd06ced820ee49e7ad0c8e59999574508a818b383957d164c3a29401aaf72",
+}
+
+
+def _other_parallel(cat_doc, mid):
+    """The next morphism after ``mid``, in sorted order, with its endpoints."""
+    ends = {m["id"]: (m["src"], m["tgt"]) for m in cat_doc["morphisms"]}
+    parallel = sorted(m for m, e in ends.items() if e == ends[mid])
+    if len(parallel) < 2:
+        return None
+    return parallel[(parallel.index(mid) + 1) % len(parallel)]
+
+
+def mutate_golden(doc):
+    """Re-point the last re-pointable composite of a category document, or
+    the first re-pointable transition of a bundle document."""
+    doc = json.loads(json.dumps(doc))
+    if "transitions" not in doc:
+        for entry in reversed(doc["compose"]):
+            other = _other_parallel(doc, entry[2])
+            if other:
+                entry[2] = other
+                return doc
+    for t in doc.get("transitions", []):
+        other = _other_parallel(doc["category"], t["mor"])
+        if other:
+            t["mor"] = other
+            return doc
+    return None
+
+
+def validate_report_sha256(path, tmp_path):
+    out = tmp_path / "report.json"
+    run(["validate", str(path), "-o", str(out)])
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_golden_validate_reports_are_unchanged(tmp_path):
+    docs = {
+        p.name: p
+        for p in sorted(GOLDEN.glob("*.json"))
+        if jsonio.detect_kind(jsonio.read_doc(p)) in ("bundle", "category")
+    }
+    assert set(docs) == set(GOLDEN_VALIDATE_SHA256)
+    for name, path in docs.items():
+        assert validate_report_sha256(path, tmp_path) == GOLDEN_VALIDATE_SHA256[name], name
+    for name, expected in MUTANT_VALIDATE_SHA256.items():
+        mutant = tmp_path / name
+        jsonio.write_doc(mutant, mutate_golden(jsonio.read_doc(docs[name])))
+        assert validate_report_sha256(mutant, tmp_path) == expected, name
+
+
+def test_broken_fibre_functor_is_a_report_not_a_traceback(tmp_path):
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    missing = json.loads(json.dumps(doc))
+    del missing["category"]["actions"]["p2:10"]
+    escaping = json.loads(json.dumps(doc))
+    escaping["category"]["actions"]["p2:10"]["set2.0"] = "nowhere"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    cases = [("missing", missing, "action-missing"), ("escaping", escaping, "action-codomain")]
+    for name, bad, code in cases:
+        path = tmp_path / f"{name}.json"
+        jsonio.write_doc(path, bad)
+        for command in ("validate", "reconstruct"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stratabundle", command, str(path)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 1, (name, command)
+            assert "Traceback" not in proc.stderr
+            report = json.loads(proc.stdout)
+            assert report["subject"] == "bundle"
+            assert code in {v["code"] for v in report["violations"]}

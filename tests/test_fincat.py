@@ -1,3 +1,6 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +16,9 @@ def z2_category():
     )
 
 
-def test_z2_is_valid_category():
-    rep = fincat.validate_category(z2_category())
-    assert rep.ok
-
-
-def test_broken_associativity_names_the_triple():
+def broken_associativity_category():
     # a*a = b but a*b = b and b*a = a, so (a,a,a) associates two ways
-    cat = fincat.category(
+    return fincat.category(
         ["X"],
         [("i", "X", "X"), ("a", "X", "X"), ("b", "X", "X")],
         {
@@ -36,6 +34,15 @@ def test_broken_associativity_names_the_triple():
         },
         {"X": "i"},
     )
+
+
+def test_z2_is_valid_category():
+    rep = fincat.validate_category(z2_category())
+    assert rep.ok
+
+
+def test_broken_associativity_names_the_triple():
+    cat = broken_associativity_category()
     rep = fincat.validate_category(cat)
     assert not rep.ok
     assoc = [v for v in rep.violations if v.code == "associativity"]
@@ -261,3 +268,143 @@ def test_image_inverse_and_iso():
     assert fincat.image_inverse(cat, ff, "q") is None
     assert fincat.is_iso_in_image(cat, ff, "e")
     assert not fincat.is_iso_in_image(cat, ff, "q")
+
+
+def copy_category(cat, compose=None):
+    return fincat.FiniteCategory(
+        cat.objects,
+        dict(cat.morphisms),
+        dict(cat.compose_table if compose is None else compose),
+        dict(cat.identities),
+    )
+
+
+def copy_functor(ff):
+    return fincat.FibreFunctor(
+        dict(ff.on_objects), {m: dict(t) for m, t in ff.on_morphisms.items()}
+    )
+
+
+def structure_mutants(cat, ff, rng):
+    """The input itself and four broken variants, all chosen by ``rng``."""
+    yield "unchanged", cat, ff
+    keys = sorted(cat.compose_table)
+    key = rng.choice(keys)
+    gf = cat.compose_table[key]
+    m = cat.morphisms[gf]
+    # another morphism with the same endpoints if there is one, else any other
+    others = [x for x in cat.hom(m.src, m.tgt) if x != gf] or sorted(set(cat.morphisms) - {gf})
+    if others:
+        changed = dict(cat.compose_table)
+        changed[key] = rng.choice(others)
+        yield "compose-changed", copy_category(cat, changed), ff
+    deleted = dict(cat.compose_table)
+    del deleted[rng.choice(keys)]
+    yield "compose-deleted", copy_category(cat, deleted), ff
+    mid = rng.choice(sorted(cat.morphisms))
+    dom = ff.on_objects[cat.src(mid)]
+    cod = ff.on_objects[cat.tgt(mid)]
+    if dom and len(cod) > 1:
+        changed_ff = copy_functor(ff)
+        x = rng.choice(sorted(dom))
+        old = changed_ff.on_morphisms[mid][x]
+        changed_ff.on_morphisms[mid][x] = rng.choice([y for y in cod if y != old])
+        yield "action-changed", cat, changed_ff
+    yield "one-point", cat, fincat.one_point_functor(cat)
+
+
+def corpus_structures():
+    for n in (1, 2, 3, 4):
+        yield f"perm{n}", *corpus.perm_category(n)
+    yield "finset12", *corpus.finset_category()
+    yield "finset123", *corpus.finset_category((1, 2, 3))
+    yield "bz2", *corpus.bz2_category()
+    yield "orbit_z2", *corpus.orbit_z2_category()
+    yield "z2-swap", z2_category(), swap_ff_on_z2()
+    yield "z2-trivial", z2_category(), trivial_ff_on_z2()
+
+
+def oracle_structures():
+    for seed in range(60):
+        for groupoid_only in (False, True):
+            spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
+            yield f"oracle{seed}-{groupoid_only}", *oracle.gen_category(spec)
+
+
+class TestValidateStructure:
+    @staticmethod
+    def reference(cat, ff):
+        return fincat.validate_category(cat).violations + fincat.validate_fibre_functor(cat, ff).violations
+
+    def test_equals_both_validators_on_corpus_oracle_and_mutants(self):
+        rng = random.Random(20)
+        seen = set()
+        checked = 0
+        for name, cat, ff in (*corpus_structures(), *oracle_structures()):
+            for kind, mcat, mff in structure_mutants(cat, ff, rng):
+                rep = fincat.validate_structure(mcat, mff)
+                assert rep.subject == "category"
+                assert rep.violations == self.reference(mcat, mff), (name, kind)
+                seen.add((kind, rep.ok))
+                checked += 1
+        assert checked > 500
+        # the mutants do break things, and the unchanged inputs pass
+        assert ("unchanged", True) in seen and ("unchanged", False) not in seen
+        for kind in ("compose-changed", "compose-deleted", "action-changed"):
+            assert (kind, False) in seen
+
+    def test_broken_associativity_still_names_the_triple(self):
+        cat = broken_associativity_category()
+        distinct = fincat.fibre_functor(
+            {"X": ["X.0", "X.1"]},
+            {
+                "i": {"X.0": "X.0", "X.1": "X.1"},
+                "a": {"X.0": "X.1", "X.1": "X.0"},
+                "b": {"X.0": "X.0", "X.1": "X.0"},
+            },
+        )
+        for ff in (fincat.one_point_functor(cat), distinct):
+            rep = fincat.validate_structure(cat, ff)
+            assert rep.violations == self.reference(cat, ff)
+            assoc = [v for v in rep.violations if v.code == "associativity"]
+            assert assoc and "(a, a, a)" in assoc[0].detail
+
+    def test_escaping_action_value_is_reported_not_raised(self):
+        cat, ff = corpus.perm_category(2)
+        ff.on_morphisms["p2:10"]["set2.0"] = "nowhere"
+        codes = {v.code for v in fincat.validate_structure(cat, ff).violations}
+        assert {"action-codomain", "action-composition"} <= codes
+
+
+class TestAssociativityRouting:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        original = fincat._check_associativity
+
+        def counting(cat, rep):
+            count.append(cat)
+            original(cat, rep)
+
+        monkeypatch.setattr(fincat, "_check_associativity", counting)
+        return count
+
+    def test_faithful_functor_skips_the_triple_loop(self, calls):
+        cat, ff = corpus.perm_category(4)
+        assert fincat.is_faithful(cat, ff)
+        assert fincat.validate_structure(cat, ff).ok
+        assert calls == []
+
+    def test_unfaithful_functor_runs_it_once(self, calls):
+        cat, ff = z2_category(), trivial_ff_on_z2()
+        assert not fincat.is_faithful(cat, ff)
+        assert fincat.validate_structure(cat, ff).ok
+        assert len(calls) == 1
+
+    def test_corrupted_compose_table_runs_it_once(self, calls):
+        cat, ff = corpus.perm_category(3)
+        compose = dict(cat.compose_table)
+        compose[("p3:102", "p3:102")] = "p3:120"
+        rep = fincat.validate_structure(copy_category(cat, compose), ff)
+        assert not rep.ok
+        assert len(calls) == 1
