@@ -29,11 +29,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     worst = 0
     for name, default_count in DEFAULT_SEEDS.items():
-        spec = oracle.InstanceSpec(
-            seed=args.seed,
-            max_cells=args.max_cells,
-            groupoid_only=(name == "bundle"),
-        )
+        spec = oracle.InstanceSpec(seed=args.seed, max_cells=args.max_cells)
         count = args.seeds or default_count
         rep = oracle.run_suite(name, spec, count)
         jsonio.write_doc(out / f"{name}.json", rep.to_doc())

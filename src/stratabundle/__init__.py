@@ -49,9 +49,6 @@ from .oracle import (
     gen_bundle,
     gen_category,
     run_suite,
-    verify_bundle_theorem,
-    verify_principal_theorem,
-    verify_pullback_theorem,
 )
 from .strabundle import (
     FBundleMap,

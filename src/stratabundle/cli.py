@@ -231,7 +231,6 @@ def cmd_verify(args) -> int:
         max_cells=args.max_cells,
         max_objects=args.max_objects,
         max_fibre_size=args.max_fibre_size,
-        groupoid_only=args.suite == "bundle",
         strata_depth=args.strata_depth,
     )
     names = list(oracle.SUITES) if args.suite == "all" else [args.suite]

@@ -4,10 +4,19 @@ Instances are generated so that validity holds by construction:
 categories are built from function tables closed under composition (the
 axioms are inherited from function composition), and bundles are built by
 iterated attachment of twisted product pieces whose boundary data is
-transported from a single morphism, which forces naturality.  Verifiers
+transported from a single morphism, which forces naturality.  The suites
 still validate everything and classify defects as ``invalid-input``
 (generator bug) separately from ``theorem-violation`` (which must never
 occur).
+
+``run_suite(name, spec, seeds)`` is the one driver.  It rejects unknown
+names and seed counts below one, forces ``groupoid_only`` for the bundle
+suite, and times one loop over ``spec.seed .. spec.seed + seeds - 1``
+that records into a ``Report``.  ``SUITES`` maps each name to a per-seed
+check: it receives the spec for that seed and returns exactly one
+``(outcome, stage, detail)``, where the outcome is ``pass``,
+``invalid-input`` or ``theorem-violation``.  A check catches exceptions
+only around the stages it names; any other exception propagates.
 
 The pseudorandom source is splitmix64 with the standard constants;
 integers below n are drawn as ``next() % n``.  Reports record the
@@ -17,7 +26,7 @@ any implementation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import cellbase, fincat, funcspace, strabundle, triviality
 from .cellbase import BaseComplex, SimplicialMap, Stratification
@@ -79,14 +88,7 @@ class InstanceSpec:
                 raise StructureError(f"{name} must be at least 1")
 
     def with_seed(self, seed: int) -> "InstanceSpec":
-        return InstanceSpec(
-            seed,
-            self.max_cells,
-            self.max_objects,
-            self.max_fibre_size,
-            self.groupoid_only,
-            self.strata_depth,
-        )
+        return replace(self, seed=seed)
 
 
 def _random_table(rng: SplitMix64, src_elems, tgt_elems, bijective: bool) -> tuple:
@@ -380,27 +382,6 @@ class Report:
         }
 
 
-def merge_reports(a: Report, b: Report) -> Report:
-    """Associative, order-independent merge of two reports of one suite."""
-    if a.suite != b.suite or a.params != b.params:
-        raise StructureError("reports belong to different suites")
-    out = Report(
-        a.suite,
-        a.rng,
-        min(a.base_seed, b.base_seed),
-        a.seeds + b.seeds,
-        dict(a.params),
-    )
-    out.instances = a.instances + b.instances
-    out.passes = a.passes + b.passes
-    out.failures = sorted(a.failures + b.failures, key=lambda d: (d["seed"], d["stage"]))
-    out.invalid_inputs = sorted(
-        a.invalid_inputs + b.invalid_inputs, key=lambda d: (d["seed"], d["stage"])
-    )
-    out.notes = sorted(set(a.notes) | set(b.notes))
-    return out
-
-
 def _spec_params(spec: InstanceSpec) -> dict:
     return {
         "max_cells": spec.max_cells,
@@ -416,6 +397,17 @@ def _gen_instance(spec: InstanceSpec):
     cat, ff = gen_category(spec, rng)
     gen = gen_bundle(spec, cat, ff, rng)
     return rng, cat, ff, gen
+
+
+def _valid_instance(spec: InstanceSpec):
+    """Generate, then validate: ``(instance, None)`` or ``(None, outcome)``."""
+    try:
+        rng, cat, ff, gen = _gen_instance(spec)
+    except Exception as exc:  # generator defect, not a theorem statement
+        return None, ("invalid-input", "generate", repr(exc))
+    if not strabundle.validate_bundle(gen.bundle).ok:
+        return None, ("invalid-input", "generate", "generated bundle invalid")
+    return (rng, cat, ff, gen), None
 
 
 def _pullback_setups(rng: SplitMix64, gen: GeneratedBundle):
@@ -483,17 +475,12 @@ def _find_fold(rng: SplitMix64, gen: GeneratedBundle) -> SimplicialMap | None:
     return None
 
 
-def _check_pullback_instance(spec: InstanceSpec, report: Report) -> None:
-    seed = spec.seed
-    try:
-        rng, cat, ff, gen = _gen_instance(spec)
-    except Exception as exc:  # generator defect, not a theorem statement
-        report.record(seed, "invalid-input", "generate", repr(exc))
-        return
+def _check_pullback(spec: InstanceSpec):
+    instance, invalid = _valid_instance(spec)
+    if invalid:
+        return invalid
+    rng, _, _, gen = instance
     z = gen.bundle
-    if not strabundle.validate_bundle(z).ok:
-        report.record(seed, "invalid-input", "generate", "generated bundle invalid")
-        return
     kind, payload = _pullback_setups(rng, gen)
     try:
         if kind in ("identity", "fold"):
@@ -510,34 +497,27 @@ def _check_pullback_instance(spec: InstanceSpec, report: Report) -> None:
             pulled = strabundle.pullback(z, fbar, doubled.strat)
         lhs = pulled.bundle
     except Exception as exc:
-        report.record(seed, "theorem-violation", "pullback", repr(exc))
-        return
+        return "theorem-violation", "pullback", repr(exc)
     rep = strabundle.validate_bundle(lhs)
     if not rep.ok:
-        report.record(seed, "theorem-violation", "pullback-validate", str(rep.violations[0]))
-        return
+        return "theorem-violation", "pullback-validate", str(rep.violations[0])
     vmap = strabundle.validate_fbundle_map(pulled.covering)
     if not vmap.ok:
-        report.record(seed, "theorem-violation", "pullback-covering", str(vmap.violations[0]))
-        return
+        return "theorem-violation", "pullback-covering", str(vmap.violations[0])
     if gen.last_attachment is None:
-        report.record(seed, "pass", "pullback", "no attachment round; commutation skipped")
-        return
+        return "pass", "pullback", "no attachment round; commutation skipped"
     try:
         square = _commuted_square(z, gen, kind, fbar)
     except Exception as exc:
-        report.record(seed, "theorem-violation", "commutation-build", repr(exc))
-        return
+        return "theorem-violation", "commutation-build", repr(exc)
     if square is not None:
         rhs, psquare = square
         if not strabundle.bundle_eq(lhs, rhs):
-            report.record(seed, "theorem-violation", "commutation", "pullback of attachment differs")
-            return
+            return "theorem-violation", "commutation", "pullback of attachment differs"
         check = strabundle.pushout_universality_check(psquare)
         if not check.ok:
-            report.record(seed, "theorem-violation", "universality", check.witness or "")
-            return
-    report.record(seed, "pass")
+            return "theorem-violation", "universality", check.witness or ""
+    return "pass", "", ""
 
 
 def _commuted_square(z: StratBundle, gen: GeneratedBundle, kind: str, fbar: SimplicialMap):
@@ -589,36 +569,19 @@ def _commuted_square(z: StratBundle, gen: GeneratedBundle, kind: str, fbar: Simp
     return res.bundle, res.square
 
 
-def verify_pullback_theorem(spec: InstanceSpec, seeds: int = 1) -> Report:
-    report = Report("pullback", RNG_NAME, spec.seed, seeds, _spec_params(spec))
-    start = time.perf_counter()
-    for s in range(spec.seed, spec.seed + seeds):
-        _check_pullback_instance(spec.with_seed(s), report)
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-def _check_bundle_instance(spec: InstanceSpec, report: Report) -> None:
-    seed = spec.seed
-    try:
-        rng, cat, ff, gen = _gen_instance(spec)
-    except Exception as exc:
-        report.record(seed, "invalid-input", "generate", repr(exc))
-        return
+def _check_bundle(spec: InstanceSpec):
+    instance, invalid = _valid_instance(spec)
+    if invalid:
+        return invalid
+    _, _, _, gen = instance
     z = gen.bundle
-    if not strabundle.validate_bundle(z).ok:
-        report.record(seed, "invalid-input", "generate", "generated bundle invalid")
-        return
     try:
         cert = triviality.local_triviality_certificate(z)
     except Exception as exc:
-        report.record(seed, "theorem-violation", "certificate", repr(exc))
-        return
+        return "theorem-violation", "certificate", repr(exc)
     for c, t in cert.stars.items():
-        sub = triviality.validate_trivialization(z, t)
-        if not sub.ok:
-            report.record(seed, "theorem-violation", "certificate-check", f"star {c}")
-            return
+        if not triviality.validate_trivialization(z, t).ok:
+            return "theorem-violation", "certificate-check", f"star {c}"
     flat = StratBundle(
         z.base,
         cellbase.single_stratum(z.base),
@@ -630,34 +593,13 @@ def _check_bundle_instance(spec: InstanceSpec, report: Report) -> None:
     try:
         again = triviality.stratify_bundle(flat, z.strat)
     except Exception as exc:
-        report.record(seed, "theorem-violation", "stratify", repr(exc))
-        return
+        return "theorem-violation", "stratify", repr(exc)
     if not strabundle.bundle_eq(again.bundle, z):
-        report.record(seed, "theorem-violation", "stratify-roundtrip", "bundles differ")
-        return
+        return "theorem-violation", "stratify-roundtrip", "bundles differ"
     for piece in again.decomposition:
         if piece.attached.base.cells and not strabundle.validate_bundle(piece.attached).ok:
-            report.record(seed, "theorem-violation", "decomposition", f"stratum {piece.index}")
-            return
-    report.record(seed, "pass")
-
-
-def verify_bundle_theorem(spec: InstanceSpec, seeds: int = 1) -> Report:
-    if not spec.groupoid_only:
-        spec = InstanceSpec(
-            spec.seed,
-            spec.max_cells,
-            spec.max_objects,
-            spec.max_fibre_size,
-            True,
-            spec.strata_depth,
-        )
-    report = Report("bundle", RNG_NAME, spec.seed, seeds, _spec_params(spec))
-    start = time.perf_counter()
-    for s in range(spec.seed, spec.seed + seeds):
-        _check_bundle_instance(spec.with_seed(s), report)
-    report.elapsed = time.perf_counter() - start
-    return report
+            return "theorem-violation", "decomposition", f"stratum {piece.index}"
+    return "pass", "", ""
 
 
 def classify_principal_instance(x: StratBundle) -> tuple[str, str]:
@@ -683,135 +625,99 @@ def _point_bundle(cat: FiniteCategory, ff: FibreFunctor, w: str) -> StratBundle:
     )
 
 
-def _check_principal_instance(spec: InstanceSpec, report: Report, extra=None) -> None:
-    seed = spec.seed
+def _check_principal(spec: InstanceSpec):
     try:
-        rng, cat, ff, gen = _gen_instance(spec)
+        _, cat, ff, gen = _gen_instance(spec)
     except Exception as exc:
-        report.record(seed, "invalid-input", "generate", repr(exc))
-        return
+        return "invalid-input", "generate", repr(exc)
     outcome, detail = classify_principal_instance(gen.bundle)
     if outcome != "pass":
-        report.record(seed, outcome, "reconstruct", detail)
-        return
+        return outcome, "reconstruct", detail
     for w in cat.objects:
         point = _point_bundle(cat, ff, w)
         res = funcspace.coend(funcspace.principal_diagram(point), ff)
         classes = res.classes["pt"]
         if len(classes) != len(ff.on_objects[w]) or not res.report.ok:
-            report.record(
-                seed, "theorem-violation", "point-coend", f"object {w}"
-            )
-            return
-    for x in extra or []:
-        outcome, detail = classify_principal_instance(x)
-        if outcome == "invalid-input":
-            report.record(seed, "invalid-input", "negative-control", detail)
-        elif outcome == "theorem-violation":
-            report.record(seed, "theorem-violation", "negative-control", detail)
-        else:
-            report.record(seed, "pass", "negative-control")
-    report.record(seed, "pass")
+            return "theorem-violation", "point-coend", f"object {w}"
+    return "pass", "", ""
 
 
-def verify_principal_theorem(spec: InstanceSpec, seeds: int = 1, extra=None) -> Report:
-    report = Report("principal", RNG_NAME, spec.seed, seeds, _spec_params(spec))
-    start = time.perf_counter()
-    for s in range(spec.seed, spec.seed + seeds):
-        _check_principal_instance(spec.with_seed(s), report, extra if s == spec.seed else None)
-    report.elapsed = time.perf_counter() - start
-    return report
+def _check_fiberwise(spec: InstanceSpec):
+    """Products of two independent bundles over one base: validity plus total-space pairing."""
+    try:
+        rng = SplitMix64(spec.seed)
+        cat_a, ff_a = gen_category(spec, rng)
+        cat_b, ff_b = gen_category(spec, rng)
+        base = gen_base(spec, rng)
+        xa = gen_bundle(spec, cat_a, ff_a, rng, base).bundle
+        xb = gen_bundle(spec, cat_b, ff_b, rng, base).bundle
+    except Exception as exc:
+        return "invalid-input", "generate", repr(exc)
+    if not (strabundle.validate_bundle(xa).ok and strabundle.validate_bundle(xb).ok):
+        return "invalid-input", "generate", "factor invalid"
+    prod = strabundle.fiberwise_product(xa, xb)
+    if not strabundle.validate_bundle(prod.bundle).ok:
+        return "theorem-violation", "product-validate", ""
+    ta, tb, tp = (
+        strabundle.realize_total(xa),
+        strabundle.realize_total(xb),
+        strabundle.realize_total(prod.bundle),
+    )
+    paired = {
+        (c, fincat.pair_id(v, w))
+        for c, v in ta.elements
+        for cw, w in tb.elements
+        if cw == c
+    }
+    if paired != set(tp.elements):
+        return "theorem-violation", "product-total", "element sets differ"
+    rel = {
+        ((f, fincat.pair_id(va, vb)), (c, fincat.pair_id(wa, wb)))
+        for ((f, va), (c, wa)) in ta.relations
+        for ((f2, vb), (c2, wb)) in tb.relations
+        if f2 == f and c2 == c
+    }
+    if rel != set(tp.relations):
+        return "theorem-violation", "product-relations", "relation sets differ"
+    return "pass", "", ""
 
 
-def verify_fiberwise_product(spec: InstanceSpec, seeds: int = 1) -> Report:
-    """Products of two independover one base: validity plus total-space pairing."""
-    report = Report("fiberwise", RNG_NAME, spec.seed, seeds, _spec_params(spec))
-    start = time.perf_counter()
-    for s in range(spec.seed, spec.seed + seeds):
-        sub = spec.with_seed(s)
-        try:
-            rng = SplitMix64(sub.seed)
-            cat_a, ff_a = gen_category(sub, rng)
-            cat_b, ff_b = gen_category(sub, rng)
-            base = gen_base(sub, rng)
-            xa = gen_bundle(sub, cat_a, ff_a, rng, base).bundle
-            xb = gen_bundle(sub, cat_b, ff_b, rng, base).bundle
-        except Exception as exc:
-            report.record(s, "invalid-input", "generate", repr(exc))
-            continue
-        if not (strabundle.validate_bundle(xa).ok and strabundle.validate_bundle(xb).ok):
-            report.record(s, "invalid-input", "generate", "factor invalid")
-            continue
-        prod = strabundle.fiberwise_product(xa, xb)
-        if not strabundle.validate_bundle(prod.bundle).ok:
-            report.record(s, "theorem-violation", "product-validate", "")
-            continue
-        ta, tb, tp = (
-            strabundle.realize_total(xa),
-            strabundle.realize_total(xb),
-            strabundle.realize_total(prod.bundle),
-        )
-        paired = {
-            (c, fincat.pair_id(v, w))
-            for c, v in ta.elements
-            for cw, w in tb.elements
-            if cw == c
-        }
-        if paired != set(tp.elements):
-            report.record(s, "theorem-violation", "product-total", "element sets differ")
-            continue
-        rel = {
-            ((f, fincat.pair_id(va, vb)), (c, fincat.pair_id(wa, wb)))
-            for ((f, va), (c, wa)) in ta.relations
-            for ((f2, vb), (c2, wb)) in tb.relations
-            if f2 == f and c2 == c
-        }
-        if rel != set(tp.relations):
-            report.record(s, "theorem-violation", "product-relations", "relation sets differ")
-            continue
-        report.record(s, "pass")
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-def verify_associated(spec: InstanceSpec, seeds: int = 1) -> Report:
+def _check_associated(spec: InstanceSpec):
     """Transport along the identity functor must reproduce the bundle."""
-    report = Report("associated", RNG_NAME, spec.seed, seeds, _spec_params(spec))
-    start = time.perf_counter()
-    for s in range(spec.seed, spec.seed + seeds):
-        sub = spec.with_seed(s)
-        try:
-            rng, cat, ff, gen = _gen_instance(sub)
-        except Exception as exc:
-            report.record(s, "invalid-input", "generate", repr(exc))
-            continue
-        x = gen.bundle
-        if not strabundle.validate_bundle(x).ok:
-            report.record(s, "invalid-input", "generate", "generated bundle invalid")
-            continue
-        try:
-            res = funcspace.associated_bundle(x, fincat.identity_cat_functor(cat), ff)
-        except Exception as exc:
-            report.record(s, "theorem-violation", "identity-transport", repr(exc))
-            continue
-        if not strabundle.bundle_eq(res.bundle, x):
-            report.record(s, "theorem-violation", "identity-transport", "bundle changed")
-            continue
-        report.record(s, "pass")
-    report.elapsed = time.perf_counter() - start
-    return report
+    instance, invalid = _valid_instance(spec)
+    if invalid:
+        return invalid
+    _, cat, ff, gen = instance
+    x = gen.bundle
+    try:
+        res = funcspace.associated_bundle(x, fincat.identity_cat_functor(cat), ff)
+    except Exception as exc:
+        return "theorem-violation", "identity-transport", repr(exc)
+    if not strabundle.bundle_eq(res.bundle, x):
+        return "theorem-violation", "identity-transport", "bundle changed"
+    return "pass", "", ""
 
 
 SUITES = {
-    "pullback": verify_pullback_theorem,
-    "bundle": verify_bundle_theorem,
-    "principal": verify_principal_theorem,
-    "fiberwise": verify_fiberwise_product,
-    "associated": verify_associated,
+    "pullback": _check_pullback,
+    "bundle": _check_bundle,
+    "principal": _check_principal,
+    "fiberwise": _check_fiberwise,
+    "associated": _check_associated,
 }
 
 
 def run_suite(name: str, spec: InstanceSpec, seeds: int) -> Report:
     if name not in SUITES:
         raise StructureError(f"unknown suite {name}")
-    return SUITES[name](spec, seeds)
+    if seeds < 1:
+        raise StructureError("seeds must be at least 1")
+    if name == "bundle":
+        spec = replace(spec, groupoid_only=True)  # certificates need invertible transitions
+    check = SUITES[name]
+    report = Report(name, RNG_NAME, spec.seed, seeds, _spec_params(spec))
+    start = time.perf_counter()
+    for s in range(spec.seed, spec.seed + seeds):
+        report.record(s, *check(spec.with_seed(s)))
+    report.elapsed = time.perf_counter() - start
+    return report

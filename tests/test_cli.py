@@ -166,6 +166,36 @@ def test_verify_subcommand_writes_report(tmp_path):
     assert doc["wall_time"] is None
 
 
+def test_verify_with_fewer_than_one_seed_exits_1(tmp_path):
+    for seeds in ("0", "-5"):
+        out = tmp_path / f"report{seeds}.json"
+        assert run(["verify", "--suite", "pullback", "--seeds", seeds, "-o", str(out)]) == 1
+        assert not out.exists()
+
+
+# sha256 of each report of `scripts/run_suites.py --seeds 3`, recorded
+# before the suites shared one driver
+RUN_SUITES_SHA256 = {
+    "pullback.json": "ff5482908b41dbd1a53e2786e3f36bb29848a4a6375be92260800aa15703ff1c",
+    "bundle.json": "68db8c70d4d5582cc0ab779989989d733377e8cf95a7fe743c9b3845ff2114d4",
+    "principal.json": "60a78c185f22e39e142db38892d35f3bed230bf1b041b4584756e3515c3bc24d",
+    "fiberwise.json": "e1ee0d2a776619095746080425fb551ab5afdf7fdc02a5614861aec8ae21faf3",
+    "associated.json": "7e27b66620224aa103c7ff4774b2930c58d8c57dd33b92344360f8ab55e74049",
+}
+
+
+def test_run_suites_script_writes_the_recorded_reports(tmp_path):
+    script = Path(SRC).parent / "scripts" / "run_suites.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seeds", "3", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == RUN_SUITES_SHA256
+
+
 def test_manifest_roundtrip(tmp_path):
     write_example(tmp_path, "double_cover_c3")
     write_example(tmp_path, "c3_complex")

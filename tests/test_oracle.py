@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import fincat, jsonio, oracle, strabundle
-from stratabundle.validation import StructureError
+from stratabundle import fincat, funcspace, jsonio, oracle, strabundle, triviality
+from stratabundle.validation import StructureError, ValidationReport, Violation
 
 
 class TestSplitMix64:
@@ -87,12 +87,15 @@ class TestSuites:
             assert jsonio.canon_dumps(a) == jsonio.canon_dumps(b)
 
     def test_partition_of_seeds_merges_to_the_whole(self):
+        # a 10-seed run records what ten 1-seed runs record, in seed order
         spec = oracle.InstanceSpec(seed=0)
-        whole = oracle.verify_pullback_theorem(spec, seeds=10)
-        left = oracle.verify_pullback_theorem(spec, seeds=5)
-        right = oracle.verify_pullback_theorem(spec.with_seed(5), seeds=5)
-        merged = oracle.merge_reports(left, right)
-        assert merged.to_doc() == whole.to_doc()
+        for name in oracle.SUITES:
+            whole = oracle.run_suite(name, spec, 10)
+            singles = [oracle.run_suite(name, spec.with_seed(s), 1) for s in range(10)]
+            assert whole.instances == sum(r.instances for r in singles) == 10, name
+            assert whole.passes == sum(r.passes for r in singles), name
+            assert whole.failures == [d for r in singles for d in r.failures], name
+            assert whole.invalid_inputs == [d for r in singles for d in r.invalid_inputs], name
 
     def test_negative_control_is_classified_as_invalid(self):
         spec = oracle.InstanceSpec(seed=1, groupoid_only=True)
@@ -117,13 +120,92 @@ class TestSuites:
         assert broken is not None
         outcome, _ = oracle.classify_principal_instance(broken)
         assert outcome == "invalid-input"
-        rep = oracle.verify_principal_theorem(oracle.InstanceSpec(seed=2), seeds=1, extra=[broken])
-        assert len(rep.invalid_inputs) == 1
-        assert rep.failures == []
 
     def test_unknown_suite_is_rejected(self):
         with pytest.raises(StructureError):
             oracle.run_suite("nope", oracle.InstanceSpec(seed=1), 1)
+
+    @pytest.mark.parametrize("seeds", [0, -5])
+    def test_fewer_than_one_seed_is_rejected(self, seeds):
+        with pytest.raises(StructureError):
+            oracle.run_suite("pullback", oracle.InstanceSpec(seed=1), seeds)
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("patched")
+
+
+def _failing_report(*args, **kwargs):
+    return ValidationReport("bundle", [Violation("patched", "failing report")])
+
+
+def _invalid(stage, detail, seeds=(1, 2, 3)):
+    return [{"seed": s, "stage": stage, "detail": detail} for s in seeds]
+
+
+PATCHED = "RuntimeError('patched')"
+# the first theorem-stage call of each suite, made on a valid instance
+THEOREM_STAGE = {
+    "pullback": (strabundle, "pullback"),
+    "bundle": (triviality, "local_triviality_certificate"),
+    "principal": (funcspace, "reconstruct_check"),
+    "fiberwise": (strabundle, "fiberwise_product"),
+    "associated": (funcspace, "associated_bundle"),
+}
+# (instances, passes, failures, invalid_inputs) over seeds 1..3, recorded
+# before the suites shared one driver; None where the exception propagates
+FAILURE_PATHS = {
+    ("pullback", "generator"): (3, 2, [], _invalid("generate", PATCHED, [2])),
+    ("pullback", "validate"): (3, 0, [], _invalid("generate", "generated bundle invalid")),
+    ("pullback", "theorem"): (3, 0, _invalid("pullback", PATCHED), []),
+    ("bundle", "generator"): (3, 2, [], _invalid("generate", PATCHED, [2])),
+    ("bundle", "validate"): (3, 0, [], _invalid("generate", "generated bundle invalid")),
+    ("bundle", "theorem"): (3, 0, _invalid("certificate", PATCHED), []),
+    ("principal", "generator"): (3, 2, [], _invalid("generate", PATCHED, [2])),
+    ("principal", "validate"): (
+        3, 0, [], _invalid("reconstruct", "Violation(code='patched', detail='failing report')")
+    ),
+    ("principal", "theorem"): None,
+    ("fiberwise", "generator"): (3, 2, [], _invalid("generate", PATCHED, [2])),
+    ("fiberwise", "validate"): (3, 0, [], _invalid("generate", "factor invalid")),
+    ("fiberwise", "theorem"): None,
+    ("associated", "generator"): (3, 2, [], _invalid("generate", PATCHED, [2])),
+    ("associated", "validate"): (3, 0, [], _invalid("generate", "generated bundle invalid")),
+    ("associated", "theorem"): (3, 0, _invalid("identity-transport", PATCHED), []),
+}
+
+
+class TestFailurePaths:
+    """Generated instances never fail, so each failure path is forced.
+
+    Depth 1 keeps generation clear of ``attach_bundle``, which would
+    otherwise meet the patched ``validate_bundle`` before the suite does.
+    """
+
+    SPEC = oracle.InstanceSpec(seed=1, strata_depth=1)
+
+    @pytest.mark.parametrize("name, path", sorted(FAILURE_PATHS))
+    def test_recorded_outcomes(self, monkeypatch, name, path):
+        if path == "generator":
+            real = oracle.gen_category
+
+            def gen_category(spec, rng=None):
+                if spec.seed == 2:
+                    _raise()
+                return real(spec, rng)
+
+            monkeypatch.setattr(oracle, "gen_category", gen_category)
+        elif path == "validate":
+            monkeypatch.setattr(strabundle, "validate_bundle", _failing_report)
+        else:
+            monkeypatch.setattr(*THEOREM_STAGE[name], _raise)
+        expected = FAILURE_PATHS[(name, path)]
+        if expected is None:
+            with pytest.raises(RuntimeError, match="patched"):
+                oracle.run_suite(name, self.SPEC, 3)
+            return
+        rep = oracle.run_suite(name, self.SPEC, 3)
+        assert (rep.instances, rep.passes, rep.failures, rep.invalid_inputs) == expected
 
 
 def test_instance_spec_bounds():
