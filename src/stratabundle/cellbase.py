@@ -109,9 +109,6 @@ class Stratification:
     def depth(self) -> int:
         return max(self.strata.values(), default=0)
 
-    def of(self, cell: str) -> int:
-        return self.strata[cell]
-
 
 def complex_from_cells(entries) -> BaseComplex:
     """Build from (id, dim, faces) triples."""
@@ -236,23 +233,41 @@ def closed_star(b: BaseComplex, c: str) -> BaseComplex:
     return subcomplex(b, star_cells(b, c))
 
 
-def connected_components(nodes, edges) -> list[set]:
-    parent = {n: n for n in nodes}
+class UnionFind:
+    """Disjoint sets over a fixed node collection, with path halving.
 
-    def find(x):
+    ``union(a, b)`` links the root of ``a`` under the root of ``b``, and
+    ``groups()`` lists the sets ordered by root.  Both rules fix the order
+    of the groups, which seeded generators feed to their random choices.
+    """
+
+    def __init__(self, nodes):
+        self.parent = {n: n for n in nodes}
+
+    def find(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, set] = {}
-    for n in nodes:
-        groups.setdefault(find(n), set()).add(n)
-    return [groups[k] for k in sorted(groups)]
+            self.parent[ra] = rb
+
+    def groups(self) -> list[set]:
+        groups: dict = {}
+        for n in self.parent:
+            groups.setdefault(self.find(n), set()).add(n)
+        return [groups[k] for k in sorted(groups)]
+
+
+def connected_components(nodes, edges) -> list[set]:
+    uf = UnionFind(nodes)
+    for a, b in edges:
+        uf.union(a, b)
+    return uf.groups()
 
 
 def bfs_tree(b: BaseComplex) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
@@ -405,7 +420,6 @@ def attach_base(
     m: BaseComplex,
     a_cells,
     h: SimplicialMap,
-    allow_delta: bool = True,
 ) -> AttachedBase:
     """Glue the pair (m, a) onto ``y`` along the simplicial map ``h``.
 
@@ -442,8 +456,6 @@ def attach_base(
         deduped = tuple(sorted(set(faces)))
         cells[cid] = Cell(cid, c.dim, deduped)
     result = BaseComplex(cells)
-    if not allow_delta and not result.is_simplicial:
-        raise StructureError("attachment produced a non-simplicial complex")
 
     depth = y_strat.depth
     strata = dict(y_strat.strata)

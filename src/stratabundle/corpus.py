@@ -18,41 +18,23 @@ from .validation import StructureError
 
 def perm_category(max_n: int = 3) -> tuple[FiniteCategory, FibreFunctor]:
     """Finite sets of sizes 1..max_n with bijections; the tautological fibres."""
-    objects = [f"set{k}" for k in range(1, max_n + 1)]
     elems = {f"set{k}": tuple(f"set{k}.{i}" for i in range(k)) for k in range(1, max_n + 1)}
     morphisms = []
     actions = {}
-    ids = {}
     for k in range(1, max_n + 1):
         obj = f"set{k}"
         for perm in permutations(range(k)):
             mid = f"p{k}:" + "".join(str(i) for i in perm)
             morphisms.append((mid, obj, obj))
             actions[mid] = {elems[obj][i]: elems[obj][perm[i]] for i in range(k)}
-            if perm == tuple(range(k)):
-                ids[obj] = mid
-    compose = {}
-    for mid_g, src_g, _ in morphisms:
-        for mid_f, src_f, tgt_f in morphisms:
-            if tgt_f != src_g:
-                continue
-            table = fincat.compose_tables(actions[mid_g], actions[mid_f])
-            k = int(src_f[3:])
-            digits = "".join(str(list(elems[src_f]).index(table[e])) for e in elems[src_f])
-            compose[(mid_g, mid_f)] = f"p{k}:{digits}"
-    cat = fincat.category(objects, morphisms, compose, ids)
-    ff = fincat.fibre_functor({v: elems[v] for v in objects}, actions)
-    return cat, ff
+    return fincat.concrete_category(elems, morphisms, actions)
 
 
 def finset_category(sizes=(1, 2)) -> tuple[FiniteCategory, FibreFunctor]:
     """Finite sets with every function between them."""
-    objects = [f"n{k}" for k in sizes]
     elems = {f"n{k}": tuple(f"n{k}.{i}" for i in range(k)) for k in sizes}
     morphisms = []
     actions = {}
-    ids = {}
-    by_table = {}
     for a in sizes:
         for b in sizes:
             src, tgt = f"n{a}", f"n{b}"
@@ -60,20 +42,7 @@ def finset_category(sizes=(1, 2)) -> tuple[FiniteCategory, FibreFunctor]:
                 mid = f"f:{src}>{tgt}:" + "".join(str(i) for i in images)
                 morphisms.append((mid, src, tgt))
                 actions[mid] = {elems[src][i]: elems[tgt][images[i]] for i in range(a)}
-                by_table[(src, tgt, images)] = mid
-                if src == tgt and images == tuple(range(a)):
-                    ids[src] = mid
-    compose = {}
-    for mid_g, src_g, tgt_g in morphisms:
-        for mid_f, src_f, tgt_f in morphisms:
-            if tgt_f != src_g:
-                continue
-            table = fincat.compose_tables(actions[mid_g], actions[mid_f])
-            images = tuple(list(elems[tgt_g]).index(table[e]) for e in elems[src_f])
-            compose[(mid_g, mid_f)] = by_table[(src_f, tgt_g, images)]
-    cat = fincat.category(objects, morphisms, compose, ids)
-    ff = fincat.fibre_functor({v: elems[v] for v in objects}, actions)
-    return cat, ff
+    return fincat.concrete_category(elems, morphisms, actions)
 
 
 def bz2_category() -> tuple[FiniteCategory, FibreFunctor]:

@@ -57,15 +57,6 @@ class FiniteCategory:
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self.homs.get((a, b), ())
 
-    def src(self, mid: str) -> str:
-        return self.morphisms[mid].src
-
-    def tgt(self, mid: str) -> str:
-        return self.morphisms[mid].tgt
-
-    def identity(self, obj: str) -> str:
-        return self.identities[obj]
-
     def compose(self, g: str, f: str) -> str:
         """Composite ``g`` after ``f``."""
         try:
@@ -79,15 +70,6 @@ class FibreFunctor:
     on_objects: dict[str, tuple[str, ...]]
     on_morphisms: dict[str, dict[str, str]]
 
-    def fibre(self, obj: str) -> tuple[str, ...]:
-        return self.on_objects[obj]
-
-    def table(self, mid: str) -> dict[str, str]:
-        return self.on_morphisms[mid]
-
-    def apply(self, mid: str, element: str) -> str:
-        return self.on_morphisms[mid][element]
-
 
 def category(objects, morphisms, compose, identities) -> FiniteCategory:
     """Assemble a category from raw identifier data; run validate_category separately."""
@@ -100,6 +82,29 @@ def fibre_functor(on_objects, on_morphisms) -> FibreFunctor:
         {k: tuple(v) for k, v in on_objects.items()},
         {k: dict(v) for k, v in on_morphisms.items()},
     )
+
+
+def concrete_category(fibres, morphisms, actions) -> tuple[FiniteCategory, FibreFunctor]:
+    """Category of functions between finite sets, with its tautological fibre functor.
+
+    ``fibres`` maps each object to its elements, ``morphisms`` lists
+    ``(id, src, tgt)`` and ``actions`` gives each morphism's function
+    table.  The tables must be distinct per endpoint pair, closed under
+    composition and include the identity of every fibre.  Composites and
+    identities are then looked up by table, and the category axioms hold
+    because composition of functions is associative and unital.
+    """
+    by_table = {(s, t, tuple(actions[mid][e] for e in fibres[s])): mid for mid, s, t in morphisms}
+    identities = {v: by_table[(v, v, tuple(elems))] for v, elems in fibres.items()}
+    compose = {}
+    for g, src_g, tgt_g in morphisms:
+        outer = actions[g]
+        for f, src_f, tgt_f in morphisms:
+            if tgt_f == src_g:
+                inner = actions[f]
+                image = tuple(outer[inner[e]] for e in fibres[src_f])
+                compose[(g, f)] = by_table[(src_f, tgt_g, image)]
+    return category(fibres, morphisms, compose, identities), fibre_functor(fibres, actions)
 
 
 def validate_category(cat: FiniteCategory) -> ValidationReport:
@@ -231,14 +236,6 @@ def validate_fibre_functor(cat: FiniteCategory, ff: FibreFunctor) -> ValidationR
             if ff.on_morphisms[gf] != composite:
                 rep.add("action-composition", f"({g}, {f})")
     return rep
-
-
-def ff_equal(cat: FiniteCategory, ff: FibreFunctor, a: str, b: str) -> bool:
-    """Equality of two morphisms in the image of the fibre functor."""
-    ma, mb = cat.morphisms[a], cat.morphisms[b]
-    if (ma.src, ma.tgt) != (mb.src, mb.tgt):
-        return False
-    return ff.on_morphisms[a] == ff.on_morphisms[b]
 
 
 def image_inverse(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> str | None:

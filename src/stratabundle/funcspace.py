@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fincat, strabundle
+from . import cellbase, fincat, strabundle
 from .cellbase import BaseComplex, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
 from .strabundle import FibrewiseMap, StratBundle
@@ -162,24 +162,20 @@ def _coend_classes_for_object(
     cat: FiniteCategory, ff2: FibreFunctor, w: str
 ) -> tuple[list[tuple], dict]:
     """Quotient of all (object, map-to-w, fibre element) triples for one object."""
-    uf = strabundle._UnionFind()
-    triples = []
-    for v in cat.objects:
-        for alpha in cat.hom(v, w):
-            for y in ff2.on_objects[v]:
-                t = (v, alpha, y)
-                triples.append(t)
-                uf.add(t)
+    uf = cellbase.UnionFind(
+        (v, alpha, y)
+        for v in cat.objects
+        for alpha in cat.hom(v, w)
+        for y in ff2.on_objects[v]
+    )
     for g in cat.morphisms.values():
         for alpha in cat.hom(g.tgt, w):
             pulled = cat.compose(alpha, g.id)
             for y in ff2.on_objects[g.src]:
                 uf.union((g.src, pulled, y), (g.tgt, alpha, ff2.on_morphisms[g.id][y]))
-    reps = {t: uf.find(t) for t in triples}
-    classes: dict[tuple, list[tuple]] = {}
-    for t, r in reps.items():
-        classes.setdefault(r, []).append(t)
-    ordered = [tuple(sorted(classes[r])) for r in sorted(classes)]
+    # each class is named by its least member, and the classes are ordered by it
+    ordered = sorted(tuple(sorted(group)) for group in uf.groups())
+    reps = {t: members[0] for members in ordered for t in members}
     return ordered, reps
 
 

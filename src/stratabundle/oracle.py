@@ -165,22 +165,8 @@ def gen_category(spec: InstanceSpec, rng: SplitMix64 | None = None) -> tuple[Fin
         rank[(s, t)] = k + 1
         ids[key] = f"{s}>{t}#{k}"
     morphisms = [(ids[key], key[0], key[1]) for key in ordered]
-    by_table = {key: ids[key] for key in ordered}
-    compose = {}
-    for (s1, t1, tab1) in ordered:
-        for (s2, t2, tab2) in ordered:
-            if t1 != s2:
-                continue
-            lookup = dict(zip(elems[s2], tab2))
-            composite = tuple(lookup[v] for v in tab1)
-            compose[(ids[(s2, t2, tab2)], ids[(s1, t1, tab1)])] = by_table[(s1, t2, composite)]
-    identities = {v: ids[(v, v, tuple(elems[v]))] for v in objects}
-    cat = fincat.category(objects, morphisms, compose, identities)
-    ff = fincat.fibre_functor(
-        {v: elems[v] for v in objects},
-        {ids[key]: dict(zip(elems[key[0]], key[2])) for key in ordered},
-    )
-    return cat, ff
+    actions = {ids[key]: dict(zip(elems[key[0]], key[2])) for key in ordered}
+    return fincat.concrete_category(elems, morphisms, actions)
 
 
 @dataclass
@@ -630,15 +616,21 @@ def _check_principal(spec: InstanceSpec):
         _, cat, ff, gen = _gen_instance(spec)
     except Exception as exc:
         return "invalid-input", "generate", repr(exc)
-    outcome, detail = classify_principal_instance(gen.bundle)
+    try:
+        outcome, detail = classify_principal_instance(gen.bundle)
+    except Exception as exc:
+        return "theorem-violation", "reconstruct", repr(exc)
     if outcome != "pass":
         return outcome, "reconstruct", detail
-    for w in cat.objects:
-        point = _point_bundle(cat, ff, w)
-        res = funcspace.coend(funcspace.principal_diagram(point), ff)
-        classes = res.classes["pt"]
-        if len(classes) != len(ff.on_objects[w]) or not res.report.ok:
-            return "theorem-violation", "point-coend", f"object {w}"
+    try:
+        for w in cat.objects:
+            point = _point_bundle(cat, ff, w)
+            res = funcspace.coend(funcspace.principal_diagram(point), ff)
+            classes = res.classes["pt"]
+            if len(classes) != len(ff.on_objects[w]) or not res.report.ok:
+                return "theorem-violation", "point-coend", f"object {w}"
+    except Exception as exc:
+        return "theorem-violation", "point-coend", repr(exc)
     return "pass", "", ""
 
 
@@ -655,14 +647,20 @@ def _check_fiberwise(spec: InstanceSpec):
         return "invalid-input", "generate", repr(exc)
     if not (strabundle.validate_bundle(xa).ok and strabundle.validate_bundle(xb).ok):
         return "invalid-input", "generate", "factor invalid"
-    prod = strabundle.fiberwise_product(xa, xb)
+    try:
+        prod = strabundle.fiberwise_product(xa, xb)
+    except Exception as exc:
+        return "theorem-violation", "product", repr(exc)
     if not strabundle.validate_bundle(prod.bundle).ok:
         return "theorem-violation", "product-validate", ""
-    ta, tb, tp = (
-        strabundle.realize_total(xa),
-        strabundle.realize_total(xb),
-        strabundle.realize_total(prod.bundle),
-    )
+    try:
+        ta, tb, tp = (
+            strabundle.realize_total(xa),
+            strabundle.realize_total(xb),
+            strabundle.realize_total(prod.bundle),
+        )
+    except Exception as exc:
+        return "theorem-violation", "product-total", repr(exc)
     paired = {
         (c, fincat.pair_id(v, w))
         for c, v in ta.elements

@@ -42,10 +42,6 @@ class FBundleMap:
     base_map: SimplicialMap
     fibre_morphisms: dict[str, str]
 
-    def element_image(self, cell: str, element: str) -> tuple[str, str]:
-        mid = self.fibre_morphisms[cell]
-        return self.base_map.cell_map[cell], self.target.ff.on_morphisms[mid][element]
-
 
 @dataclass
 class FibrewiseMap:
@@ -85,13 +81,12 @@ def transition_path(x: StratBundle, cell: str, face: str) -> str:
     return mid
 
 
-def validate_bundle(x: StratBundle, include_base: bool = True) -> ValidationReport:
-    """Exhaustive check of typing, coherence and stratum-wise invertibility."""
+def validate_bundle(x: StratBundle) -> ValidationReport:
+    """Exhaustive check of the base, typing, coherence and stratum-wise invertibility."""
     rep = ValidationReport("bundle")
-    if include_base:
-        rep.merge(cellbase.validate_complex(x.base, x.strat))
-        if not rep.ok:
-            return rep
+    rep.merge(cellbase.validate_complex(x.base, x.strat))
+    if not rep.ok:
+        return rep
     objset = set(x.cat.objects)
     for c in x.base.sorted_cells():
         if x.fibre_obj.get(c) not in objset:
@@ -443,6 +438,10 @@ def relabel_bundle(x: StratBundle, fn) -> StratBundle:
     return StratBundle(base, strat, x.cat, x.ff, fibre_obj, transition)
 
 
+# quotient cocones swept after the canonical one
+MAX_QUOTIENTS = 5
+
+
 @dataclass
 class PushoutCheckResult:
     ok: bool
@@ -453,34 +452,12 @@ class PushoutCheckResult:
         return self.ok
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self) -> dict:
-        return {x: self.find(x) for x in self.parent}
-
-
 def _elem_image(h: FBundleMap, elem: tuple[str, str]) -> tuple[str, str]:
     c, v = elem
     return h.base_map.cell_map[c], h.target.ff.on_morphisms[h.fibre_morphisms[c]][v]
 
 
-def pushout_universality_check(square: PushoutSquare, max_quotients: int = 5) -> PushoutCheckResult:
+def pushout_universality_check(square: PushoutSquare) -> PushoutCheckResult:
     """Decide whether the square's corner has the push-out universal property.
 
     Works at the level of total spaces: the concrete push-out of the two
@@ -503,18 +480,18 @@ def pushout_universality_check(square: PushoutSquare, max_quotients: int = 5) ->
         if via_m != via_y:
             return PushoutCheckResult(False, f"square does not commute at {elem}", 0)
 
-    uf = _UnionFind()
-    for elem in tm.elements:
-        uf.add(("m", elem))
-    for elem in ty.elements:
-        uf.add(("y", elem))
+    nodes = [("m", elem) for elem in tm.elements] + [("y", elem) for elem in ty.elements]
+    uf = cellbase.UnionFind(nodes)
     for elem in ta.elements:
         uf.union(("m", _elem_image(square.incl_a, elem)), ("y", _elem_image(square.h, elem)))
-    reps = uf.classes()
+    reps: dict = {}  # each node's class, named by its least member
+    for group in uf.groups():
+        reps.update(dict.fromkeys(group, min(group)))
     classes = sorted(set(reps.values()))
 
     kappa: dict = {}
-    for node, rep in reps.items():
+    for node in nodes:
+        rep = reps[node]
         tag, elem = node
         image = _elem_image(square.char if tag == "m" else square.incl_y, elem)
         if rep in kappa and kappa[rep] != image:
@@ -562,9 +539,9 @@ def pushout_universality_check(square: PushoutSquare, max_quotients: int = 5) ->
         members = sorted(by_cell[cell])
         for i in range(len(members) - 1):
             quotient_pairs.append((members[i], members[i + 1]))
-            if len(quotient_pairs) >= max_quotients:
+            if len(quotient_pairs) >= MAX_QUOTIENTS:
                 break
-        if len(quotient_pairs) >= max_quotients:
+        if len(quotient_pairs) >= MAX_QUOTIENTS:
             break
     for pair in [None] + quotient_pairs:
         collapse = {r: r for r in classes}

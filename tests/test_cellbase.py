@@ -206,6 +206,21 @@ class TestBfsTree:
         assert cellbase.bfs_tree(cellbase.BaseComplex({})) == ([], {})
 
 
+class TestUnionFind:
+    def test_groups_are_ordered_by_the_root_of_the_later_node(self):
+        # union(a, b) links a under b, so V0~V2 is rooted at V2 and comes
+        # after V1; the generators' class choice depends on this order
+        comps = cellbase.connected_components(["V0", "V1", "V2"], [("V0", "V2")])
+        assert comps == [{"V1"}, {"V0", "V2"}]
+
+    def test_find_unions_transitively(self):
+        uf = cellbase.UnionFind(range(6))
+        for a, b in [(0, 3), (3, 5), (1, 4)]:
+            uf.union(a, b)
+        assert uf.find(0) == uf.find(5) != uf.find(1)
+        assert uf.groups() == [{2}, {1, 4}, {0, 3, 5}]
+
+
 class TestAttachBase:
     def test_triangle_onto_circle_gives_two_stratum_disk(self):
         y, ys = corpus.c3()

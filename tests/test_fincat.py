@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import corpus, fincat, oracle
+from stratabundle import corpus, fincat, jsonio, oracle
 
 
 def z2_category():
@@ -302,8 +303,8 @@ def structure_mutants(cat, ff, rng):
     del deleted[rng.choice(keys)]
     yield "compose-deleted", copy_category(cat, deleted), ff
     mid = rng.choice(sorted(cat.morphisms))
-    dom = ff.on_objects[cat.src(mid)]
-    cod = ff.on_objects[cat.tgt(mid)]
+    dom = ff.on_objects[cat.morphisms[mid].src]
+    cod = ff.on_objects[cat.morphisms[mid].tgt]
     if dom and len(cod) > 1:
         changed_ff = copy_functor(ff)
         x = rng.choice(sorted(dom))
@@ -408,3 +409,67 @@ class TestAssociativityRouting:
         rep = fincat.validate_structure(copy_category(cat, compose), ff)
         assert not rep.ok
         assert len(calls) == 1
+
+
+def composition_disagreements(cat, ff):
+    """Composable pairs whose recorded composite does not act as the composed tables."""
+    bad = []
+    for g in cat.morphisms.values():
+        for f in cat.morphisms.values():
+            if f.tgt != g.src:
+                continue
+            gf = cat.morphisms[cat.compose(g.id, f.id)]
+            table = fincat.compose_tables(ff.on_morphisms[g.id], ff.on_morphisms[f.id])
+            if (gf.src, gf.tgt) != (f.src, g.tgt) or ff.on_morphisms[gf.id] != table:
+                bad.append((g.id, f.id))
+    return bad
+
+
+def oracle_categories():
+    for seed in range(25):
+        for groupoid_only in (False, True):
+            spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
+            yield f"gen{seed}-{groupoid_only}", *oracle.gen_category(spec)
+
+
+def category_doc_sha256(cat, ff, digest=None):
+    digest = digest or hashlib.sha256()
+    digest.update(jsonio.canon_dumps(jsonio.category_to_doc(cat, ff)).encode())
+    return digest
+
+
+# recorded before the three builders shared ``concrete_category``:
+# perm_category(5), and gen_category at seeds 0-199 hashed in seed order
+PERM5_DOC_SHA256 = "205374b985e34369781c12cd8b0d3ef67572e468df3fc3660cb9229363f57d20"
+GEN_DOCS_SHA256 = {
+    False: "19ae87120157bfda0896f233d256a159e491a7ff4180d442567d863eb567a1a5",
+    True: "d867b549c5dc3efa801e977f522d454cb9ee573ea02dd84ea6e0d4a2d159e123",
+}
+
+
+class TestConcreteCategory:
+    @pytest.mark.parametrize(
+        "name, cat, ff",
+        [
+            ("perm4", *corpus.perm_category(4)),
+            ("finset123", *corpus.finset_category((1, 2, 3))),
+            *oracle_categories(),
+        ],
+    )
+    def test_composites_and_identities_agree_with_the_tables(self, name, cat, ff):
+        assert composition_disagreements(cat, ff) == []
+        for v, i in cat.identities.items():
+            assert ff.on_morphisms[i] == fincat.identity_table(ff.on_objects[v])
+        assert fincat.validate_structure(cat, ff).ok
+
+    def test_perm_category_document_is_unchanged(self):
+        digest = category_doc_sha256(*corpus.perm_category(5))
+        assert digest.hexdigest() == PERM5_DOC_SHA256
+
+    @pytest.mark.parametrize("groupoid_only", [False, True])
+    def test_generated_category_documents_are_unchanged(self, groupoid_only):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
+            category_doc_sha256(*oracle.gen_category(spec), digest)
+        assert digest.hexdigest() == GEN_DOCS_SHA256[groupoid_only]

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +140,18 @@ class TestCoend:
         for w in sorted(set(gen.bundle.fibre_obj.values())):
             cell = min(c for c, o in gen.bundle.fibre_obj.items() if o == w)
             assert len(res.classes[cell]) == brute_force_coend_classes(cat, ff, w)
+
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_each_class_is_named_by_its_least_member(self, seed):
+        _, _, ff, gen = oracle._gen_instance(oracle.InstanceSpec(seed=seed))
+        res = funcspace.coend(funcspace.principal_diagram(gen.bundle), ff)
+        for c, classes in res.classes.items():
+            assert list(classes) == sorted(classes)
+            assert set(res.class_of[c]) == {t for members in classes for t in members}
+            for members in classes:
+                assert list(members) == sorted(members)
+                assert all(res.class_of[c][t] == members[0] for t in members)
 
 
 class TestReconstruct:

@@ -300,6 +300,29 @@ class TestPushoutUniversality:
         assert check.ok, check.witness
 
 
+# cocones_checked of the last attachment square of oracle seeds 1-200, one
+# character per seed ("-" where no round attached), recorded while the
+# push-out check had its own union-find; every square passed with no witness
+LAST_SQUARE_COCONES = (
+    "6666611666666616-16666661---6-116664666-166-6661666666-61116-16611666161666616-66-"
+    "6666616-166666-6--6-66161661661-6166-661166-616-666666666666161-6666-16-666666-6661"
+    "-1616666616666161666661616661611666"
+)
+
+
+def test_last_attachment_squares_are_unchanged():
+    seen = ""
+    for seed in range(1, 201):
+        _, _, _, gen = oracle._gen_instance(oracle.InstanceSpec(seed=seed))
+        if gen.last_attachment is None:
+            seen += "-"
+            continue
+        check = strabundle.pushout_universality_check(gen.last_attachment.square)
+        assert (check.ok, check.witness) == (True, None), seed
+        seen += str(check.cocones_checked)
+    assert seen == LAST_SQUARE_COCONES
+
+
 def test_transition_path_composes_through_the_poset():
     x = corpus.disk_collapse_two_strata()
     tri = cellbase.simplex_name(["v0", "v1", "v2"])
