@@ -30,7 +30,6 @@ from .fincat import (
     product_category,
     validate_category,
     validate_fibre_functor,
-    validate_structure,
 )
 from .funcspace import (
     DiagramBundle,

@@ -35,7 +35,8 @@ def _load_bundle(path: str) -> strabundle.StratBundle:
 
 def _require_valid_bundle(x: strabundle.StratBundle):
     """Category and fibre functor first; the bundle checks assume both are valid."""
-    structure = fincat.validate_structure(x.cat, x.ff)
+    structure = fincat.validate_category(x.cat)
+    structure.merge(fincat.validate_fibre_functor(x.cat, x.ff))
     if not structure.ok:
         return ValidationReport("bundle", structure.violations)
     return strabundle.validate_bundle(x)
@@ -46,7 +47,8 @@ def cmd_validate(args) -> int:
     kind = args.kind or jsonio.detect_kind(doc)
     if kind == "category":
         cat, ff = jsonio.category_from_doc(doc)
-        rep = fincat.validate_structure(cat, ff)
+        rep = fincat.validate_category(cat)
+        rep.merge(fincat.validate_fibre_functor(cat, ff))
     elif kind == "complex":
         b, s = jsonio.complex_from_doc(doc)
         rep = cellbase.validate_complex(b, s)
@@ -81,7 +83,7 @@ def cmd_pullback(args) -> int:
 
 def cmd_restrict(args) -> int:
     x = _load_bundle(args.bundle)
-    if args.star:
+    if args.star is not None:
         region = cellbase.star_cells(x.base, args.star)
     else:
         region = set(args.cells.split(","))
@@ -310,11 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("bundle"),
         p.add_argument("map"),
     ))
-    add("restrict", cmd_restrict, lambda p: (
-        p.add_argument("bundle"),
-        p.add_argument("--cells", help="comma-separated face-closed cell set"),
-        p.add_argument("--star", help="restrict to the closed star of this cell"),
-    ))
+    def restrict_args(p):
+        p.add_argument("bundle")
+        region = p.add_mutually_exclusive_group(required=True)
+        region.add_argument("--cells", help="comma-separated face-closed cell set")
+        region.add_argument("--star", help="restrict to the closed star of this cell")
+
+    add("restrict", cmd_restrict, restrict_args)
     add("product", cmd_product, lambda p: (
         p.add_argument("bundle"),
         p.add_argument("other"),

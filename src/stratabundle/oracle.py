@@ -634,15 +634,21 @@ def _check_principal(spec: InstanceSpec):
     return "pass", "", ""
 
 
+def _gen_pair(spec: InstanceSpec) -> tuple[StratBundle, StratBundle]:
+    """Two bundles over one base, with independently generated categories."""
+    rng = SplitMix64(spec.seed)
+    cat_a, ff_a = gen_category(spec, rng)
+    cat_b, ff_b = gen_category(spec, rng)
+    base = gen_base(spec, rng)
+    xa = gen_bundle(spec, cat_a, ff_a, rng, base).bundle
+    xb = gen_bundle(spec, cat_b, ff_b, rng, base).bundle
+    return xa, xb
+
+
 def _check_fiberwise(spec: InstanceSpec):
     """Products of two independent bundles over one base: validity plus total-space pairing."""
     try:
-        rng = SplitMix64(spec.seed)
-        cat_a, ff_a = gen_category(spec, rng)
-        cat_b, ff_b = gen_category(spec, rng)
-        base = gen_base(spec, rng)
-        xa = gen_bundle(spec, cat_a, ff_a, rng, base).bundle
-        xb = gen_bundle(spec, cat_b, ff_b, rng, base).bundle
+        xa, xb = _gen_pair(spec)
     except Exception as exc:
         return "invalid-input", "generate", repr(exc)
     if not (strabundle.validate_bundle(xa).ok and strabundle.validate_bundle(xb).ok):

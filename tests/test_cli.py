@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stratabundle import cli, corpus, jsonio
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -219,8 +221,34 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--cells", "v0", "--star", "v0"]],
+    ids=["neither", "both"],
+)
+def test_restrict_needs_exactly_one_region_option(options):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    bundle = str(GOLDEN / "double_cover_c3.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stratabundle", "restrict", bundle, *options],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_restrict_to_an_empty_star_name_is_a_named_violation(tmp_path):
+    bundle = str(GOLDEN / "double_cover_c3.json")
+    assert run(["restrict", bundle, "--star", "", "-o", str(tmp_path / "out.json")]) == 1
+
+
 # sha256 of the `validate -o` report of every golden bundle and category
-# document, recorded before `validate_structure` existed
+# document, recorded while the category validator still ran the exhaustive
+# associativity loop on every input
 VALID_REPORT = {
     "bundle": "290d90f83d02e1c1495e4cc6acd9e48247179bc8c82b74f7890fdcb4b5500164",
     "category": "6809ed04743ef674f7c9eeb6749896709fdcd14f1cd6d0ecf053e5ec7f1542c6",

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,38 @@ class TestGenBundle:
         gen = oracle.gen_bundle(spec, cat, ff, rng)
         assert strabundle.validate_bundle(gen.bundle).ok
         assert len(gen.bundle.base.cells) <= spec.max_cells
+
+
+def generated_instances(stream):
+    """The bundles the suites generate, in seed order."""
+    if stream == "fiberwise":
+        for seed in range(1, 51):
+            yield from oracle._gen_pair(oracle.InstanceSpec(seed=seed))
+        return
+    for seed in range(1, 101):
+        spec = oracle.InstanceSpec(seed=seed, groupoid_only=stream == "groupoid")
+        yield oracle._gen_instance(spec)[3].bundle
+
+
+# sha256 of the canonical documents of ``generated_instances``, recorded
+# before this test existed: the default spec (pullback, principal,
+# associated) and the groupoid spec (bundle) at seeds 1-100, and both
+# factors of the fiberwise pairs at seeds 1-50.  The suite reports hold no
+# fingerprint of their instances, so a change to the generators that still
+# passes every theorem shows only here.
+INSTANCE_SHA256 = {
+    "default": "c490a65bd2c98a6e02babfbb8de85dd295a461d1e14a298a6a5634b3489971b4",
+    "groupoid": "18ab15c4a84202d698e15b2e7a42ee9224588d4e1c2b3a8ce6c8dde97954a932",
+    "fiberwise": "b5d0b2d8f5a47edf48e093d3f847e109d2cd053bb93e61c8f272b43929589976",
+}
+
+
+@pytest.mark.parametrize("stream", sorted(INSTANCE_SHA256))
+def test_generated_instances_are_unchanged(stream):
+    digest = hashlib.sha256()
+    for x in generated_instances(stream):
+        digest.update(jsonio.canon_dumps(jsonio.bundle_to_doc(x)).encode())
+    assert digest.hexdigest() == INSTANCE_SHA256[stream]
 
 
 class TestSuites:

@@ -2,6 +2,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from stratabundle import cli, fincat
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -18,3 +22,20 @@ def test_every_traced_name_resolves():
         if not callable(getattr(spans.LAYERS[layer], name, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("document", ["double_cover_c3.json", "perm2_category.json"])
+def test_validate_calls_the_traced_category_validator(monkeypatch, tmp_path, document):
+    # the traced run times `fincat.validate_category` by replacing the module
+    # attribute, so the CLI must reach the validator through it
+    calls = []
+    original = fincat.validate_category
+
+    def counting(cat):
+        calls.append(cat)
+        return original(cat)
+
+    monkeypatch.setattr(fincat, "validate_category", counting)
+    out = tmp_path / "report.json"
+    assert cli.main(["validate", str(ROOT / "tests" / "golden" / document), "-o", str(out)]) == 0
+    assert len(calls) == 1
