@@ -168,9 +168,9 @@ def cmd_associate(args) -> int:
 
 def cmd_trivialize(args) -> int:
     x = _load_bundle(args.bundle)
-    if args.star:
+    if args.star is not None:
         region = cellbase.star_cells(x.base, args.star)
-    elif args.region:
+    elif args.region is not None:
         region = set(args.region.split(","))
     else:
         region = set(x.base.cells)
@@ -337,11 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("bundle"),
         p.add_argument("functor"),
     ))
-    add("trivialize", cmd_trivialize, lambda p: (
-        p.add_argument("bundle"),
-        p.add_argument("--region", help="comma-separated cells"),
-        p.add_argument("--star", help="trivialize over the closed star of this cell"),
-    ))
+    def trivialize_args(p):
+        p.add_argument("bundle")
+        region = p.add_mutually_exclusive_group()
+        region.add_argument("--region", help="comma-separated cells (the whole base otherwise)")
+        region.add_argument("--star", help="trivialize over the closed star of this cell")
+
+    add("trivialize", cmd_trivialize, trivialize_args)
     add("certify", cmd_certify, lambda p: p.add_argument("bundle"))
     add("cover", cmd_cover, lambda p: (
         p.add_argument("bundle"),

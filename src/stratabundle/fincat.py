@@ -140,6 +140,9 @@ def _check_axioms(cat: FiniteCategory, rep: ValidationReport) -> None:
         m = cat.morphisms[i]
         if (m.src, m.tgt) != (v, v):
             rep.add("identity-endpoints", f"{i} is not an endomorphism of {v}")
+    for v in cat.identities:
+        if v not in objset:
+            rep.add("identity-spurious", f"identity given for {v}, which is not an object")
 
     mors = cat.morphisms
     for f in mors.values():

@@ -4,6 +4,14 @@ Serialization is canonical: sorted keys, two-space indent, a trailing
 newline, UTF-8.  Reading a document and writing it back reproduces the
 bytes, which keeps golden files and manifest hashes stable.  Writers are
 atomic (write to a sibling temp file, then rename).
+
+The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=False)`` plus a newline, but ``canon_dumps`` does not call it:
+with an indent, ``json`` never uses its C encoder and spends a generator
+step on every token.  The writer here joins each container in one call
+and escapes strings with the C-backed ``json.encoder.encode_basestring``,
+which matters on the multi-megabyte cover, certificate and diagram
+documents.
 """
 from __future__ import annotations
 
@@ -20,8 +28,99 @@ from .strabundle import FBundleMap, StratBundle, TotalComplex
 from .validation import DocumentError
 
 
+_encode_str = json.encoder.encode_basestring
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+
+
 def canon_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` and a newline.
+
+    Types, key conversion, float spellings and the ``TypeError`` for
+    values ``json`` cannot encode are those of ``json.dumps``; documents
+    are trees, so a circular reference is not detected.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(o, nl: str) -> str:
+    """One value; ``nl`` is a newline and the indent of the line it starts on."""
+    t = type(o)
+    if t is str:
+        return _encode_str(o)
+    if t is dict:
+        return _encode_dict(o, nl)
+    if t is list or t is tuple:
+        return _encode_list(o, nl)
+    if t is int:
+        return _int_repr(o)
+    # json's own order of tests, so subclasses encode as json encodes them
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        return _float_str(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_list(o, nl)
+    if isinstance(o, dict):
+        return _encode_dict(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _encode_list(lst, nl: str) -> str:
+    if not lst:
+        return "[]"
+    inner = nl + "  "
+    parts = [_encode_str(v) if type(v) is str else _encode(v, inner) for v in lst]
+    # one join, not a chain of +, which would copy the body once per operator
+    return "".join(("[", inner, ("," + inner).join(parts), nl, "]"))
+
+
+def _encode_dict(dct, nl: str) -> str:
+    if not dct:
+        return "{}"
+    inner = nl + "  "
+    # json sorts the items, not the keys, and converts keys after sorting
+    parts = [
+        _encode_str(k if type(k) is str else _key_str(k))
+        + ": "
+        + (_encode_str(v) if type(v) is str else _encode(v, inner))
+        for k, v in sorted(dct.items())
+    ]
+    return "".join(("{", inner, ("," + inner).join(parts), nl, "}"))
+
+
+def _key_str(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_str(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return _int_repr(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return _float_repr(x)
 
 
 def write_doc(path, doc) -> None:

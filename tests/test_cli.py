@@ -16,6 +16,13 @@ def run(args):
     return cli.main(args)
 
 
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "stratabundle", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def write_example(tmp_path, name):
     path = tmp_path / f"{name}.json"
     jsonio.write_doc(path, corpus.example_doc(name))
@@ -208,13 +215,7 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "stratabundle", "example", "--list"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_module("example", "--list")
     assert proc.returncode == 0
     assert "double_cover_c3" in proc.stdout
 
@@ -228,14 +229,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ids=["neither", "both"],
 )
 def test_restrict_needs_exactly_one_region_option(options):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    bundle = str(GOLDEN / "double_cover_c3.json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "stratabundle", "restrict", bundle, *options],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_module("restrict", str(GOLDEN / "double_cover_c3.json"), *options)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -244,6 +238,36 @@ def test_restrict_needs_exactly_one_region_option(options):
 def test_restrict_to_an_empty_star_name_is_a_named_violation(tmp_path):
     bundle = str(GOLDEN / "double_cover_c3.json")
     assert run(["restrict", bundle, "--star", "", "-o", str(tmp_path / "out.json")]) == 1
+
+
+def test_trivialize_takes_at_most_one_region_option():
+    bundle = str(GOLDEN / "double_cover_c3.json")
+    proc = run_module("trivialize", bundle, "--star", "v0", "--region", "v0")
+    assert proc.returncode == 2
+    assert "not allowed with argument" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("option", ["--star", "--region"])
+def test_trivialize_over_an_empty_name_is_a_named_violation(option):
+    # an empty value names no cell; it must not fall through to the whole base
+    proc = run_module("trivialize", str(GOLDEN / "double_cover_c3.json"), option, "")
+    assert proc.returncode == 1
+    assert "invalid: unknown cell" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_spurious_identity_entry_is_a_violation(tmp_path):
+    doc = jsonio.read_doc(GOLDEN / "perm2_category.json")
+    doc["identities"]["ghost"] = "p2:10"
+    path = tmp_path / "ghost.json"
+    jsonio.write_doc(path, doc)
+    out = tmp_path / "report.json"
+    assert run(["validate", str(path), "-o", str(out)]) == 1
+    assert json.loads(out.read_text())["violations"] == [
+        {"code": "identity-spurious", "detail": "identity given for ghost, which is not an object"}
+    ]
 
 
 # sha256 of the `validate -o` report of every golden bundle and category
@@ -332,18 +356,12 @@ def test_broken_fibre_functor_is_a_report_not_a_traceback(tmp_path):
     del missing["category"]["actions"]["p2:10"]
     escaping = json.loads(json.dumps(doc))
     escaping["category"]["actions"]["p2:10"]["set2.0"] = "nowhere"
-    env = dict(os.environ, PYTHONPATH=SRC)
     cases = [("missing", missing, "action-missing"), ("escaping", escaping, "action-codomain")]
     for name, bad, code in cases:
         path = tmp_path / f"{name}.json"
         jsonio.write_doc(path, bad)
         for command in ("validate", "reconstruct"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "stratabundle", command, str(path)],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
+            proc = run_module(command, str(path))
             assert proc.returncode == 1, (name, command)
             assert "Traceback" not in proc.stderr
             report = json.loads(proc.stdout)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import cellbase, corpus, fincat, funcspace, oracle, strabundle, triviality
+from stratabundle import cellbase, cli, corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
+from test_fincat import broken_associativity_category
 
 
 class TestFunctionBundle:
@@ -262,3 +263,102 @@ class TestNkcCertificate:
         prod = fincat.product_category(ca, fa, cb, fb)
         cert = funcspace.nkc_certificate(prod.category, prod.ff)
         assert cert["max_hom"] == 2 * 2
+
+
+def right_identity_broken_category():
+    # i is a left identity, but a.i = b; b.b = a keeps the hom functor faithful
+    return fincat.category(
+        ["X"],
+        [("i", "X", "X"), ("a", "X", "X"), ("b", "X", "X")],
+        {
+            ("i", "i"): "i", ("i", "a"): "a", ("i", "b"): "b",
+            ("a", "i"): "b", ("a", "a"): "a", ("a", "b"): "b",
+            ("b", "i"): "b", ("b", "a"): "a", ("b", "b"): "a",
+        },
+        {"X": "i"},
+    )
+
+
+def one_cell_principal_diagram(cat):
+    """Principal diagram of the one-cell bundle whose fibre functor is hom(X, -)."""
+    base = cellbase.complex_from_cells([("pt0", 0, [])])
+    x = strabundle.StratBundle(
+        base, cellbase.single_stratum(base), cat, fincat.hom_fibre_functor(cat, "X"), {"pt0": "X"}, {}
+    )
+    return funcspace.principal_diagram(x)
+
+
+def ungated_validate_diagram(d):
+    """``validate_diagram`` with the contravariance loops run on every input."""
+    rep = funcspace.validate_diagram(d)
+    if rep.ok:
+        funcspace._check_contravariance(d, rep)
+    return rep
+
+
+class TestContravarianceGate:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        original = funcspace._check_contravariance
+
+        def counting(d, rep):
+            count.append(d)
+            original(d, rep)
+
+        monkeypatch.setattr(funcspace, "_check_contravariance", counting)
+        return count
+
+    # reports recorded while validate_diagram ran the loops on every input
+    def test_broken_associativity_names_the_pairs(self, calls):
+        rep = funcspace.validate_diagram(one_cell_principal_diagram(broken_associativity_category()))
+        assert rep.to_doc() == {
+            "subject": "diagram",
+            "ok": False,
+            "violations": [
+                {"code": "contravariance", "detail": "(a, a) over object X"},
+                {"code": "contravariance", "detail": "(b, a) over object X"},
+            ],
+        }
+        assert len(calls) == 1
+
+    def test_broken_right_identity_names_the_identity(self, calls):
+        rep = funcspace.validate_diagram(one_cell_principal_diagram(right_identity_broken_category()))
+        assert rep.to_doc() == {
+            "subject": "diagram",
+            "ok": False,
+            "violations": [
+                {"code": "action-identity", "detail": "i over object X"},
+                {"code": "contravariance", "detail": "(i, b) over object X"},
+                {"code": "contravariance", "detail": "(a, i) over object X"},
+                {"code": "contravariance", "detail": "(a, b) over object X"},
+                {"code": "contravariance", "detail": "(b, i) over object X"},
+                {"code": "contravariance", "detail": "(b, b) over object X"},
+            ],
+        }
+        assert len(calls) == 1
+
+    def test_valid_diagram_skips_the_loops(self, calls):
+        d = funcspace.principal_diagram(corpus.double_cover_c3())
+        assert funcspace.validate_diagram(d).ok
+        assert calls == []
+
+    def test_coend_command_skips_the_loops(self, calls, tmp_path):
+        x = corpus.double_cover_c3()
+        diagram, category = tmp_path / "diagram.json", tmp_path / "category.json"
+        jsonio.write_doc(diagram, jsonio.diagram_to_doc(funcspace.principal_diagram(x)))
+        jsonio.write_doc(category, jsonio.category_to_doc(x.cat, x.ff))
+        out = tmp_path / "coend.json"
+        argv = ["coend", str(diagram), "--category", str(category), "-o", str(out)]
+        assert cli.main(argv) == 0
+        assert jsonio.read_doc(out) == jsonio.bundle_to_doc(x)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(1, 41))
+    def test_loops_find_nothing_on_generated_diagrams(self, seed):
+        for groupoid_only in (False, True):
+            spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
+            _, _, _, gen = oracle._gen_instance(spec)
+            d = funcspace.principal_diagram(gen.bundle)
+            assert funcspace.validate_diagram(d).ok
+            assert ungated_validate_diagram(d).ok

@@ -1,8 +1,12 @@
+import enum
 import json
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratabundle import corpus, jsonio, strabundle
+from stratabundle import corpus, funcspace, jsonio, strabundle
 from stratabundle.validation import DocumentError
 
 
@@ -85,3 +89,79 @@ def test_total_dot_export_mentions_every_element():
     assert dot.startswith("graph total {")
     for c, v in total.elements:
         assert f'"{c}:{v}"' in dot
+
+
+def reference_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+documents = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonDumps:
+    @settings(max_examples=600, deadline=None)
+    @given(documents)
+    def test_equals_json_dumps(self, doc):
+        assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+
+    def test_non_ascii_text_is_written_unescaped(self):
+        doc = {"é": ["ü", "\u2603", "\U0001f600", "tab\tquote\"back\\slash\x01"]}
+        assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+        assert "é" in jsonio.canon_dumps(doc)
+
+    def test_subclasses_and_special_keys_follow_json(self):
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        class Name(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        doc = OrderedDict(
+            b=[Colour.RED, Name("n"), Ratio(0.5), float("nan"), float("-inf"), (), {}, []],
+            a={1.5: True, float("nan"): None, 2: False},
+        )
+        keyed = [{True: 1}, {None: 1}, {Colour.RED: 1}, {Name("k"): 1}, {float("inf"): 1}]
+        for value in (doc, *keyed, "top", 7, None, 1e300):
+            assert jsonio.canon_dumps(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"a": {1}}, {("a",): 1}, {"a": 1, 1: 2}, [object()]],
+        ids=["set-value", "tuple-key", "mixed-keys", "object"],
+    )
+    def test_unencodable_raises_the_same_type_error(self, doc):
+        with pytest.raises(TypeError) as expected:
+            reference_dumps(doc)
+        with pytest.raises(TypeError) as got:
+            jsonio.canon_dumps(doc)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", corpus.example_names())
+    def test_equals_json_dumps_on_every_example(self, name):
+        doc = corpus.example_doc(name)
+        assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+
+    def test_equals_json_dumps_on_a_principal_diagram(self):
+        for x in (corpus.double_cover_c3(), corpus.orbit_free_bundle_c3()):
+            doc = jsonio.diagram_to_doc(funcspace.principal_diagram(x))
+            assert jsonio.canon_dumps(doc) == reference_dumps(doc)

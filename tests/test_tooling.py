@@ -1,5 +1,6 @@
 """Guards for the scripts that drive the package from outside."""
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,17 @@ def test_validate_calls_the_traced_category_validator(monkeypatch, tmp_path, doc
     out = tmp_path / "report.json"
     assert cli.main(["validate", str(ROOT / "tests" / "golden" / document), "-o", str(out)]) == 0
     assert len(calls) == 1
+
+
+def test_documents_are_written_only_by_the_canonical_writer():
+    # a stray json.dump(s) would write bytes that no golden hash or manifest pins
+    call = re.compile(r"\bjson\.dumps?\(")
+    offenders = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for folder in ("src", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path.name != "jsonio.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if call.search(line)
+    ]
+    assert offenders == []
