@@ -240,7 +240,11 @@ def _check_associativity(cat: FiniteCategory, rep: ValidationReport) -> None:
                     rep.add("associativity", f"({h.id}, {g.id}, {f.id})")
 
 
-def validate_fibre_functor(cat: FiniteCategory, ff: FibreFunctor) -> ValidationReport:
+def check_fibre_tables(cat: FiniteCategory, ff: FibreFunctor) -> ValidationReport:
+    """Fibres without repeats, and one table per morphism from its source fibre into its target fibre.
+
+    O(table entries); code that reads the tables directly runs this first.
+    """
     rep = ValidationReport("fibre-functor")
     for v in cat.objects:
         elems = ff.on_objects.get(v)
@@ -259,6 +263,11 @@ def validate_fibre_functor(cat: FiniteCategory, ff: FibreFunctor) -> ValidationR
             rep.add("action-domain", f"{m.id}: table keys differ from fibre of {m.src}")
         elif any(x not in cod for x in tab.values()):
             rep.add("action-codomain", f"{m.id}: values escape fibre of {m.tgt}")
+    return rep
+
+
+def validate_fibre_functor(cat: FiniteCategory, ff: FibreFunctor) -> ValidationReport:
+    rep = check_fibre_tables(cat, ff)
     for v in cat.objects:
         i = cat.identities.get(v)
         if i in ff.on_morphisms and v in ff.on_objects:

@@ -5,8 +5,10 @@ a finite set, so the whole principal-bundle story becomes exact set
 bookkeeping: the component at V has fibre hom(V, W_c) over a cell with
 fibre object W_c, morphisms of the structure category act by
 post-composition, and the diagram actions act by pre-composition.  The
-coend quotient is computed by union-find with least-representative
-canonical class names, and the evaluation map is produced as an explicit
+coend classes are the fibres of the evaluation map (co-Yoneda) wherever
+three cheap conditions certify that, and the union-find closure of the
+generating relation otherwise; either way they carry least-representative
+canonical names, and the evaluation map is produced as an explicit
 cellwise bijection.
 
 Operations that need a faithful fibre functor quietly pass to the
@@ -120,7 +122,12 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
             rep.add("component-base", v)
         if b.fibre_obj != d.fibre_obj or b.transition != d.transitions:
             rep.add("component-data", v)
-        if b.ff != fincat.hom_fibre_functor(d.cat, v):
+        try:
+            hom_v = fincat.hom_fibre_functor(d.cat, v)
+        except StructureError as exc:
+            rep.add("component-functor", f"{v}: {exc}")
+            return rep
+        if b.ff != hom_v:
             rep.add("component-functor", v)
         sub = strabundle.validate_bundle(b)
         if not sub.ok:
@@ -130,11 +137,14 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
     if set(d.actions) != set(d.cat.morphisms):
         rep.add("actions", "one action per morphism is required")
         return rep
+    expected: dict[tuple[str, str], dict[str, str]] = {}
     for g in d.cat.morphisms.values():
         for c in d.base.sorted_cells():
             w = d.fibre_obj[c]
-            expected = {alpha: d.cat.compose(alpha, g.id) for alpha in d.cat.hom(g.tgt, w)}
-            if d.actions[g.id].get(c) != expected:
+            key = (g.id, w)
+            if key not in expected:
+                expected[key] = {alpha: d.cat.compose(alpha, g.id) for alpha in d.cat.hom(g.tgt, w)}
+            if d.actions[g.id].get(c) != expected[key]:
                 rep.add("action-table", f"{g.id} over {c}")
     if not rep.ok or fincat.validate_category(d.cat).ok:
         return rep
@@ -169,7 +179,7 @@ class CoendResult:
     report: ValidationReport
 
 
-def _coend_classes_for_object(
+def _coend_classes_by_union(
     cat: FiniteCategory, ff2: FibreFunctor, w: str
 ) -> tuple[list[tuple], dict]:
     """Quotient of all (object, map-to-w, fibre element) triples for one object."""
@@ -184,10 +194,87 @@ def _coend_classes_for_object(
             pulled = cat.compose(alpha, g.id)
             for y in ff2.on_objects[g.src]:
                 uf.union((g.src, pulled, y), (g.tgt, alpha, ff2.on_morphisms[g.id][y]))
+    return _named_classes(uf.groups())
+
+
+def _named_classes(groups) -> tuple[list[tuple], dict]:
     # each class is named by its least member, and the classes are ordered by it
-    ordered = sorted(tuple(sorted(group)) for group in uf.groups())
+    ordered = sorted(tuple(sorted(group)) for group in groups)
     reps = {t: members[0] for members in ordered for t in members}
     return ordered, reps
+
+
+def _coend_classes_by_evaluation(
+    cat: FiniteCategory, ff2: FibreFunctor, w: str
+) -> tuple[list[tuple], dict] | None:
+    """The same quotient as ``_coend_classes_by_union``, read off the evaluation map.
+
+    Groups the triples (v, alpha, y) by ev(v, alpha, y) = ff2(alpha)(y)
+    (co-Yoneda; Loregian, *(Co)end Calculus*, 2021, ch. 2).  Returns None,
+    and the caller takes the union path, unless
+
+    (i)   ff2(id_w) is the identity table on ff2(w);
+    (ii)  id_w is an endomorphism of w and id_w.alpha = alpha for every
+          alpha into w;
+    (iii) ev takes one value on both sides of every generating relation
+          (src g, alpha.g, y) ~ (tgt g, alpha, ff2(g)(y)).
+
+    Every table is read with ``get``, and the table of each alpha: v -> w
+    must have exactly the keys ff2(v), so malformed input fails a check
+    instead of raising; whenever this returns, the union path would not
+    raise either.
+
+    Proof that the two partitions are equal.  By (iii) ev is constant on
+    union classes, so they are finer than the ev fibres.  Conversely, the
+    relation with g = alpha and alpha' = id_w links (v, id_w.alpha, y),
+    which is (v, alpha, y) by (ii), to (w, id_w, ff2(alpha)(y)).  There
+    (iii) reads ff2(id_w) at ff2(alpha)(y), which by (i) is defined only
+    on ff2(w), so (w, id_w, ff2(alpha)(y)) is a triple.  Two triples with
+    equal ev therefore reach the same (w, id_w, z).
+
+    Condition (ii) is not implied by ``fincat.validate_fibre_functor``:
+    with identity e, e.x = e and both acting trivially on {0, 1}, the
+    functor is valid, the union path gives 4 classes and the ev fibres 2.
+    """
+    tables = ff2.on_morphisms
+    fibres = ff2.on_objects
+    id_w = cat.identities.get(w)
+    if tables.get(id_w) != fincat.identity_table(fibres.get(w, ())):  # (i)
+        return None
+    into_w = {}  # alpha -> (source, table, values in fibre order)
+    groups: dict[str, set[tuple[str, str, str]]] = {}
+    for v in cat.objects:
+        ys = fibres.get(v)
+        if ys is None:
+            return None
+        size = len(set(ys))
+        for alpha in cat.hom(v, w):
+            table = tables.get(alpha)
+            if table is None or len(table) != size:
+                return None
+            values = tuple(map(table.get, ys))
+            if None in values:
+                return None
+            into_w[alpha] = (v, table, values)
+            for y, z in zip(ys, values):
+                groups.setdefault(z, set()).add((v, alpha, y))
+    compose = cat.compose_table
+    if (
+        id_w not in into_w
+        or into_w[id_w][0] != w
+        or any(compose.get((id_w, alpha)) != alpha for alpha in into_w)
+    ):  # (ii)
+        return None
+    for g in cat.morphisms.values():  # (iii)
+        moved = tuple(map(tables.get(g.id, {}).get, fibres.get(g.src, ())))
+        for alpha in cat.hom(g.tgt, w):
+            right = into_w.get(alpha)
+            left = into_w.get(compose.get((alpha, g.id)))
+            if right is None or left is None or left[0] != g.src:
+                return None
+            if left[2] != tuple(map(right[1].get, moved)):
+                return None
+    return _named_classes(groups.values())
 
 
 def coend(d: DiagramBundle, ff2: FibreFunctor) -> CoendResult:
@@ -200,12 +287,12 @@ def coend(d: DiagramBundle, ff2: FibreFunctor) -> CoendResult:
     bundle, commuting with all transitions.
     """
     rep = ValidationReport("coend")
-    for v in d.cat.objects:
-        if v not in ff2.on_objects:
-            raise StructureError(f"fibre functor misses object {v}")
+    fincat.check_fibre_tables(d.cat, ff2).raise_if_invalid()
     memo: dict[str, tuple[list[tuple], dict]] = {}
     for w in sorted(set(d.fibre_obj.values())):
-        memo[w] = _coend_classes_for_object(d.cat, ff2, w)
+        memo[w] = _coend_classes_by_evaluation(d.cat, ff2, w) or _coend_classes_by_union(
+            d.cat, ff2, w
+        )
 
     classes = {}
     class_of = {}

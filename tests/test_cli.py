@@ -367,3 +367,45 @@ def test_broken_fibre_functor_is_a_report_not_a_traceback(tmp_path):
             report = json.loads(proc.stdout)
             assert report["subject"] == "bundle"
             assert code in {v["code"] for v in report["violations"]}
+
+
+def _drop_one_entry(actions):
+    del actions["p2:10"]["set2.1"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda actions: actions.pop("p2:10"), "action-missing: p2:10"),
+    (_drop_one_entry, "action-domain: p2:10: table keys differ from fibre of set2"),
+    (lambda actions: actions["p2:10"].update({"set2.0": "nowhere"}),
+     "action-codomain: p2:10: values escape fibre of set2"),
+], ids=["missing-table", "missing-entry", "escaping-value"])
+def test_coend_against_a_damaged_fibre_functor_is_a_named_violation(tmp_path, damage, message):
+    diagram, category = tmp_path / "diagram.json", tmp_path / "category.json"
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    cat_doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")["category"]
+    damage(cat_doc["actions"])
+    jsonio.write_doc(category, cat_doc)
+    proc = run_module("coend", str(diagram), "--category", str(category))
+    assert proc.returncode == 1
+    assert f"invalid: fibre-functor invalid: {message}" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
+
+
+def test_diagram_with_a_missing_composite_is_a_report(tmp_path):
+    diagram, report = tmp_path / "diagram.json", tmp_path / "report.json"
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    doc = jsonio.read_doc(diagram)
+    first = sorted(doc["components"])[0]
+    doc["components"][first]["category"]["compose"].pop()
+    jsonio.write_doc(diagram, doc)
+    proc = run_module("validate", str(diagram), "-o", str(report))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert jsonio.read_doc(report) == {
+        "subject": "diagram",
+        "ok": False,
+        "violations": [{
+            "code": "component-functor",
+            "detail": "set2: no composite recorded for (p2:10, p2:10)",
+        }],
+    }

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratabundle import cellbase, cli, corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
+from stratabundle.validation import StructureError
 from test_fincat import broken_associativity_category
 
 
@@ -76,7 +77,7 @@ class TestPrincipalDiagram:
 
 
 def brute_force_coend_classes(cat, ff2, w):
-    """Independent oracle: BFS closure of the generating relation."""
+    """Independent oracle: BFS closure of the generating relation, as sorted classes."""
     pairs = [
         (v, alpha, y)
         for v in cat.objects
@@ -92,19 +93,21 @@ def brute_force_coend_classes(cat, ff2, w):
                 neighbours[a].add(b)
                 neighbours[b].add(a)
     seen = set()
-    count = 0
+    classes = []
     for p in pairs:
         if p in seen:
             continue
-        count += 1
+        members = []
         frontier = [p]
         while frontier:
             q = frontier.pop()
             if q in seen:
                 continue
             seen.add(q)
+            members.append(q)
             frontier.extend(neighbours[q])
-    return count
+        classes.append(tuple(sorted(members)))
+    return tuple(sorted(classes))
 
 
 class TestCoend:
@@ -140,7 +143,7 @@ class TestCoend:
         res = funcspace.coend(d, ff)
         for w in sorted(set(gen.bundle.fibre_obj.values())):
             cell = min(c for c, o in gen.bundle.fibre_obj.items() if o == w)
-            assert len(res.classes[cell]) == brute_force_coend_classes(cat, ff, w)
+            assert res.classes[cell] == brute_force_coend_classes(cat, ff, w)
 
 
     @pytest.mark.parametrize("seed", range(1, 21))
@@ -153,6 +156,199 @@ class TestCoend:
             for members in classes:
                 assert list(members) == sorted(members)
                 assert all(res.class_of[c][t] == members[0] for t in members)
+
+
+def assert_coend_matches_union(d, ff2):
+    """``coend`` names and orders exactly the union-find classes at every cell."""
+    res = funcspace.coend(d, ff2)
+    for c, w in d.fibre_obj.items():
+        ordered, reps = funcspace._coend_classes_by_union(d.cat, ff2, w)
+        assert res.classes[c] == tuple(ordered)
+        assert res.class_of[c] == reps
+    return res
+
+
+def assert_evaluation_matches_union(cat, ff2):
+    for w in cat.objects:
+        by_evaluation = funcspace._coend_classes_by_evaluation(cat, ff2, w)
+        assert by_evaluation is not None, w
+        assert by_evaluation == funcspace._coend_classes_by_union(cat, ff2, w), w
+
+
+def example_structures():
+    """(category, fibre functor, bundle or None) of every example category and bundle."""
+    for name in corpus.example_names():
+        doc = corpus.example_doc(name)
+        kind = jsonio.detect_kind(doc)
+        if kind == "category":
+            yield *jsonio.category_from_doc(doc), None
+        elif kind == "bundle":
+            x = funcspace._faithful_input(jsonio.bundle_from_doc(doc))
+            yield x.cat, x.ff, x
+
+
+def point_diagram(cat, ff, w):
+    base = cellbase.complex_from_cells([("pt0", 0, [])])
+    x = strabundle.StratBundle(base, cellbase.single_stratum(base), cat, ff, {"pt0": w}, {})
+    return funcspace.principal_diagram(x)
+
+
+def perm3_with_table(mid, edit):
+    """perm_category(3), its point diagram at set3, and the fibre functor with one table edited."""
+    cat, ff = corpus.perm_category(3)
+    tables = {m: dict(t) for m, t in ff.on_morphisms.items()}
+    edit(tables[mid])
+    return cat, point_diagram(cat, ff, "set3"), fincat.FibreFunctor(dict(ff.on_objects), tables), "set3"
+
+
+def left_identity_counterexample():
+    """One object X; e is the identity, but e.x = e; both act trivially on {0, 1}."""
+    cat = fincat.category(
+        ["X"],
+        [("e", "X", "X"), ("x", "X", "X")],
+        {("e", "e"): "e", ("e", "x"): "e", ("x", "e"): "x", ("x", "x"): "x"},
+        {"X": "e"},
+    )
+    ff2 = fincat.fibre_functor({"X": ["0", "1"]}, {"e": {"0": "0", "1": "1"}, "x": {"0": "0", "1": "1"}})
+    return cat, one_cell_principal_diagram(cat), ff2, "X"
+
+
+def idempotent_identity():
+    """One object X and its identity e acting as the constant map 0: only (i) fails."""
+    cat = fincat.category(["X"], [("e", "X", "X")], {("e", "e"): "e"}, {"X": "e"})
+    ff2 = fincat.fibre_functor({"X": ["0", "1"]}, {"e": {"0": "0", "1": "0"}})
+    return cat, one_cell_principal_diagram(cat), ff2, "X"
+
+
+def identity_elsewhere():
+    """identities[W] = k1: U1 -> W, a left identity on hom(-, W), which has no endomorphism."""
+    cat = fincat.category(
+        ["U1", "U2", "W"],
+        [("i1", "U1", "U1"), ("i2", "U2", "U2"), ("k1", "U1", "W"), ("k2", "U2", "W")],
+        {
+            ("i1", "i1"): "i1", ("i2", "i2"): "i2", ("k1", "i1"): "k1", ("k2", "i2"): "k2",
+            ("k1", "k1"): "k1", ("k1", "k2"): "k2",
+        },
+        {"U1": "i1", "U2": "i2", "W": "k1"},
+    )
+    point = {"0": "0"}
+    ff2 = fincat.fibre_functor(
+        {"U1": ["0"], "U2": ["0"], "W": ["0"]}, {m: point for m in ("i1", "i2", "k1", "k2")}
+    )
+    return cat, point_diagram(cat, ff2, "W"), ff2, "W"
+
+
+def swap_first_two_values(table):
+    a, b = sorted(table)[:2]
+    table[a], table[b] = table[b], table[a]
+
+
+MUTANTS = {
+    "identity-moves": lambda: perm3_with_table(
+        "p3:012", lambda t: t.update({"set3.0": "set3.1", "set3.1": "set3.0"})
+    ),
+    "identity-idempotent": idempotent_identity,
+    "identity-elsewhere": identity_elsewhere,
+    "swapped-entry": lambda: perm3_with_table("p3:120", swap_first_two_values),
+    "left-identity": left_identity_counterexample,
+}
+
+
+@pytest.fixture
+def union_calls(monkeypatch):
+    calls = []
+    original = funcspace._coend_classes_by_union
+
+    def counting(cat, ff2, w):
+        calls.append(w)
+        return original(cat, ff2, w)
+
+    monkeypatch.setattr(funcspace, "_coend_classes_by_union", counting)
+    return calls
+
+
+class TestCoendByEvaluation:
+    def test_equals_union_on_perm4_and_example_structures(self):
+        assert_evaluation_matches_union(*corpus.perm_category(4))
+        for cat, ff, x in example_structures():
+            assert_evaluation_matches_union(cat, ff)
+            if x is not None:
+                assert_coend_matches_union(funcspace.principal_diagram(x), x.ff)
+
+    def test_equals_union_on_200_oracle_categories(self):
+        for seed in range(1, 201):
+            _, cat, ff, gen = oracle._gen_instance(oracle.InstanceSpec(seed=seed))
+            assert_evaluation_matches_union(cat, ff)
+            assert_coend_matches_union(funcspace.principal_diagram(gen.bundle), ff)
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutants_take_the_union_path(self, name, union_calls):
+        cat, d, ff2, w = MUTANTS[name]()
+        assert funcspace._coend_classes_by_evaluation(cat, ff2, w) is None
+        assert_coend_matches_union(d, ff2)
+        assert w in union_calls
+
+    def test_left_identity_counterexample_passes_the_functor_check(self):
+        cat, d, ff2, w = left_identity_counterexample()
+        assert fincat.validate_fibre_functor(cat, ff2).ok
+        ordered, _ = funcspace._coend_classes_by_union(cat, ff2, w)
+        assert len(ordered) == 4
+        evaluations = {ff2.on_morphisms[alpha][y] for alpha in cat.hom(w, w) for y in ff2.on_objects[w]}
+        assert len(evaluations) == 2
+
+    def test_truncated_table_is_refused_by_coend(self):
+        cat, d, ff2, w = perm3_with_table("p3:120", lambda t: t.pop("set3.2"))
+        assert funcspace._coend_classes_by_evaluation(cat, ff2, w) is None
+        with pytest.raises(KeyError):
+            funcspace._coend_classes_by_union(cat, ff2, w)
+        with pytest.raises(StructureError, match="action-domain: p3:120: table keys differ from fibre of set3"):
+            funcspace.coend(d, ff2)
+
+    def test_ill_typed_composite_is_left_to_the_union_path(self):
+        # k.iU is recorded as iW, whose source is not U: (U, iW, 0) is no triple
+        cat = fincat.category(
+            ["U", "W"],
+            [("iU", "U", "U"), ("iW", "W", "W"), ("k", "U", "W")],
+            {("iU", "iU"): "iU", ("iW", "iW"): "iW", ("iW", "k"): "k", ("k", "iU"): "iW"},
+            {"U": "iU", "W": "iW"},
+        )
+        ff2 = fincat.fibre_functor({"U": ["0"], "W": ["0"]}, {m: {"0": "0"} for m in ("iU", "iW", "k")})
+        assert funcspace._coend_classes_by_evaluation(cat, ff2, "W") is None
+        with pytest.raises(KeyError):
+            funcspace._coend_classes_by_union(cat, ff2, "W")
+
+    def test_union_path_never_runs_on_the_wide_category_ops(self, union_calls, tmp_path):
+        cat, ff = corpus.perm_category(5)
+        base, strat = corpus.c3()
+        twisted = {base.incidences[0]: "p5:12340"}
+        transition = {inc: twisted.get(inc, cat.identities["set5"]) for inc in base.incidences}
+        x = strabundle.StratBundle(base, strat, cat, ff, {c: "set5" for c in base.cells}, transition)
+        bundle, category, functor = (str(tmp_path / f"{n}.json") for n in ("bundle", "category", "functor"))
+        jsonio.write_doc(bundle, jsonio.bundle_to_doc(x))
+        jsonio.write_doc(category, jsonio.category_to_doc(cat, ff))
+        jsonio.write_doc(functor, jsonio.functor_to_doc(fincat.identity_cat_functor(cat), ff))
+        diagram, out = str(tmp_path / "principal.json"), str(tmp_path / "out.json")
+        for argv in (
+            ["validate", bundle, "-o", out],
+            ["principal", bundle, "-o", diagram],
+            ["coend", diagram, "--category", category, "-o", out],
+            ["reconstruct", bundle, "-o", out],
+            ["associate", bundle, functor, "-o", out],
+            ["fnspace", bundle, "-V", "set5", "-o", out],
+        ):
+            assert cli.main(argv) == 0, argv[0]
+        assert union_calls == []
+
+    def test_union_path_never_runs_on_the_golden_chain(self, union_calls, tmp_path):
+        bundle, category = tmp_path / "bundle.json", tmp_path / "category.json"
+        jsonio.write_doc(bundle, corpus.example_doc("double_cover_c3"))
+        jsonio.write_doc(category, corpus.example_doc("perm2_category"))
+        diagram, coend = str(tmp_path / "diagram.json"), str(tmp_path / "coend.json")
+        assert cli.main(["fnspace", str(bundle), "-V", "set2", "-o", str(tmp_path / "fn.json")]) == 0
+        assert cli.main(["principal", str(bundle), "-o", diagram]) == 0
+        assert cli.main(["coend", diagram, "--category", str(category), "-o", coend]) == 0
+        assert jsonio.read_doc(coend) == jsonio.read_doc(bundle)
+        assert union_calls == []
 
 
 class TestReconstruct:

@@ -239,6 +239,27 @@ class TestFailurePaths:
         assert (rep.instances, rep.passes, rep.failures, rep.invalid_inputs) == expected
 
 
+class TestCoendPartitionCheck:
+    """The principal suite compares each point coend with the union-find closure."""
+
+    def test_matching_partitions_pass(self):
+        for seed in range(1, 6):
+            assert oracle._check_principal(oracle.InstanceSpec(seed=seed)) == ("pass", "", "")
+
+    def test_a_differing_partition_is_a_theorem_violation(self, monkeypatch):
+        real = funcspace._coend_classes_by_union
+
+        def one_class_too_many(cat, ff2, w):
+            ordered, reps = real(cat, ff2, w)
+            return ordered + [(("extra", "class", "member"),)], reps
+
+        monkeypatch.setattr(funcspace, "_coend_classes_by_union", one_class_too_many)
+        spec = oracle.InstanceSpec(seed=1)
+        _, cat, _, _ = oracle._gen_instance(spec)
+        expected = ("theorem-violation", "coend-partition", f"object {cat.objects[0]}")
+        assert oracle._check_principal(spec) == expected
+
+
 def test_instance_spec_bounds():
     with pytest.raises(StructureError):
         oracle.InstanceSpec(seed=1, max_cells=0)
