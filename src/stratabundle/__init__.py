@@ -13,7 +13,6 @@ from .cellbase import (
     SimplicialMap,
     Stratification,
     attach_base,
-    closed_star,
     cycle_complex,
     poset_spanning_tree,
     simplex_complex,
@@ -26,7 +25,6 @@ from .fincat import (
     faithful_image,
     hom_fibre_functor,
     is_groupoid,
-    opposite,
     product_category,
     validate_category,
     validate_fibre_functor,

@@ -176,13 +176,8 @@ def validate_complex(b: BaseComplex, s: Stratification) -> ValidationReport:
             rep.add("face-missing", f"{c.id} has positive dimension but no faces")
     if broken:
         return rep
-    # with strictly decreasing dimensions the closure is antisymmetric
-    try:
-        b.below
-    except StructureError as exc:
-        rep.add("face-cycle", str(exc))
-        return rep
-
+    # every face now lies exactly one dimension below its cell, so a chain of
+    # faces strictly lowers the dimension and the face relation has no cycle
     if set(s.strata) != set(b.cells):
         rep.add("stratum-coverage", "stratification does not cover the cells exactly")
         return rep
@@ -226,11 +221,6 @@ def star_cells(b: BaseComplex, c: str) -> frozenset[str]:
     for d in b.above[c]:
         out |= b.below[d]
     return frozenset(out)
-
-
-def closed_star(b: BaseComplex, c: str) -> BaseComplex:
-    """Smallest subcomplex containing every cell having ``c`` as a face."""
-    return subcomplex(b, star_cells(b, c))
 
 
 class UnionFind:

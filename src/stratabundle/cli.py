@@ -130,12 +130,13 @@ def cmd_coend(args) -> int:
             "coend needs a fibre functor: pass a category document with --category"
         )
     _, ff = jsonio.category_from_doc(jsonio.read_doc(args.category))
-    res = funcspace.coend(d, ff)
+    y = strabundle.StratBundle(d.base, d.strat, d.cat, ff, d.fibre_obj, d.transitions)
+    res = funcspace.coend(y)
     if not res.report.ok:
         _emit(res.report.to_doc(), args.out)
         _say(str(res.report))
         return INVALID
-    _emit(jsonio.bundle_to_doc(res.bundle), args.out)
+    _emit(jsonio.bundle_to_doc(y), args.out)
     _say("coend computed")
     return OK
 

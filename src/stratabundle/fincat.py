@@ -7,7 +7,7 @@ realizes every object as a finite set of element identifiers and every
 morphism as a total function table between the corresponding sets.
 
 Hom-sets are kept as lexicographically sorted tuples so that every
-derived construction (quotients, products, opposites, hom functors) is
+derived construction (quotients, products, hom functors) is
 deterministic.  Morphism equality is equality of identifiers; equality
 *in the image* of a fibre functor (same endpoints, same function table)
 is the coarser relation used throughout the bundle machinery.
@@ -438,13 +438,6 @@ def product_category(
             pair_id(x, y): pair_id(ta[x], tb[y]) for x in ta for y in tb
         }
     return ProductCategory(cat, FibreFunctor(on_objects, on_morphisms), obj_pairs, mor_pairs, elem_pairs)
-
-
-def opposite(cat: FiniteCategory) -> FiniteCategory:
-    """Reverse all morphisms; the composition table is transposed."""
-    mors = {m.id: Morphism(m.id, m.tgt, m.src) for m in cat.morphisms.values()}
-    compose = {(f, g): gf for (g, f), gf in cat.compose_table.items()}
-    return FiniteCategory(cat.objects, mors, compose, dict(cat.identities))
 
 
 @dataclass

@@ -11,6 +11,12 @@ generating relation otherwise; either way they carry least-representative
 canonical names, and the evaluation map is produced as an explicit
 cellwise bijection.
 
+A principal diagram enters its coend only through the category and base
+data it shares with its bundle, so ``coend`` takes that bundle, carrying
+the fibre functor to contract against.  Reconstruction and transport
+never build the diagram; it exists to be written out and read back as a
+document.
+
 Operations that need a faithful fibre functor quietly pass to the
 faithful image first; results are reported over that quotient.
 """
@@ -129,6 +135,8 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
             return rep
         if b.ff != hom_v:
             rep.add("component-functor", v)
+        if b.cat != d.cat:
+            rep.add("component-category", v)
         sub = strabundle.validate_bundle(b)
         if not sub.ok:
             rep.add("component-invalid", f"{v}: {sub.violations[0].code}")
@@ -172,7 +180,6 @@ def _check_contravariance(d: DiagramBundle, rep: ValidationReport) -> None:
 
 @dataclass
 class CoendResult:
-    bundle: StratBundle
     classes: dict[str, tuple[tuple[tuple[str, str, str], ...], ...]]
     class_of: dict[str, dict[tuple[str, str, str], tuple[str, str, str]]]
     evaluation: dict[str, dict[tuple[str, str, str], str]]
@@ -277,37 +284,40 @@ def _coend_classes_by_evaluation(
     return _named_classes(groups.values())
 
 
-def coend(d: DiagramBundle, ff2: FibreFunctor) -> CoendResult:
-    """Quotient the pointwise pairs of the diagram with a fibre functor.
+def coend(y: StratBundle) -> CoendResult:
+    """Contract a principal diagram against the fibre functor ff2 of ``y``.
 
-    Classes over a cell are classes of (V, alpha: V -> W_c, y in ff2(V));
-    the induced transitions are verified to be well defined on classes,
-    and the evaluation map applying ff2(alpha) to y is produced and
-    checked to be a cellwise bijection onto the fibres of the rebuilt
-    bundle, commuting with all transitions.
+    A principal diagram enters its coend only through the category, base,
+    fibre objects and transitions it shares with its bundle, so ``y``
+    carries those together with ff2.  Classes over a cell are classes of
+    (V, alpha: V -> W_c, e in ff2(V)); the induced transitions are verified
+    to be well defined on classes, and the evaluation map applying
+    ff2(alpha) to e is produced and checked to be a cellwise bijection onto
+    the fibres of ``y``, commuting with all transitions.
     """
     rep = ValidationReport("coend")
-    fincat.check_fibre_tables(d.cat, ff2).raise_if_invalid()
+    cat, ff2 = y.cat, y.ff
+    fincat.check_fibre_tables(cat, ff2).raise_if_invalid()
     memo: dict[str, tuple[list[tuple], dict]] = {}
-    for w in sorted(set(d.fibre_obj.values())):
-        memo[w] = _coend_classes_by_evaluation(d.cat, ff2, w) or _coend_classes_by_union(
-            d.cat, ff2, w
+    for w in sorted(set(y.fibre_obj.values())):
+        memo[w] = _coend_classes_by_evaluation(cat, ff2, w) or _coend_classes_by_union(
+            cat, ff2, w
         )
 
     classes = {}
     class_of = {}
     evaluation = {}
-    for c in d.base.sorted_cells():
-        ordered, reps = memo[d.fibre_obj[c]]
+    for c in y.base.sorted_cells():
+        ordered, reps = memo[y.fibre_obj[c]]
         classes[c] = tuple(ordered)
         class_of[c] = dict(reps)
         ev = {}
         for members in ordered:
-            values = {ff2.on_morphisms[alpha][y] for (_, alpha, y) in members}
+            values = {ff2.on_morphisms[alpha][e] for (_, alpha, e) in members}
             if len(values) > 1:
                 rep.add("evaluation-constant", f"class {members[0]} over {c} evaluates ambiguously")
             ev[members[0]] = min(values)
-        target = ff2.on_objects[d.fibre_obj[c]]
+        target = ff2.on_objects[y.fibre_obj[c]]
         if sorted(ev.values()) != sorted(target):
             rep.add(
                 "evaluation-bijective",
@@ -315,22 +325,19 @@ def coend(d: DiagramBundle, ff2: FibreFunctor) -> CoendResult:
             )
         evaluation[c] = ev
 
-    for f, c in d.base.incidences:
-        t = d.transitions[(f, c)]
+    for f, c in y.base.incidences:
+        t = y.transition[(f, c)]
         table = ff2.on_morphisms[t]
         for members in classes[c]:
-            images = {class_of[f][(v, d.cat.compose(t, alpha), y)] for (v, alpha, y) in members}
+            images = {class_of[f][(v, cat.compose(t, alpha), e)] for (v, alpha, e) in members}
             if len(images) > 1:
                 rep.add("transition-well-defined", f"({f}, {c}) on class {members[0]}")
                 continue
             target_rep = images.pop()
             if evaluation[f][target_rep] != table[evaluation[c][members[0]]]:
                 rep.add("transition-evaluation", f"({f}, {c}) on class {members[0]}")
-    bundle = StratBundle(
-        d.base, d.strat, d.cat, ff2, dict(d.fibre_obj), dict(d.transitions)
-    )
-    rep.merge(strabundle.validate_bundle(bundle))
-    return CoendResult(bundle, classes, class_of, evaluation, rep)
+    rep.merge(strabundle.validate_bundle(y))
+    return CoendResult(classes, class_of, evaluation, rep)
 
 
 def class_key(rep: tuple[str, str, str]) -> str:
@@ -349,7 +356,7 @@ class ReconstructResult:
 
 
 def reconstruct_check(x: StratBundle) -> ReconstructResult:
-    """Rebuild a bundle from its own principal diagram and compare.
+    """Rebuild a bundle as the coend of its own principal diagram.
 
     The returned iso sends each coend class (named by its least
     representative) to the fibre element it evaluates to; it is a
@@ -357,9 +364,10 @@ def reconstruct_check(x: StratBundle) -> ReconstructResult:
     False answer indicates a defect in this package, not in the input.
     """
     x = _faithful_input(x)
-    d = principal_diagram(x)
-    res = coend(d, x.ff)
-    ok = res.report.ok and strabundle.bundle_eq(res.bundle, x)
+    # the coend's bundle is x's own base data with x's fibre functor, so a
+    # comparison with x could not fail; the coend report carries the content
+    res = coend(x)
+    ok = res.report.ok
     iso = None
     if ok:
         iso = {
@@ -379,8 +387,9 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Asso
     """Transport a bundle along a functor between structure categories.
 
     The principal diagram of ``x`` is contracted against the pulled-back
-    fibre functor; the result is re-expressed over the target category by
-    applying the functor to fibre objects and transitions.
+    fibre functor (the coend of ``x`` with its fibre functor replaced);
+    the result is re-expressed over the target category by applying the
+    functor to fibre objects and transitions.
     """
     x = _faithful_input(x)
     if phi.source != x.cat:
@@ -388,7 +397,7 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Asso
     fincat.validate_cat_functor(phi).raise_if_invalid()
     fincat.validate_fibre_functor(phi.target, gg).raise_if_invalid()
     ff2 = fincat.precompose_fibre_functor(gg, phi)
-    res = coend(principal_diagram(x), ff2)
+    res = coend(StratBundle(x.base, x.strat, x.cat, ff2, x.fibre_obj, x.transition))
     res.report.raise_if_invalid()
     fibre_obj = {c: phi.on_objects[w] for c, w in x.fibre_obj.items()}
     transition = {k: phi.on_morphisms[m] for k, m in x.transition.items()}

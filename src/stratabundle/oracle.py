@@ -624,14 +624,13 @@ def _check_principal(spec: InstanceSpec):
         return outcome, "reconstruct", detail
     try:
         for w in cat.objects:
-            d = funcspace.principal_diagram(_point_bundle(cat, ff, w))
-            res = funcspace.coend(d, ff)
+            res = funcspace.coend(_point_bundle(cat, ff, w))
             classes = res.classes["pt"]
             if len(classes) != len(ff.on_objects[w]) or not res.report.ok:
                 return "theorem-violation", "point-coend", f"object {w}"
             # the coend reads its classes off the evaluation map; the union-find
             # closure of the generating relation is the independent computation
-            by_union, _ = funcspace._coend_classes_by_union(d.cat, ff, d.fibre_obj["pt"])
+            by_union, _ = funcspace._coend_classes_by_union(cat, ff, w)
             if list(classes) != by_union:
                 return "theorem-violation", "coend-partition", f"object {w}"
     except Exception as exc:

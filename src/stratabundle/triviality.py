@@ -63,9 +63,6 @@ def _trivialize(x: StratBundle, region, memo: dict[str, str | None]) -> Triviali
     cells = sorted(set(region))
     if not cells:
         raise StructureError("region is empty")
-    unknown = [c for c in cells if c not in x.base.cells]
-    if unknown:
-        raise StructureError(f"unknown cells {unknown}")
     sub = cellbase.subcomplex(x.base, cells)
     inverses: dict[tuple[str, str], str] = {}
     for f, c in sub.incidences:
@@ -353,7 +350,7 @@ def stratify_bundle(x: StratBundle, strat: Stratification) -> StratifyResult:
             StratumPiece(
                 k,
                 strabundle.restrict(bundle, closure),
-                strabundle.restrict(bundle, boundary) if boundary else strabundle.restrict(bundle, set()),
+                strabundle.restrict(bundle, boundary),
             )
         )
     return StratifyResult(bundle, pieces)

@@ -29,6 +29,20 @@ def test_closure_violation_is_named():
     assert any(v.code == "stratum-closure" for v in rep.violations)
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (1, 0)])
+def test_face_cycle_is_a_dimension_violation(dims):
+    # a face cycle cannot keep every face one dimension below its cell
+    b = cellbase.BaseComplex({
+        "a": cellbase.Cell("a", dims[0], ("b",)),
+        "b": cellbase.Cell("b", dims[1], ("a",)),
+    })
+    rep = cellbase.validate_complex(b, Stratification({"a": 0, "b": 0}))
+    assert [v.code for v in rep.violations][:1] == ["face-dimension"]
+    assert "face-cycle" not in {v.code for v in rep.violations}
+    with pytest.raises(StructureError, match="cycle"):
+        b.below
+
+
 def test_two_stratum_disk_is_valid():
     b, s = corpus.fan_disk()
     assert cellbase.validate_complex(b, s).ok
@@ -46,26 +60,28 @@ def test_stratum_gap_is_reported():
 
 
 class TestClosedStar:
+    """The closed star of c is ``subcomplex(b, star_cells(b, c))``."""
+
     def test_vertex_star_in_circle(self):
         b, _ = corpus.c3()
-        star = cellbase.closed_star(b, "v0")
+        star = cellbase.subcomplex(b, cellbase.star_cells(b, "v0"))
         assert set(star.cells) == {"v0", "v1", "v2", "v0.v1", "v0.v2"}
 
     def test_top_cell_star_is_its_closure(self):
         b, _ = corpus.fan_disk()
         top = cellbase.simplex_name(["v0", "v1", "w"])
-        star = cellbase.closed_star(b, top)
+        star = cellbase.subcomplex(b, cellbase.star_cells(b, top))
         assert set(star.cells) == set(b.below[top])
 
     def test_single_vertex(self):
         b = cellbase.complex_from_cells([("p", 0, [])])
-        star = cellbase.closed_star(b, "p")
+        star = cellbase.subcomplex(b, cellbase.star_cells(b, "p"))
         assert set(star.cells) == {"p"}
 
     def test_star_is_face_closed_and_contains_the_cell(self):
         b, _ = corpus.fan_disk()
         for c in b.cells:
-            star = cellbase.closed_star(b, c)
+            star = cellbase.subcomplex(b, cellbase.star_cells(b, c))
             assert c in star.cells
             assert cellbase.is_face_closed(b, set(star.cells))
 
@@ -73,7 +89,7 @@ class TestClosedStar:
 class TestSpanningTree:
     def test_tree_size_is_cells_minus_one(self):
         b, _ = corpus.c3()
-        star = cellbase.closed_star(b, "v0")
+        star = cellbase.subcomplex(b, cellbase.star_cells(b, "v0"))
         tree = cellbase.poset_spanning_tree(star)
         assert len(tree) == len(star.cells) - 1
 

@@ -409,3 +409,22 @@ def test_diagram_with_a_missing_composite_is_a_report(tmp_path):
             "detail": "set2: no composite recorded for (p2:10, p2:10)",
         }],
     }
+
+
+def test_component_with_another_category_is_a_named_violation(tmp_path):
+    # the diagram's category is its first component's; set2 is the second
+    diagram, report = tmp_path / "diagram.json", tmp_path / "report.json"
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    doc = jsonio.read_doc(diagram)
+    doc["components"]["set2"]["category"]["compose"].pop()
+    jsonio.write_doc(diagram, doc)
+    violation = {"code": "component-category", "detail": "set2"}
+    proc = run_module("validate", str(diagram), "-o", str(report))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert jsonio.read_doc(report) == {"subject": "diagram", "ok": False, "violations": [violation]}
+    category = str(GOLDEN / "perm2_category.json")
+    proc = run_module("coend", str(diagram), "--category", category, "-o", str(report))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert violation in jsonio.read_doc(report)["violations"]

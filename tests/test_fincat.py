@@ -221,26 +221,6 @@ class TestProductCategory:
         assert prod.ff.on_morphisms[mid] == expected
 
 
-class TestOpposite:
-    def test_involution(self):
-        cat, _ = corpus.orbit_z2_category()
-        assert fincat.opposite(fincat.opposite(cat)) == cat
-
-    def test_hom_reversal(self):
-        cat, _ = corpus.orbit_z2_category()
-        op = fincat.opposite(cat)
-        assert op.hom("GG", "Ge") == cat.hom("Ge", "GG")
-        assert op.hom("Ge", "GG") == cat.hom("GG", "Ge")
-        assert fincat.validate_category(op).ok
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
-    def test_groupoid_status_preserved(self, seed, groupoid_only):
-        spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
-        cat, _ = oracle.gen_category(spec)
-        assert fincat.is_groupoid(cat)[0] == fincat.is_groupoid(fincat.opposite(cat))[0]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_generated_constructions_stay_valid(seed):
@@ -248,8 +228,6 @@ def test_generated_constructions_stay_valid(seed):
     cat, ff = oracle.gen_category(spec)
     assert fincat.validate_category(cat).ok
     assert fincat.validate_fibre_functor(cat, ff).ok
-    op = fincat.opposite(cat)
-    assert fincat.validate_category(op).ok
     fi = fincat.faithful_image(cat, ff)
     assert fincat.validate_category(fi.category).ok
     assert fincat.validate_fibre_functor(fi.category, fi.ff).ok

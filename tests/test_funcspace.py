@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ class TestFunctionBundle:
         star = cellbase.star_cells(x.base, "v0")
         a = funcspace.function_bundle(strabundle.restrict(x, star), "set2").bundle
         b = strabundle.restrict(funcspace.function_bundle(x, "set2").bundle, star)
-        assert strabundle.bundle_eq(a, b, in_image=False)
+        assert strabundle.bundle_eq(a, b) and a.transition == b.transition
 
 
 class TestPrincipalDiagram:
@@ -117,7 +119,7 @@ class TestCoend:
         x = strabundle.StratBundle(
             base, cellbase.single_stratum(base), cat, ff, {"pt0": "pt"}, {}
         )
-        res = funcspace.coend(funcspace.principal_diagram(x), ff)
+        res = funcspace.coend(x)
         assert res.report.ok
         assert len(res.classes["pt0"]) == 2
         frozen = {
@@ -129,7 +131,7 @@ class TestCoend:
     def test_one_point_fibre_functor_gives_one_class_per_cell(self):
         x = corpus.double_cover_c3()
         one = fincat.one_point_functor(x.cat)
-        res = funcspace.coend(funcspace.principal_diagram(x), one)
+        res = funcspace.coend(dataclasses.replace(x, ff=one))
         assert all(len(res.classes[c]) == 1 for c in x.base.cells)
 
     @settings(max_examples=25, deadline=None)
@@ -139,8 +141,7 @@ class TestCoend:
         rng = oracle.SplitMix64(seed)
         cat, ff = oracle.gen_category(spec, rng)
         gen = oracle.gen_bundle(spec, cat, ff, rng)
-        d = funcspace.principal_diagram(gen.bundle)
-        res = funcspace.coend(d, ff)
+        res = funcspace.coend(gen.bundle)
         for w in sorted(set(gen.bundle.fibre_obj.values())):
             cell = min(c for c, o in gen.bundle.fibre_obj.items() if o == w)
             assert res.classes[cell] == brute_force_coend_classes(cat, ff, w)
@@ -148,8 +149,8 @@ class TestCoend:
 
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_each_class_is_named_by_its_least_member(self, seed):
-        _, _, ff, gen = oracle._gen_instance(oracle.InstanceSpec(seed=seed))
-        res = funcspace.coend(funcspace.principal_diagram(gen.bundle), ff)
+        _, _, _, gen = oracle._gen_instance(oracle.InstanceSpec(seed=seed))
+        res = funcspace.coend(gen.bundle)
         for c, classes in res.classes.items():
             assert list(classes) == sorted(classes)
             assert set(res.class_of[c]) == {t for members in classes for t in members}
@@ -158,11 +159,11 @@ class TestCoend:
                 assert all(res.class_of[c][t] == members[0] for t in members)
 
 
-def assert_coend_matches_union(d, ff2):
+def assert_coend_matches_union(y):
     """``coend`` names and orders exactly the union-find classes at every cell."""
-    res = funcspace.coend(d, ff2)
-    for c, w in d.fibre_obj.items():
-        ordered, reps = funcspace._coend_classes_by_union(d.cat, ff2, w)
+    res = funcspace.coend(y)
+    for c, w in y.fibre_obj.items():
+        ordered, reps = funcspace._coend_classes_by_union(y.cat, y.ff, w)
         assert res.classes[c] == tuple(ordered)
         assert res.class_of[c] == reps
     return res
@@ -187,18 +188,17 @@ def example_structures():
             yield x.cat, x.ff, x
 
 
-def point_diagram(cat, ff, w):
+def point_bundle(cat, ff, w):
     base = cellbase.complex_from_cells([("pt0", 0, [])])
-    x = strabundle.StratBundle(base, cellbase.single_stratum(base), cat, ff, {"pt0": w}, {})
-    return funcspace.principal_diagram(x)
+    return strabundle.StratBundle(base, cellbase.single_stratum(base), cat, ff, {"pt0": w}, {})
 
 
 def perm3_with_table(mid, edit):
-    """perm_category(3), its point diagram at set3, and the fibre functor with one table edited."""
+    """perm_category(3) and its fibre functor with one table edited, at set3."""
     cat, ff = corpus.perm_category(3)
     tables = {m: dict(t) for m, t in ff.on_morphisms.items()}
     edit(tables[mid])
-    return cat, point_diagram(cat, ff, "set3"), fincat.FibreFunctor(dict(ff.on_objects), tables), "set3"
+    return cat, fincat.FibreFunctor(dict(ff.on_objects), tables), "set3"
 
 
 def left_identity_counterexample():
@@ -210,14 +210,14 @@ def left_identity_counterexample():
         {"X": "e"},
     )
     ff2 = fincat.fibre_functor({"X": ["0", "1"]}, {"e": {"0": "0", "1": "1"}, "x": {"0": "0", "1": "1"}})
-    return cat, one_cell_principal_diagram(cat), ff2, "X"
+    return cat, ff2, "X"
 
 
 def idempotent_identity():
     """One object X and its identity e acting as the constant map 0: only (i) fails."""
     cat = fincat.category(["X"], [("e", "X", "X")], {("e", "e"): "e"}, {"X": "e"})
     ff2 = fincat.fibre_functor({"X": ["0", "1"]}, {"e": {"0": "0", "1": "0"}})
-    return cat, one_cell_principal_diagram(cat), ff2, "X"
+    return cat, ff2, "X"
 
 
 def identity_elsewhere():
@@ -235,7 +235,7 @@ def identity_elsewhere():
     ff2 = fincat.fibre_functor(
         {"U1": ["0"], "U2": ["0"], "W": ["0"]}, {m: point for m in ("i1", "i2", "k1", "k2")}
     )
-    return cat, point_diagram(cat, ff2, "W"), ff2, "W"
+    return cat, ff2, "W"
 
 
 def swap_first_two_values(table):
@@ -273,23 +273,23 @@ class TestCoendByEvaluation:
         for cat, ff, x in example_structures():
             assert_evaluation_matches_union(cat, ff)
             if x is not None:
-                assert_coend_matches_union(funcspace.principal_diagram(x), x.ff)
+                assert_coend_matches_union(x)
 
     def test_equals_union_on_200_oracle_categories(self):
         for seed in range(1, 201):
             _, cat, ff, gen = oracle._gen_instance(oracle.InstanceSpec(seed=seed))
             assert_evaluation_matches_union(cat, ff)
-            assert_coend_matches_union(funcspace.principal_diagram(gen.bundle), ff)
+            assert_coend_matches_union(gen.bundle)
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutants_take_the_union_path(self, name, union_calls):
-        cat, d, ff2, w = MUTANTS[name]()
+        cat, ff2, w = MUTANTS[name]()
         assert funcspace._coend_classes_by_evaluation(cat, ff2, w) is None
-        assert_coend_matches_union(d, ff2)
+        assert_coend_matches_union(point_bundle(cat, ff2, w))
         assert w in union_calls
 
     def test_left_identity_counterexample_passes_the_functor_check(self):
-        cat, d, ff2, w = left_identity_counterexample()
+        cat, ff2, w = left_identity_counterexample()
         assert fincat.validate_fibre_functor(cat, ff2).ok
         ordered, _ = funcspace._coend_classes_by_union(cat, ff2, w)
         assert len(ordered) == 4
@@ -297,12 +297,12 @@ class TestCoendByEvaluation:
         assert len(evaluations) == 2
 
     def test_truncated_table_is_refused_by_coend(self):
-        cat, d, ff2, w = perm3_with_table("p3:120", lambda t: t.pop("set3.2"))
+        cat, ff2, w = perm3_with_table("p3:120", lambda t: t.pop("set3.2"))
         assert funcspace._coend_classes_by_evaluation(cat, ff2, w) is None
         with pytest.raises(KeyError):
             funcspace._coend_classes_by_union(cat, ff2, w)
         with pytest.raises(StructureError, match="action-domain: p3:120: table keys differ from fibre of set3"):
-            funcspace.coend(d, ff2)
+            funcspace.coend(point_bundle(cat, ff2, w))
 
     def test_ill_typed_composite_is_left_to_the_union_path(self):
         # k.iU is recorded as iW, whose source is not U: (U, iW, 0) is no triple
@@ -375,7 +375,7 @@ class TestAssociated:
     def test_identity_functor_reproduces_the_bundle(self):
         x = corpus.double_cover_c3()
         res = funcspace.associated_bundle(x, fincat.identity_cat_functor(x.cat), x.ff)
-        assert strabundle.bundle_eq(res.bundle, x, in_image=False)
+        assert strabundle.bundle_eq(res.bundle, x) and res.bundle.transition == x.transition
 
     def test_collapse_to_one_point_category(self):
         x = corpus.bz2_double_cover_c3()

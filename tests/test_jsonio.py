@@ -33,7 +33,7 @@ def test_bundle_document_round_trip_preserves_semantics():
     x = corpus.double_cover_c3()
     doc = jsonio.bundle_to_doc(x)
     again = jsonio.bundle_from_doc(json.loads(jsonio.canon_dumps(doc)))
-    assert strabundle.bundle_eq(again, x, in_image=False)
+    assert strabundle.bundle_eq(again, x) and again.transition == x.transition
 
 
 def test_diagram_document_round_trip():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stratabundle import cli, fincat
+from stratabundle import cli, fincat, funcspace, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +40,38 @@ def test_validate_calls_the_traced_category_validator(monkeypatch, tmp_path, doc
     out = tmp_path / "report.json"
     assert cli.main(["validate", str(ROOT / "tests" / "golden" / document), "-o", str(out)]) == 0
     assert len(calls) == 1
+
+
+@pytest.fixture
+def principal_diagram_calls(monkeypatch):
+    calls = []
+    original = funcspace.principal_diagram
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(funcspace, "principal_diagram", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["reconstruct", "double_cover_c3.json"], 0),
+    (["associate", "bz2_double_cover_c3.json", "bz2_trivializer_functor.json"], 0),
+    (["principal", "double_cover_c3.json"], 1),
+], ids=["reconstruct", "associate", "principal"])
+def test_only_the_principal_command_builds_a_diagram(principal_diagram_calls, tmp_path, argv, expected):
+    # the coend reads the bundle itself; the diagram is only ever a document
+    command, *docs = argv
+    paths = [str(ROOT / "tests" / "golden" / doc) for doc in docs]
+    assert cli.main([command, *paths, "-o", str(tmp_path / "out.json")]) == 0
+    assert len(principal_diagram_calls) == expected
+
+
+def test_principal_suite_builds_no_diagram(principal_diagram_calls):
+    rep = oracle.run_suite("principal", oracle.InstanceSpec(seed=1), 10)
+    assert rep.passes == rep.instances == 10
+    assert principal_diagram_calls == []
 
 
 def test_documents_are_written_only_by_the_canonical_writer():
