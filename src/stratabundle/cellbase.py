@@ -68,6 +68,23 @@ class BaseComplex:
         return tuple(sorted(out))
 
     @cached_property
+    def adjacency(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Incidence graph: each cell's incidences ``(face, cell)``, sorted by their other end.
+
+        Built once per complex from the very tuples of ``incidences`` and
+        shared by every walk over the complex, whole or restricted to a
+        face-closed region.
+        """
+        adj: dict[str, list[tuple[str, str]]] = {c: [] for c in self.cells}
+        for inc in self.incidences:
+            adj[inc[0]].append(inc)
+            adj[inc[1]].append(inc)
+        return {
+            c: tuple(sorted(edges, key=lambda e, c=c: e[1] if e[0] == c else e[0]))
+            for c, edges in adj.items()
+        }
+
+    @cached_property
     def vertices_of(self) -> dict[str, tuple[str, ...]]:
         return {
             c: tuple(sorted(x for x in self.below[c] if self.cells[x].dim == 0))
@@ -204,17 +221,24 @@ def is_face_closed(b: BaseComplex, cells) -> bool:
     return all(f in chosen for c in chosen for f in b.cells[c].faces)
 
 
-def subcomplex(b: BaseComplex, cells) -> BaseComplex:
+def face_closed_set(b: BaseComplex, cells) -> set[str]:
+    """The cells as a set; raises unless they are known and closed under faces."""
     chosen = set(cells)
     unknown = [c for c in chosen if c not in b.cells]
     if unknown:
         raise StructureError(f"unknown cells {sorted(unknown)}")
     if not is_face_closed(b, chosen):
         raise StructureError("cell set is not closed under faces")
-    return BaseComplex({c: b.cells[c] for c in chosen})
+    return chosen
+
+
+def subcomplex(b: BaseComplex, cells) -> BaseComplex:
+    return BaseComplex({c: b.cells[c] for c in face_closed_set(b, cells)})
 
 
 def star_cells(b: BaseComplex, c: str) -> frozenset[str]:
+    """Closed star of ``c``: the union of the closures ``below[d]`` of every
+    ``d`` above it, and so closed under faces by construction."""
     if c not in b.cells:
         raise StructureError(f"unknown cell {c}")
     out: set[str] = set()
@@ -260,30 +284,35 @@ def connected_components(nodes, edges) -> list[set]:
     return uf.groups()
 
 
-def bfs_tree(b: BaseComplex) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
+def bfs_tree(
+    b: BaseComplex, region=None
+) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
     """Breadth-first spanning tree of the cell-incidence graph.
 
-    Starts from the least cell id and visits neighbours in sorted order.
+    Walks ``b.adjacency``, the complex's one shared incidence index, from
+    the least cell and visits neighbours in sorted order.  Given a
+    face-closed ``region`` (a set of cells of ``b``), the walk keeps to it:
+    filtering each sorted neighbour list to the region gives exactly the
+    tree of ``bfs_tree(subcomplex(b, region))``, without the copy.
     Returns the cells in discovery order and, for each cell, its tree
     parent with the connecting incidence as ``(prev, (face, cell))``, or
-    None at the root; raises on a disconnected complex.
+    None at the root; raises on a disconnected complex or region.
     """
-    nodes = b.sorted_cells()
-    if not nodes:
+    if region is None:
+        region = b.cells
+    if not region:
         return [], {}
-    adj: dict[str, list[tuple[str, tuple[str, str]]]] = {n: [] for n in nodes}
-    for f, c in b.incidences:
-        adj[f].append((c, (f, c)))
-        adj[c].append((f, (f, c)))
-    root = nodes[0]
+    adj = b.adjacency
+    root = min(region)
     order = [root]
     parent: dict[str, tuple[str, tuple[str, str]] | None] = {root: None}
     for cur in order:  # the list grows while it is walked: a FIFO queue
-        for nxt, edge in sorted(adj[cur]):
-            if nxt not in parent:
+        for edge in adj[cur]:
+            nxt = edge[1] if edge[0] == cur else edge[0]
+            if nxt not in parent and nxt in region:
                 parent[nxt] = (cur, edge)
                 order.append(nxt)
-    if len(order) != len(nodes):
+    if len(order) != len(region):
         raise StructureError("incidence graph is disconnected")
     return order, parent
 

@@ -33,6 +33,17 @@ def _load_bundle(path: str) -> strabundle.StratBundle:
     return jsonio.bundle_from_doc(jsonio.read_doc(path))
 
 
+def _load_bundle_with_tables(path: str) -> strabundle.StratBundle:
+    """``_load_bundle``, then the cheap table gate for commands that read fibre tables.
+
+    A missing or ill-typed action table is then a named violation (exit 1)
+    instead of a ``KeyError`` deep inside the operation.
+    """
+    x = _load_bundle(path)
+    fincat.check_fibre_tables(x.cat, x.ff).raise_if_invalid()
+    return x
+
+
 def _require_valid_bundle(x: strabundle.StratBundle):
     """Category and fibre functor first; the bundle checks assume both are valid."""
     structure = fincat.validate_category(x.cat)
@@ -103,7 +114,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_fnspace(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = _load_bundle_with_tables(args.bundle)
     fb = funcspace.function_bundle(x, args.object)
     _emit(jsonio.bundle_to_doc(fb.bundle), args.out)
     _say(f"function bundle at {args.object}")
@@ -111,7 +122,7 @@ def cmd_fnspace(args) -> int:
 
 
 def cmd_principal(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = _load_bundle_with_tables(args.bundle)
     d = funcspace.principal_diagram(x)
     _emit(jsonio.diagram_to_doc(d), args.out)
     _say(f"principal diagram with {len(d.components)} component(s)")
@@ -168,7 +179,7 @@ def cmd_associate(args) -> int:
 
 
 def cmd_trivialize(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = _load_bundle_with_tables(args.bundle)
     if args.star is not None:
         region = cellbase.star_cells(x.base, args.star)
     elif args.region is not None:
@@ -199,7 +210,7 @@ def cmd_trivialize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = _load_bundle_with_tables(args.bundle)
     cert = triviality.local_triviality_certificate(x)
     _emit(cert.to_doc(), args.out)
     _say(f"atlas with {len(cert.stars)} star trivialization(s)")
@@ -207,7 +218,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = _load_bundle_with_tables(args.bundle)
     cert = triviality.covering_space(x)
     doc = cert.to_doc()
     if args.dot:
@@ -266,7 +277,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_total(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = _load_bundle_with_tables(args.bundle)
     total = strabundle.realize_total(x)
     if args.dot:
         sys.stdout.write(jsonio.total_to_dot(total))

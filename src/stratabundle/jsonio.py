@@ -150,6 +150,13 @@ def _need(doc: dict, keys, kind: str) -> None:
         raise DocumentError(f"{kind} document is missing keys {missing}")
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings are refused rather than coerced."""
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def category_to_doc(cat: FiniteCategory, ff: FibreFunctor) -> dict:
     return {
         "objects": sorted(cat.objects),
@@ -199,10 +206,12 @@ def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
         cells = {}
         strata = {}
         for entry in doc["cells"]:
-            cells[entry["id"]] = Cell(
-                entry["id"], int(entry["dim"]), tuple(sorted(set(entry["faces"])))
-            )
-            strata[entry["id"]] = int(entry["stratum"])
+            cid = entry["id"]
+            dim = _integer(entry["dim"], f"dim of cell {cid!r}")
+            cells[cid] = Cell(cid, dim, tuple(sorted(set(entry["faces"]))))
+            strata[cid] = _integer(entry["stratum"], f"stratum of cell {cid!r}")
+    except DocumentError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed complex document: {exc!r}") from exc
     return BaseComplex(cells), Stratification(strata)
@@ -315,7 +324,11 @@ def attachment_from_doc(doc: dict, y: StratBundle) -> tuple[StratBundle, frozens
 def strat_from_doc(doc: dict) -> Stratification:
     _need(doc, ["strata"], "stratification")
     try:
-        return Stratification({c: int(k) for c, k in doc["strata"].items()})
+        return Stratification(
+            {c: _integer(k, f"stratum of cell {c!r}") for c, k in doc["strata"].items()}
+        )
+    except DocumentError:
+        raise
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"malformed stratification document: {exc!r}") from exc
 

@@ -7,6 +7,13 @@ checked; the first failing incidence closes a holonomy loop that is
 reported as the obstruction.  Closed stars of a complex are contractible,
 so for groupoid-style bundles the star-by-star sweep always succeeds and
 its output is a complete locally-trivial atlas.
+
+Every region is walked in place: the spanning tree comes from the base's
+shared incidence index (``BaseComplex.adjacency``) restricted to the
+region, and the region's incidences are read off the faces of its cells,
+so no star is copied into a subcomplex.  Image inverses and chart
+compatibility depend only on a few morphism ids, so both are memoised
+across all the stars of a sweep.
 """
 from __future__ import annotations
 
@@ -14,7 +21,6 @@ from dataclasses import dataclass
 
 from . import cellbase, fincat, strabundle
 from .cellbase import Stratification
-from .fincat import compose_tables
 from .strabundle import FBundleMap, StratBundle, TotalComplex
 from .validation import PreconditionError, StructureError, ValidationReport
 
@@ -49,54 +55,65 @@ def trivialize_over(x: StratBundle, region) -> TrivializeResult:
     Requires every transition inside the region to be invertible in the
     image of the fibre functor.
     """
-    return _trivialize(x, region, {})
-
-
-def _image_inverse(x: StratBundle, mid: str, memo: dict[str, str | None]) -> str | None:
-    if mid not in memo:
-        memo[mid] = fincat.image_inverse(x.cat, x.ff, mid)
-    return memo[mid]
-
-
-def _trivialize(x: StratBundle, region, memo: dict[str, str | None]) -> TrivializeResult:
-    """``trivialize_over`` with image inverses memoised by morphism id in ``memo``."""
-    cells = sorted(set(region))
+    cells = cellbase.face_closed_set(x.base, region)
     if not cells:
         raise StructureError("region is empty")
-    sub = cellbase.subcomplex(x.base, cells)
-    inverses: dict[tuple[str, str], str] = {}
-    for f, c in sub.incidences:
-        mid = x.transition[(f, c)]
-        inv = _image_inverse(x, mid, memo)
-        if inv is None:
-            raise PreconditionError(
-                f"transition ({f}, {c}) -> {mid} is not invertible over the region"
-            )
-        inverses[(f, c)] = inv
-    order, parent = cellbase.bfs_tree(sub)
+    return _trivialize(x, cells, _Memo(x))
+
+
+class _Memo:
+    """Image inverses by morphism id, chart compatibility by (chart_f, transition, chart_c)."""
+
+    def __init__(self, x: StratBundle):
+        self.x = x
+        self.inverses: dict[str, str | None] = {}
+        self.compatible: dict[tuple[str, str, str], bool] = {}
+
+    def inverse(self, mid: str) -> str | None:
+        if mid not in self.inverses:
+            self.inverses[mid] = fincat.image_inverse(self.x.cat, self.x.ff, mid)
+        return self.inverses[mid]
+
+    def compatible_at(self, chart_f: str, mid: str, chart_c: str) -> bool:
+        """Whether ``chart_f`` after the transition ``mid`` acts as ``chart_c``."""
+        key = (chart_f, mid, chart_c)
+        if key not in self.compatible:
+            on = self.x.ff.on_morphisms
+            self.compatible[key] = fincat.compose_tables(on[chart_f], on[mid]) == on[chart_c]
+        return self.compatible[key]
+
+
+def _trivialize(x: StratBundle, region, memo: _Memo) -> TrivializeResult:
+    """``trivialize_over`` on a known, face-closed, non-empty ``region`` of ``x.base``."""
+    cells = sorted(region)
+    faces = x.base.cells
+    incidences = sorted((f, c) for c in cells for f in faces[c].faces)
+    mids = [x.transition[inc] for inc in incidences]
+    # one test per distinct morphism; a failure names the first incidence in sorted order
+    if any(memo.inverse(mid) is None for mid in set(mids)):
+        (f, c), mid = next(p for p in zip(incidences, mids) if memo.inverse(p[1]) is None)
+        raise PreconditionError(
+            f"transition ({f}, {c}) -> {mid} is not invertible over the region"
+        )
+    order, parent = cellbase.bfs_tree(x.base, region)
 
     root = order[0]
     obj = x.fibre_obj[root]
     charts = {root: x.cat.identities[obj]}
     for nxt in order[1:]:
         cur, (f, c) = parent[nxt]
+        mid = x.transition[(f, c)]
         if nxt == f:  # stepping down: invert the transition afterwards
-            charts[nxt] = x.cat.compose(charts[cur], inverses[(f, c)])
+            charts[nxt] = x.cat.compose(charts[cur], memo.inverses[mid])
         else:  # stepping up along (f, c) with cur == f
-            charts[nxt] = x.cat.compose(charts[cur], x.transition[(f, c)])
+            charts[nxt] = x.cat.compose(charts[cur], mid)
 
     tree = {parent[n][1] for n in order[1:]}
-    ff = x.ff
-    for f, c in sub.incidences:
+    for (f, c), mid in zip(incidences, mids):
         if (f, c) in tree:
             continue
-        lhs = compose_tables(ff.on_morphisms[charts[f]], x.transition_table(f, c))
-        rhs = ff.on_morphisms[charts[c]]
-        if lhs != rhs:
-            holonomy = x.cat.compose(
-                x.cat.compose(charts[f], x.transition[(f, c)]),
-                _image_inverse(x, charts[c], memo),
-            )
+        if not memo.compatible_at(charts[f], mid, charts[c]):
+            holonomy = x.cat.compose(x.cat.compose(charts[f], mid), memo.inverse(charts[c]))
             loop = _loop_through(parent, f, c)
             return TrivializeResult(
                 None,
@@ -151,7 +168,7 @@ def validate_trivialization(x: StratBundle, t: Trivialization) -> ValidationRepo
     if not rep.ok:
         return rep
     for f, c in sub.incidences:
-        lhs = compose_tables(x.ff.on_morphisms[t.charts[f]], x.transition_table(f, c))
+        lhs = fincat.compose_tables(x.ff.on_morphisms[t.charts[f]], x.transition_table(f, c))
         if lhs != x.ff.on_morphisms[t.charts[c]]:
             rep.add("chart-compatibility", f"incidence ({f}, {c})")
     return rep
@@ -197,8 +214,10 @@ def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
             f"structure category is not a groupoid in its faithful image; witness {witness}"
         )
     stars = {}
-    memo: dict[str, str | None] = {}
+    memo = _Memo(x)
     for c in x.base.sorted_cells():
+        # a closed star is a union of face closures, so it needs none of
+        # the region checks of ``trivialize_over``
         res = _trivialize(x, cellbase.star_cells(x.base, c), memo)
         if not res.ok:
             raise StructureError(
@@ -267,8 +286,12 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
     flag, and the monodromy permutation of the basepoint
     fibre around each fundamental cycle of the incidence graph.
     """
+    bijective: dict[tuple[str, str], bool] = {}  # by (morphism, face object)
     for (f, c), mid in sorted(x.transition.items()):
-        if not fincat.is_bijective_table(x.ff.on_morphisms[mid], x.fibre_set(f)):
+        key = (mid, x.fibre_obj[f])
+        if key not in bijective:
+            bijective[key] = fincat.is_bijective_table(x.ff.on_morphisms[mid], x.fibre_set(f))
+        if not bijective[key]:
             raise PreconditionError(f"transition ({f}, {c}) -> {mid} is not a bijection")
     total = strabundle.realize_total(x)
 
@@ -290,21 +313,25 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
         # transport[cell]: the fibre bijection carrying the basepoint fibre
         # out to ``cell`` along the tree path
         transport = {basepoint: fincat.identity_table(x.fibre_set(basepoint))}
+        inverse_steps: dict[str, dict[str, str]] = {}  # by transition morphism
         for nxt in order[1:]:
             cur, (f, c) = parent[nxt]
-            step = x.transition_table(f, c)
+            mid = x.transition[(f, c)]
             if nxt == f:  # moving down applies the transition
-                transport[nxt] = compose_tables(step, transport[cur])
+                step = x.ff.on_morphisms[mid]
             else:  # moving up applies the inverse bijection
-                inv = {w: v for v, w in step.items()}
-                transport[nxt] = compose_tables(inv, transport[cur])
+                if mid not in inverse_steps:
+                    inverse_steps[mid] = {w: v for v, w in x.ff.on_morphisms[mid].items()}
+                step = inverse_steps[mid]
+            transport[nxt] = fincat.compose_tables(step, transport[cur])
 
         tree = {parent[n][1] for n in order[1:]}
         for f, c in x.base.incidences:
             if (f, c) in tree:
                 continue
             back = {w: v for v, w in transport[f].items()}
-            perm = compose_tables(back, compose_tables(x.transition_table(f, c), transport[c]))
+            around = fincat.compose_tables(x.transition_table(f, c), transport[c])
+            perm = fincat.compose_tables(back, around)
             monodromy.append(MonodromyEntry((f, c), perm, permutation_cycle_type(perm)))
     # every transition is a bijection onto its face fibre, so the cover is even
     return CoveringCertificate(

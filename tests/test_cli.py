@@ -428,3 +428,32 @@ def test_component_with_another_category_is_a_named_violation(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert violation in jsonio.read_doc(report)["violations"]
+
+
+@pytest.mark.parametrize("field", ["dim", "stratum"])
+@pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=["Infinity", "1.5", "true"])
+def test_non_integer_cell_number_is_a_document_error(tmp_path, field, value):
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    doc["base"]["cells"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps writes inf as Infinity
+    proc = run_module("validate", str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"{field} of cell 'v0' must be an integer" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover"], ["certify"], ["trivialize"], ["total"], ["principal"], ["fnspace", "-V", "set2"],
+], ids=lambda argv: argv[0])
+def test_commands_that_read_tables_gate_a_missing_table(tmp_path, argv):
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    del doc["category"]["actions"]["p2:10"]
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    command, *options = argv
+    proc = run_module(command, str(path), *options)
+    assert proc.returncode == 1
+    assert "invalid: fibre-functor invalid: action-missing: p2:10" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

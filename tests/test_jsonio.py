@@ -62,6 +62,13 @@ def test_schema_violations_raise_document_error():
         jsonio.bundle_from_doc({"base": {"cells": []}})
 
 
+@pytest.mark.parametrize("value", [float("inf"), 1.5, True, "1"])
+def test_non_integer_stratum_raises_document_error(value):
+    with pytest.raises(DocumentError, match="stratum of cell 'v0' must be an integer"):
+        jsonio.strat_from_doc({"strata": {"v0": value}})
+    assert jsonio.strat_from_doc({"strata": {"v0": 2}}).strata == {"v0": 2}
+
+
 def test_detect_kind():
     assert jsonio.detect_kind(corpus.example_doc("perm2_category")) == "category"
     assert jsonio.detect_kind(corpus.example_doc("c3_complex")) == "complex"

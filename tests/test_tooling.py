@@ -1,11 +1,12 @@
 """Guards for the scripts that drive the package from outside."""
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from stratabundle import cli, fincat, funcspace, oracle
+from stratabundle import cellbase, cli, fincat, funcspace, oracle, triviality
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,3 +87,35 @@ def test_documents_are_written_only_by_the_canonical_writer():
         if call.search(line)
     ]
     assert offenders == []
+
+
+def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypatch, torus_cover):
+    # a per-star subcomplex copy or an unmemoised compatibility test would
+    # only show as a slower certify op in the benchmark
+    x = torus_cover(15)
+    calls = {"subcomplex": 0, "compose_tables": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            # image_inverse composes inside fincat, a few times per distinct
+            # transition morphism; count the compositions asked for outside it
+            if sys._getframe(1).f_globals["__name__"] != fincat.__name__:
+                calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cellbase, "subcomplex")
+    counting(fincat, "compose_tables")
+    cert = triviality.local_triviality_certificate(x)
+    triples = {
+        (t.charts[f], x.transition[(f, c)], t.charts[c])
+        for t in cert.stars.values()
+        for c in t.region
+        for f in x.base.cells[c].faces
+    }
+    assert len(cert.stars) == len(x.base.cells)
+    assert calls["subcomplex"] == 0
+    assert 0 < calls["compose_tables"] <= len(triples)
