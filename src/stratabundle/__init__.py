@@ -31,11 +31,9 @@ from .fincat import (
 )
 from .funcspace import (
     DiagramBundle,
-    FunctionBundle,
     associated_bundle,
     coend,
     function_bundle,
-    nkc_certificate,
     principal_diagram,
     reconstruct_check,
     validate_diagram,

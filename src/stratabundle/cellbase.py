@@ -388,15 +388,6 @@ def inclusion_map(sub: BaseComplex, b: BaseComplex) -> SimplicialMap:
     return SimplicialMap(sub, b, {v: v for v in sub.vertices()}, {c: c for c in sub.cells})
 
 
-def compose_simplicial(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
-    return SimplicialMap(
-        inner.source,
-        outer.target,
-        {v: outer.vertex_map[w] for v, w in inner.vertex_map.items()},
-        {c: outer.cell_map[d] for c, d in inner.cell_map.items()},
-    )
-
-
 def stratum_preserving(
     m: SimplicialMap, s_src: Stratification, s_tgt: Stratification
 ) -> tuple[bool, tuple[str, int, int] | None]:

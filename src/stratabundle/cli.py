@@ -76,8 +76,10 @@ def cmd_validate(args) -> int:
 
 def cmd_attach(args) -> int:
     y = _load_bundle(args.bundle)
-    m, a_cells, h = jsonio.attachment_from_doc(jsonio.read_doc(args.attachment), y)
-    res = strabundle.attach_bundle(y, m, a_cells, h)
+    m, a_cells, base_map, fibre_morphisms = jsonio.attachment_from_doc(
+        jsonio.read_doc(args.attachment), y
+    )
+    res = strabundle.attach_bundle(y, m, a_cells, base_map, fibre_morphisms)
     _emit(jsonio.bundle_to_doc(res.bundle), args.out)
     _say(f"attached {len(res.new_cells)} new cell(s)")
     return OK
@@ -107,16 +109,14 @@ def cmd_restrict(args) -> int:
 def cmd_product(args) -> int:
     x = _load_bundle(args.bundle)
     x2 = _load_bundle(args.other)
-    res = strabundle.fiberwise_product(x, x2)
-    _emit(jsonio.bundle_to_doc(res.bundle), args.out)
+    _emit(jsonio.bundle_to_doc(strabundle.fiberwise_product(x, x2)), args.out)
     _say("fibrewise product built")
     return OK
 
 
 def cmd_fnspace(args) -> int:
     x = _load_bundle_with_tables(args.bundle)
-    fb = funcspace.function_bundle(x, args.object)
-    _emit(jsonio.bundle_to_doc(fb.bundle), args.out)
+    _emit(jsonio.bundle_to_doc(funcspace.function_bundle(x, args.object)), args.out)
     _say(f"function bundle at {args.object}")
     return OK
 

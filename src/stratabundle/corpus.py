@@ -12,7 +12,7 @@ from itertools import permutations, product
 from . import cellbase, fincat, jsonio, strabundle
 from .cellbase import BaseComplex, SimplicialMap, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
-from .strabundle import FBundleMap, StratBundle
+from .strabundle import StratBundle
 from .validation import StructureError
 
 
@@ -211,13 +211,7 @@ def disk_trivial_two_strata() -> StratBundle:
         y.base,
         {"u0": "v0", "u1": "v1", "u2": "v2"},
     )
-    h = FBundleMap(
-        strabundle.restrict(m, a_cells),
-        y,
-        hmap,
-        {c: "e" for c in a_cells},
-    )
-    return strabundle.attach_bundle(y, m, a_cells, h).bundle
+    return strabundle.attach_bundle(y, m, a_cells, hmap, {c: "e" for c in a_cells}).bundle
 
 
 def bz2_trivializer() -> tuple[CatFunctor, FibreFunctor]:
@@ -239,48 +233,34 @@ _BUNDLES = {
 }
 
 
+def _refusal_map_into_fan_disk() -> dict:
+    src, strat = c3()
+    disk, _ = fan_disk()
+    smap = SimplicialMap.from_vertex_map(src, disk, {"v0": "w", "v1": "w", "v2": "w"})
+    return jsonio.map_to_doc(smap, strat)
+
+
+# every example by name, with the builder of its document
+_EXAMPLES = {
+    **{name: (lambda build=build: jsonio.bundle_to_doc(build())) for name, build in _BUNDLES.items()},
+    "bz2_category": lambda: jsonio.category_to_doc(*bz2_category()),
+    "bz2_trivializer_functor": lambda: jsonio.functor_to_doc(*bz2_trivializer()),
+    "c3_complex": lambda: jsonio.complex_to_doc(*c3()),
+    "c6_complex": lambda: jsonio.complex_to_doc(*c6()),
+    "c6_fold_map": lambda: jsonio.map_to_doc(*c6_fold_map()),
+    "fan_disk_complex": lambda: jsonio.complex_to_doc(*fan_disk()),
+    "finset12_category": lambda: jsonio.category_to_doc(*finset_category((1, 2))),
+    "orbit_z2_category": lambda: jsonio.category_to_doc(*orbit_z2_category()),
+    "perm2_category": lambda: jsonio.category_to_doc(*perm_category(2)),
+    "refusal_map_into_fan_disk": _refusal_map_into_fan_disk,
+}
+
+
 def example_names() -> list[str]:
-    names = sorted(_BUNDLES)
-    names += [
-        "bz2_category",
-        "bz2_trivializer_functor",
-        "c3_complex",
-        "c6_complex",
-        "c6_fold_map",
-        "fan_disk_complex",
-        "finset12_category",
-        "orbit_z2_category",
-        "perm2_category",
-        "refusal_map_into_fan_disk",
-    ]
-    return sorted(names)
+    return sorted(_EXAMPLES)
 
 
 def example_doc(name: str) -> dict:
-    if name in _BUNDLES:
-        return jsonio.bundle_to_doc(_BUNDLES[name]())
-    if name == "c3_complex":
-        return jsonio.complex_to_doc(*c3())
-    if name == "c6_complex":
-        return jsonio.complex_to_doc(*c6())
-    if name == "fan_disk_complex":
-        return jsonio.complex_to_doc(*fan_disk())
-    if name == "perm2_category":
-        return jsonio.category_to_doc(*perm_category(2))
-    if name == "finset12_category":
-        return jsonio.category_to_doc(*finset_category((1, 2)))
-    if name == "bz2_category":
-        return jsonio.category_to_doc(*bz2_category())
-    if name == "orbit_z2_category":
-        return jsonio.category_to_doc(*orbit_z2_category())
-    if name == "c6_fold_map":
-        smap, strat = c6_fold_map()
-        return jsonio.map_to_doc(smap, strat)
-    if name == "bz2_trivializer_functor":
-        return jsonio.functor_to_doc(*bz2_trivializer())
-    if name == "refusal_map_into_fan_disk":
-        src, strat = c3()
-        disk, _ = fan_disk()
-        smap = SimplicialMap.from_vertex_map(src, disk, {"v0": "w", "v1": "w", "v2": "w"})
-        return jsonio.map_to_doc(smap, strat)
-    raise StructureError(f"unknown example {name}")
+    if name not in _EXAMPLES:
+        raise StructureError(f"unknown example {name}")
+    return _EXAMPLES[name]()

@@ -383,32 +383,17 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-@dataclass
-class ProductCategory:
-    category: FiniteCategory
-    ff: FibreFunctor
-    obj_pairs: dict[str, tuple[str, str]]
-    mor_pairs: dict[str, tuple[str, str]]
-    elem_pairs: dict[str, tuple[str, str]]
-
-
 def product_category(
     cat_a: FiniteCategory,
     ff_a: FibreFunctor,
     cat_b: FiniteCategory,
     ff_b: FibreFunctor,
-) -> ProductCategory:
+) -> tuple[FiniteCategory, FibreFunctor]:
     """Category of pairs with the product-set fibre functor."""
-    obj_pairs = {}
-    for a in cat_a.objects:
-        for b in cat_b.objects:
-            obj_pairs[pair_id(a, b)] = (a, b)
-    mor_pairs = {}
     mors = {}
     for m in cat_a.morphisms.values():
         for n in cat_b.morphisms.values():
             mid = pair_id(m.id, n.id)
-            mor_pairs[mid] = (m.id, n.id)
             mors[mid] = Morphism(mid, pair_id(m.src, n.src), pair_id(m.tgt, n.tgt))
     compose = {}
     for (g1, f1), c1 in cat_a.compose_table.items():
@@ -419,25 +404,23 @@ def product_category(
         for a in cat_a.objects
         for b in cat_b.objects
     }
-    cat = FiniteCategory(tuple(sorted(obj_pairs)), mors, compose, identities)
+    cat = FiniteCategory(tuple(sorted(identities)), mors, compose, identities)
 
-    elem_pairs = {}
-    on_objects = {}
-    for oid, (a, b) in obj_pairs.items():
-        elems = []
-        for x in ff_a.on_objects[a]:
-            for y in ff_b.on_objects[b]:
-                eid = pair_id(x, y)
-                elem_pairs[eid] = (x, y)
-                elems.append(eid)
-        on_objects[oid] = tuple(elems)
+    on_objects = {
+        pair_id(a, b): tuple(
+            pair_id(x, y) for x in ff_a.on_objects[a] for y in ff_b.on_objects[b]
+        )
+        for a in cat_a.objects
+        for b in cat_b.objects
+    }
     on_morphisms = {}
-    for mid, (m, n) in mor_pairs.items():
-        ta, tb = ff_a.on_morphisms[m], ff_b.on_morphisms[n]
-        on_morphisms[mid] = {
-            pair_id(x, y): pair_id(ta[x], tb[y]) for x in ta for y in tb
-        }
-    return ProductCategory(cat, FibreFunctor(on_objects, on_morphisms), obj_pairs, mor_pairs, elem_pairs)
+    for m in cat_a.morphisms:
+        for n in cat_b.morphisms:
+            ta, tb = ff_a.on_morphisms[m], ff_b.on_morphisms[n]
+            on_morphisms[pair_id(m, n)] = {
+                pair_id(x, y): pair_id(ta[x], tb[y]) for x in ta for y in tb
+            }
+    return cat, FibreFunctor(on_objects, on_morphisms)
 
 
 @dataclass
@@ -488,10 +471,4 @@ def precompose_fibre_functor(gg: FibreFunctor, phi: CatFunctor) -> FibreFunctor:
     """Pull a fibre functor on the target category back along a functor."""
     on_objects = {v: gg.on_objects[phi.on_objects[v]] for v in phi.source.objects}
     on_morphisms = {m: dict(gg.on_morphisms[phi.on_morphisms[m]]) for m in phi.source.morphisms}
-    return FibreFunctor(on_objects, on_morphisms)
-
-
-def one_point_functor(cat: FiniteCategory) -> FibreFunctor:
-    on_objects = {v: ("*",) for v in cat.objects}
-    on_morphisms = {m: {"*": "*"} for m in cat.morphisms}
     return FibreFunctor(on_objects, on_morphisms)

@@ -27,20 +27,15 @@ from dataclasses import dataclass
 from . import cellbase, fincat, strabundle
 from .cellbase import BaseComplex, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
-from .strabundle import FibrewiseMap, StratBundle
+from .strabundle import StratBundle
 from .validation import StructureError, ValidationReport
-
-
-@dataclass
-class FunctionBundle:
-    bundle: StratBundle
-    tag: str
 
 
 @dataclass
 class DiagramBundle:
     """Family of function bundles over one base, with pre-composition actions.
 
+    ``components[v]`` is the function bundle at the object ``v``, and
     ``actions[g][c]`` is the table of the map component(tgt g) ->
     component(src g) over the cell ``c``.
     """
@@ -50,7 +45,7 @@ class DiagramBundle:
     strat: Stratification
     fibre_obj: dict[str, str]
     transitions: dict[tuple[str, str], str]
-    components: dict[str, FunctionBundle]
+    components: dict[str, StratBundle]
     actions: dict[str, dict[str, dict[str, str]]]
 
 
@@ -60,7 +55,7 @@ def _faithful_input(x: StratBundle) -> StratBundle:
     return strabundle.to_faithful(x)[0]
 
 
-def function_bundle(x: StratBundle, v: str) -> FunctionBundle:
+def function_bundle(x: StratBundle, v: str) -> StratBundle:
     """Bundle of admissible maps out of ``v``: fibres are hom-sets.
 
     Fibre objects and transitions are unchanged; only the fibre functor
@@ -70,40 +65,39 @@ def function_bundle(x: StratBundle, v: str) -> FunctionBundle:
     if v not in x.cat.objects:
         raise StructureError(f"unknown object {v}")
     ff_v = fincat.hom_fibre_functor(x.cat, v)
-    bundle = StratBundle(x.base, x.strat, x.cat, ff_v, dict(x.fibre_obj), dict(x.transition))
-    return FunctionBundle(bundle, v)
+    return StratBundle(x.base, x.strat, x.cat, ff_v, dict(x.fibre_obj), dict(x.transition))
 
 
 def principal_diagram(x: StratBundle) -> DiagramBundle:
     """All function bundles of ``x`` together with the pre-composition actions."""
     x = _faithful_input(x)
     components = {v: function_bundle(x, v) for v in x.cat.objects}
-    actions: dict[str, dict[str, dict[str, str]]] = {}
-    table_memo: dict[tuple[str, str], dict[str, str]] = {}
-    for g in x.cat.morphisms.values():
-        per_cell = {}
-        for c in x.base.sorted_cells():
-            w = x.fibre_obj[c]
-            key = (g.id, w)
-            if key not in table_memo:
-                table_memo[key] = {
-                    alpha: x.cat.compose(alpha, g.id) for alpha in x.cat.hom(g.tgt, w)
-                }
-            per_cell[c] = table_memo[key]
-        actions[g.id] = per_cell
+    actions = _precomposition_tables(x.cat, x.fibre_obj, x.base.sorted_cells())
     return DiagramBundle(
         x.cat, x.base, x.strat, dict(x.fibre_obj), dict(x.transition), components, actions
     )
 
 
-def action_fibrewise(d: DiagramBundle, g: str) -> FibrewiseMap:
-    """The action of one morphism as a base-fixing map of function bundles."""
-    m = d.cat.morphisms[g]
-    return FibrewiseMap(
-        d.components[m.tgt].bundle,
-        d.components[m.src].bundle,
-        {c: dict(t) for c, t in d.actions[g].items()},
-    )
+def _precomposition_tables(
+    cat: FiniteCategory, fibre_obj: dict[str, str], cells
+) -> dict[str, dict[str, dict[str, str]]]:
+    """``{g: {c: {alpha: alpha.g}}}`` over alpha: tgt g -> W_c, for ``c`` in ``cells``.
+
+    One table is built per (g, W_c) and shared by every cell with that
+    fibre object.
+    """
+    memo: dict[tuple[str, str], dict[str, str]] = {}
+    tables = {}
+    for g in cat.morphisms.values():
+        per_cell = {}
+        for c in cells:
+            w = fibre_obj[c]
+            key = (g.id, w)
+            if key not in memo:
+                memo[key] = {alpha: cat.compose(alpha, g.id) for alpha in cat.hom(g.tgt, w)}
+            per_cell[c] = memo[key]
+        tables[g.id] = per_cell
+    return tables
 
 
 def validate_diagram(d: DiagramBundle) -> ValidationReport:
@@ -120,10 +114,7 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
     if set(d.components) != set(d.cat.objects):
         rep.add("components", "one component per object is required")
         return rep
-    for v, comp in d.components.items():
-        if comp.tag != v:
-            rep.add("component-tag", v)
-        b = comp.bundle
+    for v, b in d.components.items():
         if b.base.cells != d.base.cells or b.strat.strata != d.strat.strata:
             rep.add("component-base", v)
         if b.fibre_obj != d.fibre_obj or b.transition != d.transitions:
@@ -145,15 +136,12 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
     if set(d.actions) != set(d.cat.morphisms):
         rep.add("actions", "one action per morphism is required")
         return rep
-    expected: dict[tuple[str, str], dict[str, str]] = {}
-    for g in d.cat.morphisms.values():
-        for c in d.base.sorted_cells():
-            w = d.fibre_obj[c]
-            key = (g.id, w)
-            if key not in expected:
-                expected[key] = {alpha: d.cat.compose(alpha, g.id) for alpha in d.cat.hom(g.tgt, w)}
-            if d.actions[g.id].get(c) != expected[key]:
-                rep.add("action-table", f"{g.id} over {c}")
+    cells = d.base.sorted_cells()
+    expected = _precomposition_tables(d.cat, d.fibre_obj, cells)
+    for g, per_cell in expected.items():
+        for c in cells:
+            if d.actions[g].get(c) != per_cell[c]:
+                rep.add("action-table", f"{g} over {c}")
     if not rep.ok or fincat.validate_category(d.cat).ok:
         return rep
     _check_contravariance(d, rep)
@@ -168,7 +156,7 @@ def _check_contravariance(d: DiagramBundle, rep: ValidationReport) -> None:
         c = min(c for c, o in d.fibre_obj.items() if o == w)
         for v in d.cat.objects:
             ident = d.cat.identities[v]
-            elems = d.components[v].bundle.fibre_set(c)
+            elems = d.components[v].fibre_set(c)
             if d.actions[ident][c] != fincat.identity_table(elems):
                 rep.add("action-identity", f"{ident} over object {w}")
         for (g2, g1), comp in d.cat.compose_table.items():
@@ -404,24 +392,3 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Asso
     bundle = StratBundle(x.base, x.strat, phi.target, gg, fibre_obj, transition)
     strabundle.validate_bundle(bundle).raise_if_invalid()
     return AssociatedResult(bundle, res)
-
-
-def nkc_certificate(cat: FiniteCategory, ff: FibreFunctor) -> dict:
-    """Record that all hom-sets are finite, hence compact.
-
-    For finite structure categories the function-space fibres carry the
-    discrete topology, so no further point-set checking is meaningful;
-    the certificate only reports cardinalities.
-    """
-    cards = {f"{a}->{b}": len(cat.hom(a, b)) for a in cat.objects for b in cat.objects}
-    return {
-        "kind": "nkc-certificate",
-        "objects": sorted(cat.objects),
-        "hom_cardinalities": cards,
-        "max_hom": max(cards.values(), default=0),
-        "hom_sets_finite": True,
-        "hom_sets_compact": True,
-        "nkc": True,
-        "function_space_topology": "discrete",
-        "note": "finite hom-sets are compact, so admissible-map spaces are finite discrete sets",
-    }

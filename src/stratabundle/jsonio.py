@@ -20,11 +20,11 @@ import json
 import os
 from pathlib import Path
 
-from . import cellbase, fincat, strabundle
+from . import cellbase, fincat
 from .cellbase import BaseComplex, Cell, SimplicialMap, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
-from .funcspace import DiagramBundle, FunctionBundle
-from .strabundle import FBundleMap, StratBundle, TotalComplex
+from .funcspace import DiagramBundle
+from .strabundle import StratBundle, TotalComplex
 from .validation import DocumentError
 
 
@@ -157,6 +157,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _string(value, what: str) -> str:
+    """A JSON string; numbers, bools and nulls are refused, since ids are compared and sorted."""
+    if type(value) is not str:
+        raise DocumentError(f"{what} must be a string, not {value!r}")
+    return value
+
+
 def category_to_doc(cat: FiniteCategory, ff: FibreFunctor) -> dict:
     return {
         "objects": sorted(cat.objects),
@@ -206,9 +213,13 @@ def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
         cells = {}
         strata = {}
         for entry in doc["cells"]:
-            cid = entry["id"]
+            cid = _string(entry["id"], "cell id")
             dim = _integer(entry["dim"], f"dim of cell {cid!r}")
-            cells[cid] = Cell(cid, dim, tuple(sorted(set(entry["faces"]))))
+            faces = set(entry["faces"])
+            for f in faces:
+                if type(f) is not str:
+                    raise DocumentError(f"face {f!r} of cell {cid!r} must be a string")
+            cells[cid] = Cell(cid, dim, tuple(sorted(faces)))
             strata[cid] = _integer(entry["stratum"], f"stratum of cell {cid!r}")
     except DocumentError:
         raise
@@ -260,7 +271,7 @@ def bundle_from_doc(doc: dict) -> StratBundle:
 
 def diagram_to_doc(d: DiagramBundle) -> dict:
     return {
-        "components": {v: bundle_to_doc(comp.bundle) for v, comp in d.components.items()},
+        "components": {v: bundle_to_doc(b) for v, b in d.components.items()},
         "actions": {
             m: {c: dict(sorted(t.items())) for c, t in per_cell.items()}
             for m, per_cell in d.actions.items()
@@ -270,12 +281,10 @@ def diagram_to_doc(d: DiagramBundle) -> dict:
 
 def diagram_from_doc(doc: dict) -> DiagramBundle:
     _need(doc, ["components", "actions"], "diagram")
-    components = {}
-    for v, sub in doc["components"].items():
-        components[v] = FunctionBundle(bundle_from_doc(sub), v)
+    components = {v: bundle_from_doc(sub) for v, sub in doc["components"].items()}
     if not components:
         raise DocumentError("diagram document has no components")
-    first = next(iter(components.values())).bundle
+    first = next(iter(components.values()))
     actions = {
         m: {c: dict(t) for c, t in per_cell.items()}
         for m, per_cell in doc["actions"].items()
@@ -306,8 +315,10 @@ def functor_from_doc(doc: dict, source: FiniteCategory) -> tuple[CatFunctor, Fib
     return phi, gg
 
 
-def attachment_from_doc(doc: dict, y: StratBundle) -> tuple[StratBundle, frozenset, FBundleMap]:
-    """Attachment document: the piece bundle, its attached cells and the map."""
+def attachment_from_doc(
+    doc: dict, y: StratBundle
+) -> tuple[StratBundle, frozenset, SimplicialMap, dict[str, str]]:
+    """Attachment document: the piece bundle, its attached cells, base map and fibre morphisms."""
     _need(doc, ["bundle", "attached_cells", "map", "fibre_morphisms"], "attachment")
     m = bundle_from_doc(doc["bundle"])
     a_cells = frozenset(doc["attached_cells"])
@@ -317,8 +328,7 @@ def attachment_from_doc(doc: dict, y: StratBundle) -> tuple[StratBundle, frozens
         )
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed attachment document: {exc!r}") from exc
-    h = FBundleMap(strabundle.restrict(m, a_cells), y, smap, dict(doc["fibre_morphisms"]))
-    return m, a_cells, h
+    return m, a_cells, smap, dict(doc["fibre_morphisms"])
 
 
 def strat_from_doc(doc: dict) -> Stratification:

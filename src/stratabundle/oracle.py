@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from . import cellbase, fincat, funcspace, strabundle, triviality
 from .cellbase import BaseComplex, SimplicialMap, Stratification
 from .fincat import FibreFunctor, FiniteCategory
-from .strabundle import FBundleMap, StratBundle
+from .strabundle import StratBundle
 from .validation import StructureError
 
 RNG_NAME = "splitmix64"
@@ -321,10 +321,7 @@ def gen_bundle(
                 path = strabundle.transition_path(bundle, h.cell_map[a_top], h.cell_map[a])
                 psi = cat.compose(path, psi_top)
                 fibre_morphisms[a] = cat.compose(psi, sigma[a][0])
-        hmap = FBundleMap(
-            strabundle.restrict(m_bundle, a_cells), bundle, h, fibre_morphisms
-        )
-        last = strabundle.attach_bundle(bundle, m_bundle, a_cells, hmap)
+        last = strabundle.attach_bundle(bundle, m_bundle, a_cells, h, fibre_morphisms)
         bundle = last.bundle
     return GeneratedBundle(bundle, base, last)
 
@@ -512,7 +509,7 @@ def _commuted_square(z: StratBundle, gen: GeneratedBundle, kind: str, fbar: Simp
     y, m, h = last.square.y, last.square.m, last.square.h
     a_cells = frozenset(h.source.base.cells)
     if kind == "identity":
-        res = strabundle.attach_bundle(y, m, a_cells, h)
+        res = strabundle.attach_bundle(y, m, a_cells, h.base_map, h.fibre_morphisms)
         return res.bundle, res.square
     if kind == "fold":
         # the fold fixes every seam cell, so the attaching data is unchanged
@@ -524,8 +521,7 @@ def _commuted_square(z: StratBundle, gen: GeneratedBundle, kind: str, fbar: Simp
             {c: fbar.cell_map[c] for c in y_cells},
         )
         y_w = strabundle.pullback(y, fold_y, y.strat).bundle
-        h_w = FBundleMap(h.source, y_w, h.base_map, dict(h.fibre_morphisms))
-        res = strabundle.attach_bundle(y_w, m, a_cells, h_w)
+        res = strabundle.attach_bundle(y_w, m, a_cells, h.base_map, dict(h.fibre_morphisms))
         return res.bundle, res.square
     # two disjoint copies folding back onto the original
     def lab(i):
@@ -545,13 +541,8 @@ def _commuted_square(z: StratBundle, gen: GeneratedBundle, kind: str, fbar: Simp
             hf[f"{c}~{i}"] = h.fibre_morphisms[c]
         for v in h.source.base.vertices():
             hv[f"{v}~{i}"] = f"{h.base_map.vertex_map[v]}~{i}"
-    h_w = FBundleMap(
-        strabundle.restrict(m_w, a_w),
-        y_w,
-        SimplicialMap(strabundle.restrict(m_w, a_w).base, y_w.base, hv, hc),
-        hf,
-    )
-    res = strabundle.attach_bundle(y_w, m_w, a_w, h_w)
+    base_map = SimplicialMap(cellbase.subcomplex(m_w.base, a_w), y_w.base, hv, hc)
+    res = strabundle.attach_bundle(y_w, m_w, a_w, base_map, hf)
     return res.bundle, res.square
 
 
@@ -661,13 +652,13 @@ def _check_fiberwise(spec: InstanceSpec):
         prod = strabundle.fiberwise_product(xa, xb)
     except Exception as exc:
         return "theorem-violation", "product", repr(exc)
-    if not strabundle.validate_bundle(prod.bundle).ok:
+    if not strabundle.validate_bundle(prod).ok:
         return "theorem-violation", "product-validate", ""
     try:
         ta, tb, tp = (
             strabundle.realize_total(xa),
             strabundle.realize_total(xb),
-            strabundle.realize_total(prod.bundle),
+            strabundle.realize_total(prod),
         )
     except Exception as exc:
         return "theorem-violation", "product-total", repr(exc)

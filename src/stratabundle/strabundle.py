@@ -45,22 +45,9 @@ class FBundleMap:
 
 
 @dataclass
-class FibrewiseMap:
-    """Cellwise set maps between the realized fibres of two bundles over one base."""
-
-    source: StratBundle
-    target: StratBundle
-    maps: dict[str, dict[str, str]]
-
-
-@dataclass
 class TotalComplex:
     elements: tuple[tuple[str, str], ...]
     relations: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
-
-    def n_components(self) -> int:
-        comps = cellbase.connected_components(list(self.elements), list(self.relations))
-        return len(comps)
 
 
 def transition_path(x: StratBundle, cell: str, face: str) -> str:
@@ -234,37 +221,6 @@ def validate_fbundle_map(h: FBundleMap) -> ValidationReport:
     return rep
 
 
-def validate_fibrewise_map(m: FibrewiseMap) -> ValidationReport:
-    rep = ValidationReport("fibrewise-map")
-    if set(m.source.base.cells) != set(m.target.base.cells):
-        rep.add("base", "bundles do not share a base")
-        return rep
-    for c in m.source.base.sorted_cells():
-        tab = m.maps.get(c)
-        if tab is None:
-            rep.add("cell-missing", c)
-            continue
-        if set(tab) != set(m.source.fibre_set(c)):
-            rep.add("domain", c)
-        elif any(v not in set(m.target.fibre_set(c)) for v in tab.values()):
-            rep.add("codomain", c)
-    if not rep.ok:
-        return rep
-    for f, c in m.source.base.incidences:
-        lhs = compose_tables(m.maps[f], m.source.transition_table(f, c))
-        rhs = compose_tables(m.target.transition_table(f, c), m.maps[c])
-        if lhs != rhs:
-            rep.add("naturality", f"incidence ({f}, {c})")
-    return rep
-
-
-def fibrewise_is_bijective(m: FibrewiseMap) -> bool:
-    return all(
-        fincat.is_bijective_table(m.maps[c], m.target.fibre_set(c))
-        for c in m.source.base.cells
-    )
-
-
 @dataclass
 class PushoutSquare:
     """A commuting square of bundle maps with a designated push-out corner."""
@@ -288,9 +244,17 @@ class AttachBundleResult:
     new_cells: frozenset[str]
 
 
-def attach_bundle(y: StratBundle, m: StratBundle, a_cells, h: FBundleMap) -> AttachBundleResult:
-    """Glue a single-stratum bundle over a pair onto ``y`` along ``h``.
+def attach_bundle(
+    y: StratBundle,
+    m: StratBundle,
+    a_cells,
+    base_map: SimplicialMap,
+    fibre_morphisms: dict[str, str],
+) -> AttachBundleResult:
+    """Glue a single-stratum bundle over a pair onto ``y`` along a bundle map.
 
+    The attaching map ``h`` runs from the restriction of ``m`` to
+    ``a_cells`` into ``y``, over ``base_map`` with ``fibre_morphisms``.
     Over old cells the result is ``y``; over the new cells it is ``m``;
     the fresh cross-stratum transitions are the composites of ``m``'s
     boundary transitions with ``h``.  The inclusion of ``y`` restricts
@@ -302,10 +266,7 @@ def attach_bundle(y: StratBundle, m: StratBundle, a_cells, h: FBundleMap) -> Att
         raise StructureError("attached bundle must be single-stratum")
     a_set = frozenset(a_cells)
     expected = restrict(m, a_set)
-    if not bundle_eq(h.source, expected):
-        raise StructureError("h must start from the restriction of m to the attached cells")
-    if not bundle_eq(h.target, y):
-        raise StructureError("h must land in y")
+    h = FBundleMap(expected, y, base_map, fibre_morphisms)
     validate_fbundle_map(h).raise_if_invalid()
 
     attached = cellbase.attach_base(y.base, y.strat, m.base, a_set, h.base_map)
@@ -382,17 +343,11 @@ def pullback(xprime: StratBundle, fbar: SimplicialMap, w_strat: Stratification) 
     return PullbackResult(bundle, covering)
 
 
-@dataclass
-class FiberwiseProductResult:
-    bundle: StratBundle
-    product: fincat.ProductCategory
-
-
-def fiberwise_product(x: StratBundle, xprime: StratBundle) -> FiberwiseProductResult:
+def fiberwise_product(x: StratBundle, xprime: StratBundle) -> StratBundle:
     """Bundle of pairwise fibres over a shared stratified base."""
     if x.base.cells != xprime.base.cells or x.strat.strata != xprime.strat.strata:
         raise StructureError("bundles must share base and stratification")
-    prod = fincat.product_category(x.cat, x.ff, xprime.cat, xprime.ff)
+    cat, ff = fincat.product_category(x.cat, x.ff, xprime.cat, xprime.ff)
     fibre_obj = {
         c: fincat.pair_id(x.fibre_obj[c], xprime.fibre_obj[c]) for c in x.base.cells
     }
@@ -400,9 +355,7 @@ def fiberwise_product(x: StratBundle, xprime: StratBundle) -> FiberwiseProductRe
         key: fincat.pair_id(x.transition[key], xprime.transition[key])
         for key in x.transition
     }
-    return FiberwiseProductResult(
-        StratBundle(x.base, x.strat, prod.category, prod.ff, fibre_obj, transition), prod
-    )
+    return StratBundle(x.base, x.strat, cat, ff, fibre_obj, transition)
 
 
 def realize_total(x: StratBundle) -> TotalComplex:

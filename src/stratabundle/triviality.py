@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import cellbase, fincat, strabundle
 from .cellbase import Stratification
-from .strabundle import FBundleMap, StratBundle, TotalComplex
+from .strabundle import StratBundle, TotalComplex
 from .validation import PreconditionError, StructureError, ValidationReport
 
 
@@ -174,13 +174,6 @@ def validate_trivialization(x: StratBundle, t: Trivialization) -> ValidationRepo
     return rep
 
 
-def trivialization_iso(x: StratBundle, t: Trivialization) -> FBundleMap:
-    """Explicit bundle isomorphism from the restriction onto the product bundle."""
-    sub = strabundle.restrict(x, t.region)
-    prod = strabundle.product_bundle(sub.base, sub.strat, x.cat, x.ff, t.object)
-    return FBundleMap(sub, prod, cellbase.identity_map(sub.base), dict(t.charts))
-
-
 @dataclass
 class TrivialityCertificate:
     stars: dict[str, Trivialization]
@@ -286,6 +279,8 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
     flag, and the monodromy permutation of the basepoint
     fibre around each fundamental cycle of the incidence graph.
     """
+    if not x.base.cells:
+        raise StructureError("complex has no cells")
     bijective: dict[tuple[str, str], bool] = {}  # by (morphism, face object)
     for (f, c), mid in sorted(x.transition.items()):
         key = (mid, x.fibre_obj[f])

@@ -316,7 +316,10 @@ class TestSimplicialMap:
         tgt, tgt_strat = corpus.c3()
         rot = SimplicialMap.from_vertex_map(tgt, tgt, {"v0": "v1", "v1": "v2", "v2": "v0"})
         for outer in [cellbase.identity_map(tgt), rot]:
-            comp = cellbase.compose_simplicial(outer, smap)
+            comp = SimplicialMap.from_vertex_map(
+                smap.source, tgt, {v: outer.vertex_map[w] for v, w in smap.vertex_map.items()}
+            )
+            assert comp.cell_map == {c: outer.cell_map[d] for c, d in smap.cell_map.items()}
             assert cellbase.validate_simplicial_map(comp).ok
             ok, _ = cellbase.stratum_preserving(comp, strat, tgt_strat)
             assert ok

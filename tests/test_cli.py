@@ -443,6 +443,36 @@ def test_non_integer_cell_number_is_a_document_error(tmp_path, field, value):
     assert f"{field} of cell 'v0' must be an integer" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "cover", "certify", "total"])
+@pytest.mark.parametrize("index, field, message", [
+    (0, "id", "cell id must be a string, not 0"),
+    (1, "faces", "face 0 of cell 'v0.v1' must be a string"),
+], ids=["cell-id", "face-id"])
+def test_non_string_cell_id_is_a_document_error(tmp_path, command, index, field, message):
+    # integer ids used to reach sorted() next to string ids and raise TypeError
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    cell = doc["base"]["cells"][index]
+    cell[field] = 0 if field == "id" else [0, *cell["faces"][1:]]
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    proc = run_module(command, str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"document error: {message}" in proc.stderr.splitlines()
+
+
+def test_cover_of_an_empty_complex_is_a_named_violation(tmp_path):
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    doc["base"]["cells"], doc["fibres"], doc["transitions"] = [], {}, []
+    path = tmp_path / "empty.json"
+    jsonio.write_doc(path, doc)
+    proc = run_module("cover", str(path))
+    assert proc.returncode == 1
+    assert "invalid: complex has no cells" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["cover"], ["certify"], ["trivialize"], ["total"], ["principal"], ["fnspace", "-V", "set2"],
 ], ids=lambda argv: argv[0])

@@ -190,21 +190,21 @@ class TestProductCategory:
     def test_unit_counts(self):
         z2 = z2_category()
         triv = fincat.category(["*"], [("one", "*", "*")], {("one", "one"): "one"}, {"*": "one"})
-        prod = fincat.product_category(
+        cat, ff = fincat.product_category(
             z2, swap_ff_on_z2(), triv,
             fincat.fibre_functor({"*": ["*.0"]}, {"one": {"*.0": "*.0"}}),
         )
-        assert len(prod.category.objects) == 1
-        assert len(prod.category.morphisms) == 2
-        assert fincat.validate_category(prod.category).ok
-        assert fincat.validate_fibre_functor(prod.category, prod.ff).ok
+        assert len(cat.objects) == 1
+        assert len(cat.morphisms) == 2
+        assert fincat.validate_category(cat).ok
+        assert fincat.validate_fibre_functor(cat, ff).ok
 
     def test_hom_sizes_multiply(self):
         ca, fa = corpus.perm_category(2)
         cb, fb = corpus.bz2_category()
-        prod = fincat.product_category(ca, fa, cb, fb)
+        cat, _ = fincat.product_category(ca, fa, cb, fb)
         for (a, b), pair_obj in [(("set2", "pt"), fincat.pair_id("set2", "pt"))]:
-            assert len(prod.category.hom(pair_obj, pair_obj)) == len(ca.hom(a, a)) * len(cb.hom(b, b))
+            assert len(cat.hom(pair_obj, pair_obj)) == len(ca.hom(a, a)) * len(cb.hom(b, b))
 
     def test_swap_times_identity_acts_on_first_coordinate(self):
         # oracle: enumerate the product function table directly
@@ -212,13 +212,13 @@ class TestProductCategory:
         ff = swap_ff_on_z2()
         triv = fincat.category(["*"], [("one", "*", "*")], {("one", "one"): "one"}, {"*": "one"})
         tff = fincat.fibre_functor({"*": ["*.0"]}, {"one": {"*.0": "*.0"}})
-        prod = fincat.product_category(z2, ff, triv, tff)
+        _, prod_ff = fincat.product_category(z2, ff, triv, tff)
         mid = fincat.pair_id("g", "one")
         expected = {
             fincat.pair_id(x, "*.0"): fincat.pair_id(ff.on_morphisms["g"][x], "*.0")
             for x in ff.on_objects["X"]
         }
-        assert prod.ff.on_morphisms[mid] == expected
+        assert prod_ff.on_morphisms[mid] == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -290,7 +290,10 @@ def structure_mutants(cat, ff, rng):
         old = changed_ff.on_morphisms[mid][x]
         changed_ff.on_morphisms[mid][x] = rng.choice([y for y in cod if y != old])
         yield "action-changed", cat, changed_ff
-    yield "one-point", cat, fincat.one_point_functor(cat)
+    one_point = fincat.fibre_functor(
+        {v: ["*"] for v in cat.objects}, {m: {"*": "*"} for m in cat.morphisms}
+    )
+    yield "one-point", cat, one_point
 
 
 def corpus_structures():

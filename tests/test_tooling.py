@@ -1,4 +1,5 @@
 """Guards for the scripts that drive the package from outside."""
+import ast
 import importlib.util
 import re
 import sys
@@ -24,6 +25,37 @@ def test_every_traced_name_resolves():
         if not callable(getattr(spans.LAYERS[layer], name, None))
     ]
     assert missing == []
+
+
+# perfbench/spans.py wraps poset_spanning_tree by name, and no program code calls it
+UNREFERENCED_EXPORTS = {"poset_spanning_tree"}
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that only the tests call is dead weight in the engine
+    package = ROOT / "src" / "stratabundle"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    modules = {p.stem for p in sources}
+    used = set()
+    for path in sources + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):  # a bare name, as in its own module
+                used.add(node.id)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):  # module.name
+                used.add(node.attr)
+    assert sorted(exported - used - UNREFERENCED_EXPORTS) == []
+    assert UNREFERENCED_EXPORTS <= exported - used
 
 
 @pytest.mark.parametrize("document", ["double_cover_c3.json", "perm2_category.json"])

@@ -50,8 +50,10 @@ class TestTrivializeOver:
     def test_chart_iso_onto_product_bundle(self):
         x = corpus.double_cover_c3()
         star = cellbase.star_cells(x.base, "v1")
-        res = triviality.trivialize_over(x, star)
-        iso = triviality.trivialization_iso(x, res.trivialization)
+        t = triviality.trivialize_over(x, star).trivialization
+        sub = strabundle.restrict(x, t.region)
+        prod = strabundle.product_bundle(sub.base, sub.strat, x.cat, x.ff, t.object)
+        iso = strabundle.FBundleMap(sub, prod, cellbase.identity_map(sub.base), dict(t.charts))
         assert strabundle.validate_fbundle_map(iso).ok
         assert all(
             fincat.is_bijective_table(
