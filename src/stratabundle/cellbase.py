@@ -16,6 +16,8 @@ from .validation import StructureError, ValidationReport
 
 @dataclass(frozen=True)
 class Cell:
+    """A cell and its codimension-one faces, sorted and without repeats."""
+
     id: str
     dim: int
     faces: tuple[str, ...]

@@ -29,19 +29,20 @@ def _say(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _load_bundle(path: str) -> strabundle.StratBundle:
-    return jsonio.bundle_from_doc(jsonio.read_doc(path))
+def _require_references(x: strabundle.StratBundle) -> strabundle.StratBundle:
+    """Raise the first failing linear stage: category references, fibre tables, bundle references.
 
-
-def _load_bundle_with_tables(path: str) -> strabundle.StratBundle:
-    """``_load_bundle``, then the cheap table gate for commands that read fibre tables.
-
-    A missing or ill-typed action table is then a named violation (exit 1)
-    instead of a ``KeyError`` deep inside the operation.
+    A command may then read every identity, fibre, action table and
+    transition; composites and the laws are ``_require_valid_bundle``'s.
     """
-    x = _load_bundle(path)
+    fincat.check_category_references(x.cat).raise_if_invalid()
     fincat.check_fibre_tables(x.cat, x.ff).raise_if_invalid()
+    strabundle.check_bundle_references(x).raise_if_invalid()
     return x
+
+
+def _load_bundle(path: str) -> strabundle.StratBundle:
+    return _require_references(jsonio.bundle_from_doc(jsonio.read_doc(path)))
 
 
 def _require_valid_bundle(x: strabundle.StratBundle):
@@ -79,6 +80,7 @@ def cmd_attach(args) -> int:
     m, a_cells, base_map, fibre_morphisms = jsonio.attachment_from_doc(
         jsonio.read_doc(args.attachment), y
     )
+    _require_references(m)
     res = strabundle.attach_bundle(y, m, a_cells, base_map, fibre_morphisms)
     _emit(jsonio.bundle_to_doc(res.bundle), args.out)
     _say(f"attached {len(res.new_cells)} new cell(s)")
@@ -115,14 +117,14 @@ def cmd_product(args) -> int:
 
 
 def cmd_fnspace(args) -> int:
-    x = _load_bundle_with_tables(args.bundle)
+    x = _load_bundle(args.bundle)
     _emit(jsonio.bundle_to_doc(funcspace.function_bundle(x, args.object)), args.out)
     _say(f"function bundle at {args.object}")
     return OK
 
 
 def cmd_principal(args) -> int:
-    x = _load_bundle_with_tables(args.bundle)
+    x = _load_bundle(args.bundle)
     d = funcspace.principal_diagram(x)
     _emit(jsonio.diagram_to_doc(d), args.out)
     _say(f"principal diagram with {len(d.components)} component(s)")
@@ -153,7 +155,7 @@ def cmd_coend(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    x = _load_bundle(args.bundle)
+    x = jsonio.bundle_from_doc(jsonio.read_doc(args.bundle))
     rep = _require_valid_bundle(x)
     if not rep.ok:
         _emit(rep.to_doc(), args.out)
@@ -172,14 +174,13 @@ def cmd_reconstruct(args) -> int:
 def cmd_associate(args) -> int:
     x = _load_bundle(args.bundle)
     phi, gg = jsonio.functor_from_doc(jsonio.read_doc(args.functor), x.cat)
-    res = funcspace.associated_bundle(x, phi, gg)
-    _emit(jsonio.bundle_to_doc(res.bundle), args.out)
+    _emit(jsonio.bundle_to_doc(funcspace.associated_bundle(x, phi, gg)), args.out)
     _say("associated bundle built")
     return OK
 
 
 def cmd_trivialize(args) -> int:
-    x = _load_bundle_with_tables(args.bundle)
+    x = _load_bundle(args.bundle)
     if args.star is not None:
         region = cellbase.star_cells(x.base, args.star)
     elif args.region is not None:
@@ -193,7 +194,7 @@ def cmd_trivialize(args) -> int:
             "kind": "trivialization",
             "region": list(t.region),
             "object": t.object,
-            "charts": dict(sorted(t.charts.items())),
+            "charts": dict(t.charts),
         }
         _say("trivialization found")
     else:
@@ -210,7 +211,7 @@ def cmd_trivialize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    x = _load_bundle_with_tables(args.bundle)
+    x = _load_bundle(args.bundle)
     cert = triviality.local_triviality_certificate(x)
     _emit(cert.to_doc(), args.out)
     _say(f"atlas with {len(cert.stars)} star trivialization(s)")
@@ -218,7 +219,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    x = _load_bundle_with_tables(args.bundle)
+    x = _load_bundle(args.bundle)
     cert = triviality.covering_space(x)
     doc = cert.to_doc()
     if args.dot:
@@ -277,7 +278,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_total(args) -> int:
-    x = _load_bundle_with_tables(args.bundle)
+    x = _load_bundle(args.bundle)
     total = strabundle.realize_total(x)
     if args.dot:
         sys.stdout.write(jsonio.total_to_dot(total))

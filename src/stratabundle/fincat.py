@@ -115,15 +115,16 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     fails either pays for the exhaustive triple loop, which names every
     triple that does not associate.
     """
-    rep = ValidationReport("category")
-    _check_axioms(cat, rep)
+    rep = check_category_references(cat)
+    _check_composition(cat, rep)
     if not (rep.ok and _light_associative(cat)):
         _check_associativity(cat, rep)
     return rep
 
 
-def _check_axioms(cat: FiniteCategory, rep: ValidationReport) -> None:
-    """Every category axiom except associativity, in O(composable pairs)."""
+def check_category_references(cat: FiniteCategory) -> ValidationReport:
+    """Objects, endpoints and identities: the linear first stage of ``validate_category``."""
+    rep = ValidationReport("category")
     objset = set(cat.objects)
     if len(cat.objects) != len(objset):
         rep.add("objects-duplicate", "object list contains duplicates")
@@ -143,7 +144,11 @@ def _check_axioms(cat: FiniteCategory, rep: ValidationReport) -> None:
     for v in cat.identities:
         if v not in objset:
             rep.add("identity-spurious", f"identity given for {v}, which is not an object")
+    return rep
 
+
+def _check_composition(cat: FiniteCategory, rep: ValidationReport) -> None:
+    """The composition table's coverage, typing and identity laws, in O(composable pairs)."""
     mors = cat.morphisms
     for f in mors.values():
         for g in mors.values():
@@ -168,7 +173,7 @@ def _check_axioms(cat: FiniteCategory, rep: ValidationReport) -> None:
 
 
 def _light_associative(cat: FiniteCategory) -> bool:
-    """Light's associativity test on a table that satisfies ``_check_axioms``.
+    """Light's associativity test on a table that passes the checks before it.
 
     The morphisms t with h.(t.f) = (h.t).f for all composable h, f
     include the identities and are closed under composition, so they are

@@ -62,8 +62,6 @@ def function_bundle(x: StratBundle, v: str) -> StratBundle:
     is replaced by the hom functor at ``v``, acting by post-composition.
     """
     x = _faithful_input(x)
-    if v not in x.cat.objects:
-        raise StructureError(f"unknown object {v}")
     ff_v = fincat.hom_fibre_functor(x.cat, v)
     return StratBundle(x.base, x.strat, x.cat, ff_v, dict(x.fibre_obj), dict(x.transition))
 
@@ -359,19 +357,13 @@ def reconstruct_check(x: StratBundle) -> ReconstructResult:
     iso = None
     if ok:
         iso = {
-            c: {class_key(rep): elem for rep, elem in sorted(res.evaluation[c].items())}
+            c: {class_key(rep): elem for rep, elem in res.evaluation[c].items()}
             for c in x.base.sorted_cells()
         }
     return ReconstructResult(ok, x, res, iso)
 
 
-@dataclass
-class AssociatedResult:
-    bundle: StratBundle
-    coend: CoendResult
-
-
-def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> AssociatedResult:
+def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> StratBundle:
     """Transport a bundle along a functor between structure categories.
 
     The principal diagram of ``x`` is contracted against the pulled-back
@@ -385,10 +377,10 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Asso
     fincat.validate_cat_functor(phi).raise_if_invalid()
     fincat.validate_fibre_functor(phi.target, gg).raise_if_invalid()
     ff2 = fincat.precompose_fibre_functor(gg, phi)
-    res = coend(StratBundle(x.base, x.strat, x.cat, ff2, x.fibre_obj, x.transition))
-    res.report.raise_if_invalid()
+    pulled = StratBundle(x.base, x.strat, x.cat, ff2, x.fibre_obj, x.transition)
+    coend(pulled).report.raise_if_invalid()
     fibre_obj = {c: phi.on_objects[w] for c, w in x.fibre_obj.items()}
     transition = {k: phi.on_morphisms[m] for k, m in x.transition.items()}
     bundle = StratBundle(x.base, x.strat, phi.target, gg, fibre_obj, transition)
     strabundle.validate_bundle(bundle).raise_if_invalid()
-    return AssociatedResult(bundle, res)
+    return bundle

@@ -174,7 +174,7 @@ def category_to_doc(cat: FiniteCategory, ff: FibreFunctor) -> dict:
         "compose": sorted([g, f, gf] for (g, f), gf in cat.compose_table.items()),
         "identities": dict(cat.identities),
         "fibres": {v: list(ff.on_objects[v]) for v in cat.objects},
-        "actions": {m: dict(sorted(t.items())) for m, t in ff.on_morphisms.items()},
+        "actions": {m: dict(t) for m, t in ff.on_morphisms.items()},
     }
 
 
@@ -249,7 +249,7 @@ def bundle_to_doc(x: StratBundle) -> dict:
     return {
         "base": complex_to_doc(x.base, x.strat),
         "category": category_to_doc(x.cat, x.ff),
-        "fibres": dict(sorted(x.fibre_obj.items())),
+        "fibres": dict(x.fibre_obj),
         "transitions": [
             {"cell": c, "face": f, "mor": m}
             for (f, c), m in sorted(x.transition.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -273,7 +273,7 @@ def diagram_to_doc(d: DiagramBundle) -> dict:
     return {
         "components": {v: bundle_to_doc(b) for v, b in d.components.items()},
         "actions": {
-            m: {c: dict(sorted(t.items())) for c, t in per_cell.items()}
+            m: {c: dict(t) for c, t in per_cell.items()}
             for m, per_cell in d.actions.items()
         },
     }

@@ -689,10 +689,10 @@ def _check_associated(spec: InstanceSpec):
     _, cat, ff, gen = instance
     x = gen.bundle
     try:
-        res = funcspace.associated_bundle(x, fincat.identity_cat_functor(cat), ff)
+        y = funcspace.associated_bundle(x, fincat.identity_cat_functor(cat), ff)
     except Exception as exc:
         return "theorem-violation", "identity-transport", repr(exc)
-    if not strabundle.bundle_eq(res.bundle, x):
+    if not strabundle.bundle_eq(y, x):
         return "theorem-violation", "identity-transport", "bundle changed"
     return "pass", "", ""
 

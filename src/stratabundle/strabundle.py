@@ -69,8 +69,8 @@ def transition_path(x: StratBundle, cell: str, face: str) -> str:
     return mid
 
 
-def validate_bundle(x: StratBundle) -> ValidationReport:
-    """Exhaustive check of the base, typing, coherence and stratum-wise invertibility."""
+def check_bundle_references(x: StratBundle) -> ValidationReport:
+    """Base, fibres, transition coverage and typing: the linear stage of ``validate_bundle``."""
     rep = ValidationReport("bundle")
     rep.merge(cellbase.validate_complex(x.base, x.strat))
     if not rep.ok:
@@ -79,29 +79,39 @@ def validate_bundle(x: StratBundle) -> ValidationReport:
     for c in x.base.sorted_cells():
         if x.fibre_obj.get(c) not in objset:
             rep.add("fibre-object", f"cell {c} carries no object")
-    if any(v.code == "fibre-object" for v in rep.violations):
+    if not rep.ok:
         return rep
-    incidences = set(x.base.incidences)
-    if set(x.transition) != incidences:
-        extra = sorted(set(x.transition) - incidences)
-        missing = sorted(incidences - set(x.transition))
+    mors, obj, t, incidences = x.cat.morphisms, x.fibre_obj, x.transition, x.base.incidences
+    # one lookup per incidence; a missing key gives None, which names no morphism
+    bad = [
+        inc
+        for inc in incidences
+        if (m := mors.get(t.get(inc))) is None or m.src != obj[inc[1]] or m.tgt != obj[inc[0]]
+    ]
+    # the incidences are distinct, so equal counts and no missing key mean equal key sets
+    if len(t) != len(incidences) or any(inc not in t for inc in bad):
+        extra = sorted(set(t) - set(incidences))
+        missing = sorted(set(incidences) - set(t))
         if extra:
             rep.add("transition-spurious", f"{extra}")
         if missing:
             rep.add("transition-missing", f"{missing}")
         return rep
-    for (f, c), mid in sorted(x.transition.items()):
-        if mid not in x.cat.morphisms:
-            rep.add("transition-unknown", f"({f}, {c}) -> {mid}")
-            continue
-        m = x.cat.morphisms[mid]
-        if m.src != x.fibre_obj[c] or m.tgt != x.fibre_obj[f]:
-            rep.add("transition-typing", f"({f}, {c}) -> {mid}")
+    for f, c in bad:
+        code = "transition-unknown" if t[(f, c)] not in mors else "transition-typing"
+        rep.add(code, f"({f}, {c}) -> {t[(f, c)]}")
+    return rep
+
+
+def validate_bundle(x: StratBundle) -> ValidationReport:
+    """``check_bundle_references``, then stratum-wise invertibility and coherence."""
+    rep = check_bundle_references(x)
     if not rep.ok:
         return rep
     is_iso: dict[str, bool] = {}
-    for (f, c), mid in sorted(x.transition.items()):
+    for f, c in x.base.incidences:
         if x.strat.strata[f] == x.strat.strata[c]:
+            mid = x.transition[(f, c)]
             if mid not in is_iso:
                 is_iso[mid] = fincat.is_iso_in_image(x.cat, x.ff, mid)
             if not is_iso[mid]:
@@ -110,13 +120,13 @@ def validate_bundle(x: StratBundle) -> ValidationReport:
                     f"within-stratum transition ({f}, {c}) -> {mid} is not invertible",
                 )
     commutes: dict[tuple[str, str, str, str], bool] = {}  # by the square's four transitions
-    on, t = x.ff.on_morphisms, x.transition
+    on, cells, t = x.ff.on_morphisms, x.base.cells, x.transition
     for c in x.base.sorted_cells():
-        faces = x.base.cells[c].faces
+        faces = cells[c].faces
         for i, a in enumerate(faces):
             for b in faces[i + 1 :]:
-                common = set(x.base.cells[a].faces) & set(x.base.cells[b].faces)
-                for g in sorted(common):
+                # faces are sorted and duplicate-free: these are sorted(common faces)
+                for g in [g for g in cells[a].faces if g in cells[b].faces]:
                     key = (t[(g, a)], t[(a, c)], t[(g, b)], t[(b, c)])
                     if key not in commutes:
                         via_a = compose_tables(on[key[0]], on[key[1]])
@@ -238,8 +248,6 @@ class PushoutSquare:
 @dataclass
 class AttachBundleResult:
     bundle: StratBundle
-    incl: FBundleMap
-    char: FBundleMap
     square: PushoutSquare
     new_cells: frozenset[str]
 
@@ -307,7 +315,7 @@ def attach_bundle(
         {c: m.cat.identities[m.fibre_obj[c]] for c in a_set},
     )
     square = PushoutSquare(expected, m, y, bundle, incl_a, h, char, incl)
-    return AttachBundleResult(bundle, incl, char, square, attached.new_cells)
+    return AttachBundleResult(bundle, square, attached.new_cells)
 
 
 @dataclass
@@ -397,9 +405,6 @@ def relabel_bundle(x: StratBundle, fn) -> StratBundle:
 class PushoutCheckResult:
     ok: bool
     witness: str | None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _elem_image(h: FBundleMap, elem: tuple[str, str]) -> tuple[str, str]:

@@ -182,12 +182,8 @@ class TrivialityCertificate:
         return {
             "kind": "triviality-certificate",
             "stars": {
-                c: {
-                    "region": list(t.region),
-                    "object": t.object,
-                    "charts": dict(sorted(t.charts.items())),
-                }
-                for c, t in sorted(self.stars.items())
+                c: {"region": list(t.region), "object": t.object, "charts": dict(t.charts)}
+                for c, t in self.stars.items()
             },
         }
 
@@ -257,13 +253,13 @@ class CoveringCertificate:
         return {
             "kind": "covering-certificate",
             "components": self.components,
-            "sheets": dict(sorted(self.sheets.items())),
+            "sheets": dict(self.sheets),
             "even_cover": self.even_cover,
             "basepoint": self.basepoint,
             "monodromy": [
                 {
                     "closes": list(e.closing_incidence),
-                    "permutation": dict(sorted(e.permutation.items())),
+                    "permutation": dict(e.permutation),
                     "cycle_type": list(e.cycle_type),
                 }
                 for e in self.monodromy
@@ -279,10 +275,9 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
     flag, and the monodromy permutation of the basepoint
     fibre around each fundamental cycle of the incidence graph.
     """
-    if not x.base.cells:
-        raise StructureError("complex has no cells")
     bijective: dict[tuple[str, str], bool] = {}  # by (morphism, face object)
-    for (f, c), mid in sorted(x.transition.items()):
+    for f, c in x.base.incidences:
+        mid = x.transition[(f, c)]
         key = (mid, x.fibre_obj[f])
         if key not in bijective:
             bijective[key] = fincat.is_bijective_table(x.ff.on_morphisms[mid], x.fibre_set(f))
@@ -357,8 +352,6 @@ def stratify_bundle(x: StratBundle, strat: Stratification) -> StratifyResult:
     for key, mid in sorted(x.transition.items()):
         if not fincat.is_iso_in_image(x.cat, x.ff, mid):
             raise PreconditionError(f"transition {key} -> {mid} is not invertible")
-    if set(strat.strata) != set(x.base.cells):
-        raise StructureError("stratification does not cover the cells exactly")
     bundle = StratBundle(x.base, strat, x.cat, x.ff, dict(x.fibre_obj), dict(x.transition))
     strabundle.validate_bundle(bundle).raise_if_invalid()
     pieces = []

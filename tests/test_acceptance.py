@@ -125,7 +125,7 @@ def test_criterion_6_associated_bundle():
     x = corpus.bz2_double_cover_c3()
     before = [m.cycle_type for m in triviality.covering_space(x).monodromy]
     phi, gg = corpus.bz2_trivializer()
-    killed = funcspace.associated_bundle(x, phi, gg).bundle
+    killed = funcspace.associated_bundle(x, phi, gg)
     after = triviality.covering_space(killed)
     ok = (
         rep.instances == 50

@@ -468,7 +468,7 @@ def test_cover_of_an_empty_complex_is_a_named_violation(tmp_path):
     jsonio.write_doc(path, doc)
     proc = run_module("cover", str(path))
     assert proc.returncode == 1
-    assert "invalid: complex has no cells" in proc.stderr.splitlines()
+    assert "invalid: bundle invalid: empty: complex has no cells" in proc.stderr.splitlines()
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -485,5 +485,62 @@ def test_commands_that_read_tables_gate_a_missing_table(tmp_path, argv):
     proc = run_module(command, str(path), *options)
     assert proc.returncode == 1
     assert "invalid: fibre-functor invalid: action-missing: p2:10" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def _unknown_mor(doc):
+    doc["transitions"][0]["mor"] = "nope"
+
+
+def _unknown_fibre_object(doc):
+    doc["fibres"]["v0"] = "nope"
+
+
+def _unknown_identity(doc):
+    doc["category"]["identities"]["set2"] = "zz"
+
+
+def _missing_transition(doc):
+    del doc["transitions"][0]
+
+
+def _no_cells(doc):
+    doc["base"]["cells"], doc["fibres"], doc["transitions"] = [], {}, []
+
+
+# each damage of double_cover_c3 and the line the bundle loader refuses it with
+LOADER_REFUSALS = {
+    "unknown-mor": (_unknown_mor, "bundle invalid: transition-unknown: (v0, v0.v1) -> nope"),
+    "unknown-fibre-object": (
+        _unknown_fibre_object, "bundle invalid: fibre-object: cell v0 carries no object"
+    ),
+    "unknown-identity": (
+        _unknown_identity, "category invalid: identity-missing: object set2 has no identity morphism"
+    ),
+    "missing-transition": (
+        _missing_transition, "bundle invalid: transition-missing: [('v0', 'v0.v1')]"
+    ),
+    "no-cells": (_no_cells, "bundle invalid: empty: complex has no cells"),
+}
+
+
+@pytest.mark.parametrize("damage", LOADER_REFUSALS)
+@pytest.mark.parametrize("argv", [
+    ["cover"], ["certify"], ["trivialize"], ["total"], ["principal"], ["fnspace", "-V", "set2"],
+    ["restrict", "--star", "v0"], ["stratify", "strat.json"],
+], ids=lambda argv: argv[0])
+def test_every_bundle_command_refuses_unresolved_references(tmp_path, argv, damage):
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    jsonio.write_doc(tmp_path / "strat.json", {"strata": {c["id"]: 0 for c in doc["base"]["cells"]}})
+    mutate, line = LOADER_REFUSALS[damage]
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    command, *options = argv
+    options = [str(tmp_path / o) if o.endswith(".json") else o for o in options]
+    proc = run_module(command, str(path), *options)
+    assert proc.returncode == 1
+    assert "invalid: " + line in proc.stderr.splitlines()
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

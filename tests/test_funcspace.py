@@ -380,23 +380,22 @@ class TestReconstruct:
 class TestAssociated:
     def test_identity_functor_reproduces_the_bundle(self):
         x = corpus.double_cover_c3()
-        res = funcspace.associated_bundle(x, fincat.identity_cat_functor(x.cat), x.ff)
-        assert strabundle.bundle_eq(res.bundle, x) and res.bundle.transition == x.transition
+        y = funcspace.associated_bundle(x, fincat.identity_cat_functor(x.cat), x.ff)
+        assert strabundle.bundle_eq(y, x) and y.transition == x.transition
 
     def test_collapse_to_one_point_category(self):
         x = corpus.bz2_double_cover_c3()
         one_cat = fincat.category(["*"], [("one", "*", "*")], {("one", "one"): "one"}, {"*": "one"})
         one_ff = fincat.fibre_functor({"*": ["*.0"]}, {"one": {"*.0": "*.0"}})
         phi = fincat.CatFunctor(x.cat, one_cat, {"pt": "*"}, {"e": "one", "g": "one"})
-        res = funcspace.associated_bundle(x, phi, one_ff)
-        assert all(len(res.bundle.fibre_set(c)) == 1 for c in x.base.cells)
+        y = funcspace.associated_bundle(x, phi, one_ff)
+        assert all(len(y.fibre_set(c)) == 1 for c in x.base.cells)
 
     def test_trivializing_homomorphism_kills_monodromy(self):
         x = corpus.bz2_double_cover_c3()
         assert [m.cycle_type for m in triviality.covering_space(x).monodromy] == [(2,)]
         phi, gg = corpus.bz2_trivializer()
-        res = funcspace.associated_bundle(x, phi, gg)
-        cov = triviality.covering_space(res.bundle)
+        cov = triviality.covering_space(funcspace.associated_bundle(x, phi, gg))
         assert [m.cycle_type for m in cov.monodromy] == [(1, 1)]
         assert cov.components == 2
 
@@ -420,10 +419,8 @@ class TestAssociated:
             {v: psi.on_objects[phi.on_objects[v]] for v in x.cat.objects},
             {m: psi.on_morphisms[phi.on_morphisms[m]] for m in x.cat.morphisms},
         )
-        via_two = funcspace.associated_bundle(
-            funcspace.associated_bundle(x, phi, bz2_ff).bundle, psi, gg
-        ).bundle
-        via_one = funcspace.associated_bundle(x, composite, gg).bundle
+        via_two = funcspace.associated_bundle(funcspace.associated_bundle(x, phi, bz2_ff), psi, gg)
+        via_one = funcspace.associated_bundle(x, composite, gg)
         assert strabundle.bundle_eq(via_one, via_two)
         assert triviality.covering_space(via_one).components == 2
 
@@ -443,9 +440,9 @@ class TestAssociated:
             {v: "*" for v in x.cat.objects},
             {m: "one" for m in x.cat.morphisms},
         )
-        once = funcspace.associated_bundle(x, phi, one_ff).bundle
+        once = funcspace.associated_bundle(x, phi, one_ff)
         ident = fincat.identity_cat_functor(one_cat)
-        twice = funcspace.associated_bundle(once, ident, one_ff).bundle
+        twice = funcspace.associated_bundle(once, ident, one_ff)
         assert strabundle.bundle_eq(once, twice)
 
 

@@ -58,6 +58,27 @@ def test_every_exported_name_has_a_caller():
     assert UNREFERENCED_EXPORTS <= exported - used
 
 
+# these two write the full violation report of a bundle, so they read it unchecked
+UNGATED_COMMANDS = {"cmd_validate", "cmd_reconstruct"}
+
+
+def test_bundle_commands_read_bundles_through_the_loader():
+    # a command that parses a bundle itself would skip the reference gate
+    # of cli._load_bundle and could die on an unknown id with a traceback
+    tree = ast.parse((ROOT / "src" / "stratabundle" / "cli.py").read_text(encoding="utf-8"))
+    direct = sorted(
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "bundle_from_doc"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "jsonio"
+    )
+    assert sorted(set(direct)) == sorted(UNGATED_COMMANDS)
+
+
 @pytest.mark.parametrize("document", ["double_cover_c3.json", "perm2_category.json"])
 def test_validate_calls_the_traced_category_validator(monkeypatch, tmp_path, document):
     # the traced run times `fincat.validate_category` by replacing the module
