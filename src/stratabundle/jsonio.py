@@ -12,6 +12,19 @@ step on every token.  The writer here joins each container in one call
 and escapes strings with the C-backed ``json.encoder.encode_basestring``,
 which matters on the multi-megabyte cover, certificate and diagram
 documents.
+
+A diagram document holds the same containers at many places: every
+component carries the one structure category, and the ``actions`` block
+repeats each (g, W) table under every cell with fibre object W.
+``diagram_to_doc`` builds each such container once, as the private marker
+``_SharedList`` or ``_SharedDict``, and puts that one object at every place
+it occurs.  The markers subclass ``list`` and ``dict``, so ``json.dumps``
+and ``==`` still see a plain tree, and ``canon_dumps`` encodes each at most
+once per indent and reuses the text.  Invariant: a marked container is not
+mutated after it is built, or its cached text would go stale; only this
+module builds markers, and the documents it returns are written, not
+edited.  On the read side ``diagram_from_doc`` builds one category for
+every component whose category core equals the first component's.
 """
 from __future__ import annotations
 
@@ -31,6 +44,26 @@ from .validation import DocumentError
 _encode_str = json.encoder.encode_basestring
 _int_repr = int.__repr__
 _float_repr = float.__repr__
+
+
+class _SharedList(list):
+    """A list placed at several points of one document; see the module docstring."""
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.encoded: dict[str, str] = {}  # newline-and-indent -> text
+
+
+class _SharedDict(dict):
+    """A dict placed at several points of one document; see the module docstring."""
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.encoded: dict[str, str] = {}
 
 
 def canon_dumps(doc) -> str:
@@ -54,6 +87,12 @@ def _encode(o, nl: str) -> str:
         return _encode_list(o, nl)
     if t is int:
         return _int_repr(o)
+    if t is _SharedList or t is _SharedDict:
+        text = o.encoded.get(nl)
+        if text is None:
+            body = _encode_list if t is _SharedList else _encode_dict
+            text = o.encoded[nl] = body(o, nl)
+        return text
     # json's own order of tests, so subclasses encode as json encodes them
     if isinstance(o, str):
         return _encode_str(o)
@@ -145,9 +184,17 @@ def read_doc(path) -> dict:
 
 
 def _need(doc: dict, keys, kind: str) -> None:
+    _object(doc, f"{kind} document")
     missing = [k for k in keys if k not in doc]
     if missing:
         raise DocumentError(f"{kind} document is missing keys {missing}")
+
+
+def _object(value, what: str) -> dict:
+    """A JSON object; lists, strings and numbers are refused rather than coerced."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{what} must be an object, not {value!r}")
+    return value
 
 
 def _integer(value, what: str) -> int:
@@ -164,7 +211,21 @@ def _string(value, what: str) -> str:
     return value
 
 
-def category_to_doc(cat: FiniteCategory, ff: FibreFunctor) -> dict:
+def _strings(values, what: str) -> None:
+    """``_string`` on every value, in C-level passes when all of them are strings."""
+    try:
+        distinct = set(values)  # ids repeat, and a string caches its hash
+    except TypeError:  # an unhashable value, which is no string
+        distinct = values
+    if not set(map(type, distinct)) <= {str}:
+        for value in values:
+            _string(value, what)
+
+
+_CATEGORY_CORE = ("objects", "morphisms", "compose", "identities")
+
+
+def _category_core(cat: FiniteCategory) -> dict:
     return {
         "objects": sorted(cat.objects),
         "morphisms": [
@@ -173,21 +234,47 @@ def category_to_doc(cat: FiniteCategory, ff: FibreFunctor) -> dict:
         ],
         "compose": sorted([g, f, gf] for (g, f), gf in cat.compose_table.items()),
         "identities": dict(cat.identities),
+    }
+
+
+def category_to_doc(cat: FiniteCategory, ff: FibreFunctor, core: dict | None = None) -> dict:
+    """``core``, when given, is the ``_category_core`` of ``cat``, built once by the caller."""
+    return {
+        **(core or _category_core(cat)),
         "fibres": {v: list(ff.on_objects[v]) for v in cat.objects},
         "actions": {m: dict(t) for m, t in ff.on_morphisms.items()},
     }
 
 
-def category_from_doc(doc: dict) -> tuple[FiniteCategory, FibreFunctor]:
-    _need(doc, ["objects", "morphisms", "compose", "identities", "fibres", "actions"], "category")
+def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunctor]:
+    """The category and fibre functor of a category document.
+
+    ``known`` is an earlier ``(document, category)`` pair: when this
+    document's category core equals that document's, its category object
+    is reused instead of built again.
+    """
+    _need(doc, [*_CATEGORY_CORE, "fibres", "actions"], "category")
+    fibres = _object(doc["fibres"], "category fibres")
+    actions = _object(doc["actions"], "category actions")
     try:
-        cat = fincat.category(
-            doc["objects"],
-            [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]],
-            {(g, f): gf for g, f, gf in doc["compose"]},
-            doc["identities"],
-        )
-        ff = fincat.fibre_functor(doc["fibres"], doc["actions"])
+        for elements in fibres.values():
+            _strings(elements, "fibre element")
+        for m, table in actions.items():
+            _strings(_object(table, f"action table of {m!r}").values(), "fibre element")
+        if known is not None and all(doc[k] == known[0][k] for k in _CATEGORY_CORE):
+            cat = known[1]
+        else:
+            _strings(doc["objects"], "category object")
+            _strings(_object(doc["identities"], "category identities").values(), "identity")
+            cat = fincat.category(
+                doc["objects"],
+                [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]],
+                {(g, f): gf for g, f, gf in doc["compose"]},
+                doc["identities"],
+            )
+        ff = fincat.fibre_functor(fibres, actions)
+    except DocumentError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed category document: {exc!r}") from exc
     return cat, ff
@@ -245,10 +332,11 @@ def map_from_doc(doc: dict, target: BaseComplex) -> tuple[SimplicialMap, Stratif
     return smap, strat
 
 
-def bundle_to_doc(x: StratBundle) -> dict:
+def bundle_to_doc(x: StratBundle, core: dict | None = None) -> dict:
+    """``core``, when given, is the ``_category_core`` of ``x.cat``, built once by the caller."""
     return {
         "base": complex_to_doc(x.base, x.strat),
-        "category": category_to_doc(x.cat, x.ff),
+        "category": category_to_doc(x.cat, x.ff, core),
         "fibres": dict(x.fibre_obj),
         "transitions": [
             {"cell": c, "face": f, "mor": m}
@@ -257,38 +345,65 @@ def bundle_to_doc(x: StratBundle) -> dict:
     }
 
 
-def bundle_from_doc(doc: dict) -> StratBundle:
+def bundle_from_doc(doc: dict, known=None) -> StratBundle:
+    """``known`` is passed on to ``category_from_doc``."""
     _need(doc, ["base", "category", "fibres", "transitions"], "bundle")
     base, strat = complex_from_doc(doc["base"])
-    cat, ff = category_from_doc(doc["category"])
+    cat, ff = category_from_doc(doc["category"], known)
     try:
         transition = {(t["face"], t["cell"]): t["mor"] for t in doc["transitions"]}
-        fibres = dict(doc["fibres"])
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed bundle document: {exc!r}") from exc
+    fibres = dict(_object(doc["fibres"], "bundle fibres"))
+    _strings(transition.values(), "transition morphism")
+    _strings(fibres.values(), "fibre object")
     return StratBundle(base, strat, cat, ff, fibres, transition)
 
 
 def diagram_to_doc(d: DiagramBundle) -> dict:
+    """The category core is built once and shared by every component with ``d.cat``,
+    and each distinct action table is one shared object under all its cells."""
+    core = {
+        k: (_SharedDict if type(v) is dict else _SharedList)(v)
+        for k, v in _category_core(d.cat).items()
+    }
+    # principal_diagram puts one table object under every cell with the same
+    # (g, W); the tables stay alive in d.actions, so their ids are stable here
+    tables: dict[int, _SharedDict] = {}
+    actions = {}
+    for m, per_cell in d.actions.items():
+        actions[m] = row = {}
+        for c, t in per_cell.items():
+            shared = tables.get(id(t))
+            if shared is None:
+                shared = tables[id(t)] = _SharedDict(t)
+            row[c] = shared
     return {
-        "components": {v: bundle_to_doc(b) for v, b in d.components.items()},
-        "actions": {
-            m: {c: dict(t) for c, t in per_cell.items()}
-            for m, per_cell in d.actions.items()
+        "components": {
+            v: bundle_to_doc(b, core if b.cat is d.cat else None)
+            for v, b in d.components.items()
         },
+        "actions": actions,
     }
 
 
 def diagram_from_doc(doc: dict) -> DiagramBundle:
     _need(doc, ["components", "actions"], "diagram")
-    components = {v: bundle_from_doc(sub) for v, sub in doc["components"].items()}
+    components = {}
+    known = None  # the first component's category document and category
+    for v, sub in _object(doc["components"], "diagram components").items():
+        components[v] = b = bundle_from_doc(sub, known)
+        if known is None:
+            known = (sub["category"], b.cat)
     if not components:
         raise DocumentError("diagram document has no components")
     first = next(iter(components.values()))
-    actions = {
-        m: {c: dict(t) for c, t in per_cell.items()}
-        for m, per_cell in doc["actions"].items()
-    }
+    actions = {}
+    for m, per_cell in _object(doc["actions"], "diagram actions").items():
+        actions[m] = {
+            c: dict(_object(t, f"action table of {m!r} over {c!r}"))
+            for c, t in _object(per_cell, f"actions of {m!r}").items()
+        }
     return DiagramBundle(
         first.cat,
         first.base,
@@ -311,7 +426,11 @@ def functor_to_doc(phi: CatFunctor, gg: FibreFunctor) -> dict:
 def functor_from_doc(doc: dict, source: FiniteCategory) -> tuple[CatFunctor, FibreFunctor]:
     _need(doc, ["on_objects", "on_morphisms", "target"], "functor")
     target, gg = category_from_doc(doc["target"])
-    phi = CatFunctor(source, target, dict(doc["on_objects"]), dict(doc["on_morphisms"]))
+    on_objects = dict(_object(doc["on_objects"], "functor on_objects"))
+    on_morphisms = dict(_object(doc["on_morphisms"], "functor on_morphisms"))
+    _strings(on_objects.values(), "functor image")
+    _strings(on_morphisms.values(), "functor image")
+    phi = CatFunctor(source, target, on_objects, on_morphisms)
     return phi, gg
 
 
@@ -335,7 +454,10 @@ def strat_from_doc(doc: dict) -> Stratification:
     _need(doc, ["strata"], "stratification")
     try:
         return Stratification(
-            {c: _integer(k, f"stratum of cell {c!r}") for c, k in doc["strata"].items()}
+            {
+                c: _integer(k, f"stratum of cell {c!r}")
+                for c, k in _object(doc["strata"], "strata").items()
+            }
         )
     except DocumentError:
         raise

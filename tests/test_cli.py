@@ -544,3 +544,133 @@ def test_every_bundle_command_refuses_unresolved_references(tmp_path, argv, dama
     assert "invalid: " + line in proc.stderr.splitlines()
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def damage(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return damage
+
+
+def _first_key(mapping):
+    return sorted(mapping)[0]
+
+
+# each damage of double_cover_c3 and the document error it is refused with
+NON_STRING_IDS = {
+    "transition-mor": (
+        lambda doc: doc["transitions"][0].__setitem__("mor", ["x"]),
+        "transition morphism must be a string, not ['x']",
+    ),
+    "fibre-object": (_set("fibres", "v0", ["x"]), "fibre object must be a string, not ['x']"),
+    "category-object": (
+        _set("category", "objects", [["set2"]]), "category object must be a string, not ['set2']"
+    ),
+    "identity": (
+        _set("category", "identities", "set2", ["x"]), "identity must be a string, not ['x']"
+    ),
+    "fibre-element": (
+        _set("category", "fibres", "set2", [["a"], "b"]), "fibre element must be a string, not ['a']"
+    ),
+    "category-fibres": (
+        _set("category", "fibres", []), "category fibres must be an object, not []"
+    ),
+    "action-table": (
+        _set("category", "actions", "p2:10", [["set2.0", "set2.1"]]),
+        "action table of 'p2:10' must be an object, not [['set2.0', 'set2.1']]",
+    ),
+    "category-number": (_set("category", 5), "category document must be an object, not 5"),
+}
+
+
+@pytest.mark.parametrize("damage", NON_STRING_IDS)
+@pytest.mark.parametrize("command", ["validate", "cover"])
+def test_non_string_id_or_wrong_container_in_a_bundle_is_a_document_error(
+    tmp_path, capsys, command, damage
+):
+    # a list where an id belongs used to die hashing it, with a traceback
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    mutate, message = NON_STRING_IDS[damage]
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    assert run([command, str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
+def _per_cell_table_list(doc):
+    per_cell = doc["actions"][_first_key(doc["actions"])]
+    per_cell[_first_key(per_cell)] = [["a", "b"]]
+
+
+# each damage of the principal diagram of double_cover_c3 and its document error
+DIAGRAM_CONTAINERS = {
+    "components-list": (_set("components", []), "diagram components must be an object, not []"),
+    "actions-list": (_set("actions", []), "diagram actions must be an object, not []"),
+    "component-number": (
+        lambda doc: doc["components"].__setitem__("set1", 3),
+        "bundle document must be an object, not 3",
+    ),
+    "per-cell-table-list": (
+        _per_cell_table_list, "action table of 'p1:0' over 'v0' must be an object, not [['a', 'b']]"
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", DIAGRAM_CONTAINERS)
+@pytest.mark.parametrize("command", ["validate", "coend"])
+def test_wrong_container_in_a_diagram_is_a_document_error(tmp_path, capsys, command, damage):
+    diagram = tmp_path / "diagram.json"
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    doc = jsonio.read_doc(diagram)
+    mutate, message = DIAGRAM_CONTAINERS[damage]
+    mutate(doc)
+    jsonio.write_doc(diagram, doc)
+    options = ["--category", str(GOLDEN / "perm2_category.json")] if command == "coend" else []
+    capsys.readouterr()
+    assert run([command, str(diagram), *options]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
+# each damage of bz2_trivializer_functor and its document error
+FUNCTOR_CONTAINERS = {
+    "on-objects-triples": (
+        _set("on_objects", [["a", "b", "c"]]),
+        "functor on_objects must be an object, not [['a', 'b', 'c']]",
+    ),
+    "on-morphisms-string": (
+        _set("on_morphisms", "e"), "functor on_morphisms must be an object, not 'e'"
+    ),
+    "on-objects-value-list": (
+        _set("on_objects", "pt", ["x"]), "functor image must be a string, not ['x']"
+    ),
+    "target-fibres-list": (
+        _set("target", "fibres", []), "category fibres must be an object, not []"
+    ),
+    "target-actions-list": (
+        _set("target", "actions", []), "category actions must be an object, not []"
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", FUNCTOR_CONTAINERS)
+def test_wrong_container_in_a_functor_is_a_document_error(tmp_path, capsys, damage):
+    doc = jsonio.read_doc(GOLDEN / "bz2_trivializer_functor.json")
+    mutate, message = FUNCTOR_CONTAINERS[damage]
+    mutate(doc)
+    path = tmp_path / "functor.json"
+    jsonio.write_doc(path, doc)
+    assert run(["associate", str(GOLDEN / "bz2_double_cover_c3.json"), str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
+def test_strata_that_are_not_an_object_are_a_document_error(tmp_path, capsys):
+    path = tmp_path / "strat.json"
+    jsonio.write_doc(path, {"strata": []})
+    assert run(["stratify", str(GOLDEN / "double_cover_c3.json"), str(path)]) == 3
+    assert "document error: strata must be an object, not []" in capsys.readouterr().err.splitlines()

@@ -1,13 +1,20 @@
 import enum
+import hashlib
+import importlib.util
 import json
+import sys
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import corpus, funcspace, jsonio, strabundle
+from stratabundle import cli, corpus, fincat, funcspace, jsonio, strabundle
 from stratabundle.validation import DocumentError
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 ROUND_TRIP_NAMES = [
@@ -116,16 +123,29 @@ documents = st.recursive(
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(st.text(), children, max_size=4)
         | st.dictionaries(st.integers(), children, max_size=4)
+        # shared markers, which may nest inside one another
+        | st.lists(children, max_size=4).map(jsonio._SharedList)
+        | st.dictionaries(st.text(), children, max_size=4).map(jsonio._SharedDict)
     ),
     max_leaves=30,
+)
+markers = st.one_of(
+    st.lists(documents, max_size=3).map(jsonio._SharedList),
+    st.dictionaries(st.text(), documents, max_size=3).map(jsonio._SharedDict),
+)
+# one marker object at two indents, so a cached encoding is reused or
+# re-encoded at the other indent
+documents_with_sharing = documents | st.tuples(markers, documents).map(
+    lambda pair: [pair[0], {"deeper": [pair[0], pair[1]]}, pair[0]]
 )
 
 
 class TestCanonDumps:
     @settings(max_examples=600, deadline=None)
-    @given(documents)
+    @given(documents_with_sharing)
     def test_equals_json_dumps(self, doc):
         assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+        assert jsonio.canon_dumps(doc) == reference_dumps(doc)  # now from the caches
 
     def test_non_ascii_text_is_written_unescaped(self):
         doc = {"é": ["ü", "\u2603", "\U0001f600", "tab\tquote\"back\\slash\x01"]}
@@ -172,3 +192,140 @@ class TestCanonDumps:
         for x in (corpus.double_cover_c3(), corpus.orbit_free_bundle_c3()):
             doc = jsonio.diagram_to_doc(funcspace.principal_diagram(x))
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _principal_and_coend(tmp_path, bundle: Path, category: Path) -> tuple[str, str]:
+    diagram, out = tmp_path / "principal.json", tmp_path / "coend.json"
+    assert cli.main(["principal", str(bundle), "-o", str(diagram)]) == 0
+    assert cli.main(["coend", str(diagram), "--category", str(category), "-o", str(out)]) == 0
+    return _sha256(diagram), _sha256(out)
+
+
+# sha256 of the principal diagram document and of its coend against the
+# bundle's own category, from before diagram documents shared containers
+GOLDEN_PRINCIPAL_COEND = {
+    "bz2_double_cover_c3": (
+        "9fa5f4a16a6b65bce69fca5ab355969ae522ceb38c100d0078bd07c0949a7b0e",
+        "6c6c15313019e0ef87487b2457fd686a15f349f6509a03fa0ede84a3a0c43989",
+    ),
+    "disk_collapse_two_strata": (
+        "ae5159be58c528add847a238401c110cf518a948ba75f312954a4f37c3e58124",
+        "2621f1311a78edc0ee12adcd030833e92604e52529060be01a3a737ffdeca9e2",
+    ),
+    "disk_trivial_two_strata": (
+        "8402a6ea531650f5e21db59523d3066f384c1fb5aea3431869039506a5008c09",
+        "d2cdaf9e4a65fc17d07e3388d9d97675ecf32ef60f3016324d64ac698ae30e1c",
+    ),
+    "double_cover_c3": (
+        "e630fdde24d5587127c4891667c5d3cfa1b17cc9d3517e45fba0c20a04dc4bcd",
+        "072171913971b59a19ca404c824984dc0ef211d822a9c70b2d40135f9ae6b604",
+    ),
+    "orbit_free_bundle_c3": (
+        "4d8a94787f20f91fcc03b933a96ebb339494826ba1db595f07b763a4631de860",
+        "121c5e1b17f58699f92b1eea4fd6f4e4819e99ab9774ccc2cd6e3f67aa53790c",
+    ),
+    "product_bundle_c3": (
+        "5bf33493ea6812f67d065d97202fa9bc1f26cc20bdc95973fae4216a136e90f6",
+        "9e1a96a30f956b2b178592de594476186483e3fa45c4a21218114899d548f78d",
+    ),
+    "triple_cover_c3": (
+        "83fa65892cf28ed55c7b30a8125973942e7a370e93d3645386b64d83494babf8",
+        "8cba947ce5b634aa817500ee3e869f134b122bafe859ac25e0376eb504e09e01",
+    ),
+    "trivial_two_sheets_c3": (
+        "b301a951201893418a363817ca8330f86ce8bde3040d3bb52621cc94ff62ccc7",
+        "a07b83a97213247a37dd3e82038ec6d7f6954ed7d113a9d5eb2d5c2da58dcfb1",
+    ),
+}
+
+# the same for the perm_category(5) bundle of the benchmark's wide-category workload
+WIDE_PRINCIPAL_COEND = {
+    1: (
+        "706679b5c9cac0dd382dfc193b6382fce739d789ce48752cd3ba00ea23177117",
+        "f168e440253aad2296dd9b6446602a9b3920763a39ca404331d87acfd65b9e7e",
+    ),
+    2: (
+        "9a6d66c104d6f2323467286b655954b49d07606ade4b07c0ec422e26f9d06e6e",
+        "5673d91311c7a77a0994b76359a22088615f4ed7734f646ad88dd570473b14eb",
+    ),
+}
+
+
+class TestDiagramDocuments:
+    def test_every_golden_bundle_is_pinned(self):
+        bundles = sorted(
+            p.stem for p in GOLDEN.glob("*.json")
+            if jsonio.detect_kind(jsonio.read_doc(p)) == "bundle"
+        )
+        assert bundles == sorted(GOLDEN_PRINCIPAL_COEND)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PRINCIPAL_COEND))
+    def test_golden_principal_and_coend_are_unchanged(self, tmp_path, name):
+        category = tmp_path / "category.json"
+        jsonio.write_doc(category, jsonio.read_doc(GOLDEN / f"{name}.json")["category"])
+        got = _principal_and_coend(tmp_path, GOLDEN / f"{name}.json", category)
+        assert got == GOLDEN_PRINCIPAL_COEND[name]
+
+    @pytest.mark.parametrize("seed", sorted(WIDE_PRINCIPAL_COEND))
+    def test_wide_category_principal_and_coend_are_unchanged(self, monkeypatch, tmp_path, seed):
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclass looks itself up there
+        spec.loader.exec_module(inputs)
+        docs = inputs.wide_category(seed, tmp_path).docs
+        got = _principal_and_coend(tmp_path, docs["bundle"], docs["category"])
+        assert got == WIDE_PRINCIPAL_COEND[seed]
+
+    def test_the_category_core_is_one_object_in_every_component(self):
+        x = corpus.triple_cover_c3()
+        doc = jsonio.diagram_to_doc(funcspace.principal_diagram(x))
+        categories = [sub["category"] for sub in doc["components"].values()]
+        assert len(categories) >= 3
+        for key in ("objects", "morphisms", "compose", "identities"):
+            assert len({id(c[key]) for c in categories}) == 1
+        tables = [t for per_cell in doc["actions"].values() for t in per_cell.values()]
+        distinct = {
+            (g, x.fibre_obj[c]) for g, per_cell in doc["actions"].items() for c in per_cell
+        }
+        assert len({id(t) for t in tables}) == len(distinct) < len(tables)
+
+    @pytest.fixture
+    def category_calls(self, monkeypatch):
+        calls = []
+        original = fincat.category
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fincat, "category", counting)
+        return calls
+
+    def _diagram_doc(self):
+        x = corpus.triple_cover_c3()
+        doc = json.loads(jsonio.canon_dumps(jsonio.diagram_to_doc(funcspace.principal_diagram(x))))
+        assert len(doc["components"]) == 3
+        return doc
+
+    def test_one_category_is_built_for_all_components(self, category_calls):
+        doc = self._diagram_doc()
+        category_calls.clear()
+        d = jsonio.diagram_from_doc(doc)
+        assert len(category_calls) == 1
+        assert all(b.cat is d.cat for b in d.components.values())
+        assert funcspace.validate_diagram(d).ok
+
+    def test_a_component_with_another_compose_gets_its_own_category(self, category_calls):
+        doc = self._diagram_doc()
+        second = sorted(doc["components"])[1]
+        doc["components"][second]["category"]["compose"].pop()
+        category_calls.clear()
+        d = jsonio.diagram_from_doc(doc)
+        assert len(category_calls) == 2
+        assert [v for v, b in d.components.items() if b.cat is not d.cat] == [second]
+        violations = funcspace.validate_diagram(d).violations
+        assert ("component-category", second) in [(v.code, v.detail) for v in violations]

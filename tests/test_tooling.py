@@ -172,3 +172,21 @@ def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypat
     assert len(cert.stars) == len(x.base.cells)
     assert calls["subcomplex"] == 0
     assert 0 < calls["compose_tables"] <= len(triples)
+
+
+SHARED_MARKERS = {"_SharedList", "_SharedDict"}
+
+
+def test_only_jsonio_builds_shared_containers():
+    # canon_dumps caches the text of a marked container; that is only sound
+    # for the documents jsonio builds and never mutates afterwards
+    offenders = []
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name == "jsonio.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in SHARED_MARKERS:
+                    offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []
