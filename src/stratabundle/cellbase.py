@@ -30,27 +30,7 @@ class BaseComplex:
     @cached_property
     def below(self) -> dict[str, frozenset[str]]:
         """Reflexive-transitive face closure of every cell."""
-        memo: dict[str, frozenset[str]] = {}
-        in_progress: set[str] = set()
-
-        def walk(c: str) -> frozenset[str]:
-            if c in memo:
-                return memo[c]
-            if c in in_progress:
-                raise StructureError(f"face relation has a cycle through {c}")
-            if c not in self.cells:
-                raise StructureError(f"unknown face {c}")
-            in_progress.add(c)
-            acc = {c}
-            for f in self.cells[c].faces:
-                acc |= walk(f)
-            in_progress.discard(c)
-            memo[c] = frozenset(acc)
-            return memo[c]
-
-        for c in self.cells:
-            walk(c)
-        return memo
+        return _face_closure(self.cells)
 
     @cached_property
     def above(self) -> dict[str, frozenset[str]]:
@@ -118,6 +98,41 @@ class BaseComplex:
 
     def vertices(self) -> list[str]:
         return sorted(c for c, cell in self.cells.items() if cell.dim == 0)
+
+
+def _face_closure(cells: dict[str, Cell]) -> dict[str, frozenset[str]]:
+    """Face closures depth first from each cell in order, each stored once its faces' are.
+
+    An explicit stack, not a nested function that calls itself: such a
+    closure refers to itself, and that cycle would keep the complex alive
+    until the cyclic collector ran. The stack also has no depth limit.
+    """
+    memo: dict[str, frozenset[str]] = {}
+    for root in cells:
+        if root in memo:
+            continue
+        on_path = {root}
+        stack = [(root, iter(cells[root].faces))]
+        while stack:
+            c, faces = stack[-1]
+            for f in faces:
+                if f in memo:
+                    continue
+                if f in on_path:
+                    raise StructureError(f"face relation has a cycle through {f}")
+                if f not in cells:
+                    raise StructureError(f"unknown face {f}")
+                on_path.add(f)
+                stack.append((f, iter(cells[f].faces)))
+                break
+            else:
+                stack.pop()
+                on_path.discard(c)
+                acc = {c}
+                for f in cells[c].faces:
+                    acc |= memo[f]
+                memo[c] = frozenset(acc)
+    return memo
 
 
 @dataclass

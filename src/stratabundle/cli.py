@@ -8,6 +8,8 @@ go to the path given with ``-o`` or to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 import time
 from pathlib import Path
@@ -30,12 +32,15 @@ def _say(msg: str) -> None:
 
 
 def _require_references(x: strabundle.StratBundle) -> strabundle.StratBundle:
-    """Raise the first failing linear stage: category references, fibre tables, bundle references.
+    """Raise the first failing stage of the bundle gate.
 
-    A command may then read every identity, fibre, action table and
-    transition; composites and the laws are ``_require_valid_bundle``'s.
+    The stages are category references, composition, fibre tables and
+    bundle references. A command may then read every identity, composite,
+    fibre, action table and transition; associativity, the functor laws
+    and the bundle laws are ``_require_valid_bundle``'s.
     """
     fincat.check_category_references(x.cat).raise_if_invalid()
+    fincat.check_composition(x.cat).raise_if_invalid()
     fincat.check_fibre_tables(x.cat, x.ff).raise_if_invalid()
     strabundle.check_bundle_references(x).raise_if_invalid()
     return x
@@ -132,7 +137,13 @@ def cmd_principal(args) -> int:
 
 
 def cmd_coend(args) -> int:
-    d = jsonio.diagram_from_doc(jsonio.read_doc(args.diagram))
+    doc = jsonio.read_doc(args.diagram)
+    d = jsonio.diagram_from_doc(doc)
+    # a --category document whose category core equals the first
+    # component's is read as d.cat; the parsed diagram itself is freed
+    # here, so that it does not add to the coend's peak memory
+    first = next(iter(doc["components"].values()))["category"]
+    del doc
     rep = funcspace.validate_diagram(d)
     if not rep.ok:
         _emit(rep.to_doc(), args.out)
@@ -142,7 +153,13 @@ def cmd_coend(args) -> int:
         raise PreconditionError(
             "coend needs a fibre functor: pass a category document with --category"
         )
-    _, ff = jsonio.category_from_doc(jsonio.read_doc(args.category))
+    cat, ff = jsonio.category_from_doc(jsonio.read_doc(args.category), known=(first, d.cat))
+    if cat != d.cat:
+        rep = ValidationReport("coend")
+        rep.add("category-mismatch", "the --category document's category is not the diagram's")
+        _emit(rep.to_doc(), args.out)
+        _say(str(rep))
+        return INVALID
     y = strabundle.StratBundle(d.base, d.strat, d.cat, ff, d.fibre_obj, d.transitions)
     res = funcspace.coend(y)
     if not res.report.ok:
@@ -300,6 +317,7 @@ def cmd_manifest(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratabundle",
@@ -391,10 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
+    # engine data are acyclic and freed by reference counting, so the cyclic
+    # collector would only walk the command's documents; pause it for the command
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
         code = args.fn(args)
     except DocumentError as exc:
         _say(f"document error: {exc}")
@@ -408,6 +429,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _say(f"i/o error: {exc}")
         return UNREADABLE
+    finally:
+        if was_enabled:
+            gc.enable()
     _say(f"done in {time.perf_counter() - start:.3f}s")
     return code
 

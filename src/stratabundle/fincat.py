@@ -116,7 +116,7 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     triple that does not associate.
     """
     rep = check_category_references(cat)
-    _check_composition(cat, rep)
+    rep.merge(check_composition(cat))
     if not (rep.ok and _light_associative(cat)):
         _check_associativity(cat, rep)
     return rep
@@ -147,8 +147,9 @@ def check_category_references(cat: FiniteCategory) -> ValidationReport:
     return rep
 
 
-def _check_composition(cat: FiniteCategory, rep: ValidationReport) -> None:
+def check_composition(cat: FiniteCategory) -> ValidationReport:
     """The composition table's coverage, typing and identity laws, in O(composable pairs)."""
+    rep = ValidationReport("category")
     mors = cat.morphisms
     for f in mors.values():
         for g in mors.values():
@@ -170,6 +171,7 @@ def _check_composition(cat: FiniteCategory, rep: ValidationReport) -> None:
             rep.add("identity-law", f"left identity fails on {m.id}")
         if right in mors and cat.compose_table.get((m.id, right)) != m.id:
             rep.add("identity-law", f"right identity fails on {m.id}")
+    return rep
 
 
 def _light_associative(cat: FiniteCategory) -> bool:

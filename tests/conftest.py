@@ -1,4 +1,6 @@
-"""Builders shared by several test modules: small triangulated tori."""
+"""Builders shared by several test modules: small triangulated tori, and a paused collector."""
+import gc
+
 import pytest
 
 from stratabundle import cellbase, corpus, strabundle
@@ -44,3 +46,13 @@ def torus():
 @pytest.fixture
 def torus_cover():
     return build_torus_cover
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector paused, so only reference counting frees objects."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,86 @@ def test_face_cycle_is_a_dimension_violation(dims):
     assert "face-cycle" not in {v.code for v in rep.violations}
     with pytest.raises(StructureError, match="cycle"):
         b.below
+
+
+def recursive_face_closure(cells):
+    """The face closure as a recursive walk: the reference for ``BaseComplex.below``."""
+    memo, in_progress = {}, set()
+
+    def walk(c):
+        if c in memo:
+            return memo[c]
+        if c in in_progress:
+            raise StructureError(f"face relation has a cycle through {c}")
+        if c not in cells:
+            raise StructureError(f"unknown face {c}")
+        in_progress.add(c)
+        acc = {c}
+        for f in cells[c].faces:
+            acc |= walk(f)
+        in_progress.discard(c)
+        memo[c] = frozenset(acc)
+        return memo[c]
+
+    for c in cells:
+        walk(c)
+    return memo
+
+
+def closure_outcome(closure, cells):
+    try:
+        return list(closure(cells).items())
+    except StructureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_below_matches_the_recursive_walk(data):
+    # the same closures stored in the same order, and the same cell named
+    # when the walk meets a face cycle or an unknown face
+    n = data.draw(st.integers(1, 8))
+    names = data.draw(st.permutations([f"c{i}" for i in range(n)]))
+    acyclic = data.draw(st.booleans())
+    cells = {}
+    for i, c in enumerate(names):
+        pool = names[:i] if acyclic else [*names, "zz"]
+        faces = data.draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+        cells[c] = cellbase.Cell(c, 0, tuple(sorted(set(faces))))
+    expected = closure_outcome(recursive_face_closure, cells)
+    assert closure_outcome(lambda cells: cellbase.BaseComplex(cells).below, cells) == expected
+
+
+def test_below_walks_a_face_chain_deeper_than_the_recursion_limit():
+    # listed top cell first, so the walk has to descend the whole chain at once
+    n = 1500
+    b = cellbase.BaseComplex({
+        f"c{i}": cellbase.Cell(f"c{i}", i, (f"c{i - 1}",) if i else ()) for i in reversed(range(n))
+    })
+    assert len(b.below[f"c{n - 1}"]) == n
+
+
+@pytest.mark.parametrize("faces, error", [
+    (None, None),
+    ({"a": ("b",), "b": ("a",)}, "face relation has a cycle through a"),
+    ({"a": ("z",)}, "unknown face z"),
+], ids=["c3", "face-cycle", "unknown-face"])
+def test_a_walked_complex_is_freed_by_reference_counting(collector_off, faces, error):
+    # a face walk that left a reference cycle would keep the complex, its
+    # cells and its closures alive until the cyclic collector ran
+    if faces is None:
+        b = corpus.c3()[0]
+    else:
+        b = cellbase.BaseComplex({c: cellbase.Cell(c, 0, fs) for c, fs in faces.items()})
+    try:
+        b.below
+        raised = None
+    except StructureError as exc:
+        raised = str(exc)
+    assert raised == error
+    ref = weakref.ref(b)
+    del b
+    assert ref() is None
 
 
 def test_two_stratum_disk_is_valid():

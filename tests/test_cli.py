@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stratabundle import cli, corpus, jsonio
+from stratabundle import cli, corpus, fincat, jsonio
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -430,6 +431,43 @@ def test_component_with_another_category_is_a_named_violation(tmp_path):
     assert violation in jsonio.read_doc(report)["violations"]
 
 
+def test_coend_reads_an_equal_category_as_the_diagrams(tmp_path, monkeypatch):
+    diagram = tmp_path / "diagram.json"
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    built = []
+    original = fincat.category
+    monkeypatch.setattr(fincat, "category", lambda *args: built.append(args) or original(*args))
+    category = str(GOLDEN / "perm2_category.json")
+    assert run(["coend", str(diagram), "--category", category, "-o", str(tmp_path / "y.json")]) == 0
+    assert len(built) == 1  # the diagram's; the --category document reuses it
+
+
+def _cut_to_one_composite(cat_doc):
+    cat_doc["compose"] = cat_doc["compose"][:1]
+    cat_doc["identities"] = {}
+
+
+def _other_composite(cat_doc):
+    # (p2:10, p2:10) -> p2:10 instead of the identity: a table of another category
+    g, f, _ = cat_doc["compose"][-1]
+    cat_doc["compose"][-1] = [g, f, "p2:10"]
+
+
+@pytest.mark.parametrize("damage", [_cut_to_one_composite, _other_composite],
+                         ids=["cut-table", "other-composite"])
+def test_coend_against_another_category_is_a_named_violation(tmp_path, damage):
+    diagram, category, report = (tmp_path / f"{n}.json" for n in ("diagram", "category", "report"))
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    cat_doc = jsonio.read_doc(GOLDEN / "perm2_category.json")
+    damage(cat_doc)
+    jsonio.write_doc(category, cat_doc)
+    proc = run_module("coend", str(diagram), "--category", str(category), "-o", str(report))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "coend computed" not in proc.stderr
+    assert [v["code"] for v in jsonio.read_doc(report)["violations"]] == ["category-mismatch"]
+
+
 @pytest.mark.parametrize("field", ["dim", "stratum"])
 @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=["Infinity", "1.5", "true"])
 def test_non_integer_cell_number_is_a_document_error(tmp_path, field, value):
@@ -509,6 +547,10 @@ def _no_cells(doc):
     doc["base"]["cells"], doc["fibres"], doc["transitions"] = [], {}, []
 
 
+def _missing_composite(doc):
+    doc["category"]["compose"].pop()
+
+
 # each damage of double_cover_c3 and the line the bundle loader refuses it with
 LOADER_REFUSALS = {
     "unknown-mor": (_unknown_mor, "bundle invalid: transition-unknown: (v0, v0.v1) -> nope"),
@@ -522,6 +564,9 @@ LOADER_REFUSALS = {
         _missing_transition, "bundle invalid: transition-missing: [('v0', 'v0.v1')]"
     ),
     "no-cells": (_no_cells, "bundle invalid: empty: complex has no cells"),
+    "missing-composite": (
+        _missing_composite, "category invalid: compose-missing: (p2:10, p2:10)"
+    ),
 }
 
 
@@ -674,3 +719,113 @@ def test_strata_that_are_not_an_object_are_a_document_error(tmp_path, capsys):
     jsonio.write_doc(path, {"strata": []})
     assert run(["stratify", str(GOLDEN / "double_cover_c3.json"), str(path)]) == 3
     assert "document error: strata must be an object, not []" in capsys.readouterr().err.splitlines()
+
+
+def test_the_parser_is_built_once_and_usage_errors_still_exit_2(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["restrict", str(GOLDEN / "double_cover_c3.json")])
+        assert exc.value.code == 2
+        assert "usage: stratabundle restrict" in capsys.readouterr().err
+
+
+# argv and exit code of a command that ends in each documented way
+EXITS = {
+    "ok": (["example", "--list"], 0),
+    "invalid": (["verify", "--suite", "pullback", "--seeds", "0"], 1),
+    "refused": (["certify", str(GOLDEN / "orbit_free_bundle_c3.json")], 2),
+    "unreadable": (["validate", str(GOLDEN / "no_such_document.json")], 3),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", EXITS.values(), ids=EXITS)
+def test_main_leaves_the_collector_as_it_found_it(collector, capsys, argv, code):
+    assert run(argv) == code
+    assert gc.isenabled() is collector
+
+
+def test_a_usage_error_leaves_the_collector_as_it_found_it(collector, capsys):
+    with pytest.raises(SystemExit):
+        run(["restrict", str(GOLDEN / "double_cover_c3.json")])
+    assert gc.isenabled() is collector
+
+
+def test_an_unexpected_exception_leaves_the_collector_as_it_found_it(collector, monkeypatch):
+    paused = []
+
+    def failing_read(path):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(jsonio, "read_doc", failing_read)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        run(["validate", str(GOLDEN / "double_cover_c3.json")])
+    assert paused == [True]
+    assert gc.isenabled() is collector
+
+
+def _attachment_doc():
+    """A filled triangle glued onto the boundary circle of ``trivial_two_sheets_c3``."""
+    from stratabundle import cellbase, strabundle
+
+    cat, ff = corpus.bz2_category()
+    m_base = cellbase.simplex_complex(["u0", "u1", "u2"])
+    m = strabundle.product_bundle(m_base, cellbase.single_stratum(m_base), cat, ff, "pt")
+    top = cellbase.simplex_name(["u0", "u1", "u2"])
+    return {
+        "bundle": jsonio.bundle_to_doc(m),
+        "attached_cells": sorted(c for c in m_base.cells if c != top),
+        "map": {"vertex_map": {"u0": "v0", "u1": "v1", "u2": "v2"}},
+        "fibre_morphisms": {c: "e" for c in m_base.cells if c != top},
+    }
+
+
+def _golden(name):
+    return str(GOLDEN / f"{name}.json")
+
+
+# one successful run of every subcommand; "@name" is a document the test writes
+EVERY_COMMAND = [
+    ["validate", _golden("double_cover_c3")],
+    ["attach", _golden("trivial_two_sheets_c3"), "@attachment"],
+    ["pullback", _golden("double_cover_c3"), _golden("c6_fold_map")],
+    ["restrict", _golden("double_cover_c3"), "--star", "v0"],
+    ["product", _golden("trivial_two_sheets_c3"), _golden("double_cover_c3")],
+    ["fnspace", _golden("double_cover_c3"), "-V", "set2"],
+    ["principal", _golden("double_cover_c3")],
+    ["coend", "@diagram", "--category", _golden("perm2_category")],
+    ["reconstruct", _golden("double_cover_c3")],
+    ["associate", _golden("bz2_double_cover_c3"), _golden("bz2_trivializer_functor")],
+    ["trivialize", _golden("double_cover_c3")],
+    ["certify", _golden("double_cover_c3")],
+    ["cover", _golden("double_cover_c3"), "--dot", "@cover_dot"],
+    ["stratify", _golden("double_cover_c3"), "@strat"],
+    ["verify", "--suite", "all", "--seeds", "1"],
+    ["example", "double_cover_c3"],
+    ["total", _golden("double_cover_c3")],
+    ["manifest", str(GOLDEN), "--check"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_no_command_leaves_cyclic_garbage(collector_off, tmp_path, capsys, argv):
+    # engine data are freed by reference counting alone, which is what lets
+    # main pause the collector; a reference cycle would stay until the next collection
+    bundle = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    strata = {c["id"]: 0 for c in bundle["base"]["cells"]}
+    jsonio.write_doc(tmp_path / "@strat", {"strata": strata})
+    jsonio.write_doc(tmp_path / "@attachment", _attachment_doc())
+    assert run(["principal", _golden("double_cover_c3"), "-o", str(tmp_path / "@diagram")]) == 0
+    argv = [str(tmp_path / a) if a.startswith("@") else a for a in argv]
+    gc.collect()
+    assert run([*argv, "-o", str(tmp_path / "out")]) == 0
+    assert gc.collect() == 0

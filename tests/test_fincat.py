@@ -317,7 +317,7 @@ def oracle_structures():
 def exhaustive_reference(cat):
     """The category axioms with the cubic associativity loop, run unconditionally."""
     rep = fincat.check_category_references(cat)
-    fincat._check_composition(cat, rep)
+    rep.merge(fincat.check_composition(cat))
     fincat._check_associativity(cat, rep)
     return rep.violations
 

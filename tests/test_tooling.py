@@ -190,3 +190,32 @@ def test_only_jsonio_builds_shared_containers():
                 if name in SHARED_MARKERS:
                     offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_cli_main_touches_the_collector():
+    # commands run with the cyclic collector paused in one place; a pause,
+    # collection or threshold elsewhere would hide a reference cycle that the
+    # engine must not make, or undo the pause
+    offenders = []
+    for path in sorted((ROOT / "src" / "stratabundle").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+            # and the plain module-level ``import gc`` that main uses
+            allowed = set(ast.walk(main)) | {
+                node
+                for node in tree.body
+                if isinstance(node, ast.Import)
+                and [(a.name, a.asname) for a in node.names] == [("gc", None)]
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                touches = any(a.name == "gc" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                touches = node.module == "gc"
+            else:
+                touches = isinstance(node, ast.Name) and node.id == "gc"
+            if touches and node not in allowed:
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []
