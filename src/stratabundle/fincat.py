@@ -151,10 +151,11 @@ def check_composition(cat: FiniteCategory) -> ValidationReport:
     """The composition table's coverage, typing and identity laws, in O(composable pairs)."""
     rep = ValidationReport("category")
     mors = cat.morphisms
+    out_of: dict[str, list[Morphism]] = {}
+    for g in mors.values():
+        out_of.setdefault(g.src, []).append(g)
     for f in mors.values():
-        for g in mors.values():
-            if f.tgt != g.src:
-                continue
+        for g in out_of.get(f.tgt, ()):
             gf = cat.compose_table.get((g.id, f.id))
             if gf is None:
                 rep.add("compose-missing", f"({g.id}, {f.id})")
@@ -390,43 +391,104 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def _pair_ids(xs, ys, what: str) -> dict[str, dict[str, str]]:
+    """``pair_id(x, y)`` for every distinct x and y, formatted once, as rows by x.
+
+    Ids that contain commas can give two pairs one id, as ``(x,y,z)`` from
+    ``("x", "y,z")`` and ``("x,y", "z")``; that raises ``StructureError``.
+    """
+    ys = tuple(dict.fromkeys(ys))
+    table = {x: {y: pair_id(x, y) for y in ys} for x in dict.fromkeys(xs)}
+    ids = set()
+    for row in table.values():
+        ids.update(row.values())
+    if len(ids) < len(table) * len(ys):
+        seen = {}
+        for x, row in table.items():
+            for y, pid in row.items():
+                if pid in seen:
+                    raise StructureError(
+                        f"{what} pairs {seen[pid]} and {(x, y)} both get the id {pid}"
+                    )
+                seen[pid] = (x, y)
+    return table
+
+
+def _elements(ff: FibreFunctor):
+    """Every element a fibre functor names: fibre members and action-table keys and values."""
+    for elems in ff.on_objects.values():
+        yield from elems
+    for tab in ff.on_morphisms.values():
+        yield from tab
+        yield from tab.values()
+
+
 def product_category(
     cat_a: FiniteCategory,
     ff_a: FibreFunctor,
     cat_b: FiniteCategory,
     ff_b: FibreFunctor,
 ) -> tuple[FiniteCategory, FibreFunctor]:
-    """Category of pairs with the product-set fibre functor."""
+    """Category of pairs with the product-set fibre functor.
+
+    Every pair id comes from one of three tables, of morphisms, objects
+    and elements, so equal ids are one string and ``pair_id`` runs once
+    per table cell; the loops below copy ids out of those rows.  Dicts
+    are filled A-major, B-minor.  Both categories must pass
+    ``check_category_references`` and ``check_composition``, and each
+    fibre functor must give every object a fibre and every morphism a
+    table; the tables may name elements outside their fibres.  Raises
+    ``StructureError`` when two pairs get one id.
+    """
+    mor_ids = _pair_ids(cat_a.morphisms, cat_b.morphisms, "morphism")
+    obj_ids = _pair_ids(cat_a.objects, cat_b.objects, "object")
+    elem_ids = _pair_ids(_elements(ff_a), _elements(ff_b), "element")
+
+    b_mors = cat_b.morphisms.values()
+    b_srcs = [n.src for n in b_mors]
+    b_tgts = [n.tgt for n in b_mors]
     mors = {}
     for m in cat_a.morphisms.values():
-        for n in cat_b.morphisms.values():
-            mid = pair_id(m.id, n.id)
-            mors[mid] = Morphism(mid, pair_id(m.src, n.src), pair_id(m.tgt, n.tgt))
+        ids = mor_ids[m.id].values()
+        srcs = map(obj_ids[m.src].__getitem__, b_srcs)
+        tgts = map(obj_ids[m.tgt].__getitem__, b_tgts)
+        mors.update(zip(ids, map(Morphism, ids, srcs, tgts)))
+
+    b_gs = [g for g, _ in cat_b.compose_table]
+    b_fs = [f for _, f in cat_b.compose_table]
+    b_cs = list(cat_b.compose_table.values())
     compose = {}
     for (g1, f1), c1 in cat_a.compose_table.items():
-        for (g2, f2), c2 in cat_b.compose_table.items():
-            compose[(pair_id(g1, g2), pair_id(f1, f2))] = pair_id(c1, c2)
+        keys = zip(map(mor_ids[g1].__getitem__, b_gs), map(mor_ids[f1].__getitem__, b_fs))
+        compose.update(zip(keys, map(mor_ids[c1].__getitem__, b_cs)))
     identities = {
-        pair_id(a, b): pair_id(cat_a.identities[a], cat_b.identities[b])
+        obj_ids[a][b]: mor_ids[cat_a.identities[a]][cat_b.identities[b]]
         for a in cat_a.objects
         for b in cat_b.objects
     }
     cat = FiniteCategory(tuple(sorted(identities)), mors, compose, identities)
 
     on_objects = {
-        pair_id(a, b): tuple(
-            pair_id(x, y) for x in ff_a.on_objects[a] for y in ff_b.on_objects[b]
+        obj_ids[a][b]: tuple(
+            elem_ids[x][y] for x in ff_a.on_objects[a] for y in ff_b.on_objects[b]
         )
         for a in cat_a.objects
         for b in cat_b.objects
     }
+    b_tables = [
+        (list(tb), list(tb.values())) for tb in map(ff_b.on_morphisms.__getitem__, cat_b.morphisms)
+    ]
     on_morphisms = {}
     for m in cat_a.morphisms:
-        for n in cat_b.morphisms:
-            ta, tb = ff_a.on_morphisms[m], ff_b.on_morphisms[n]
-            on_morphisms[pair_id(m, n)] = {
-                pair_id(x, y): pair_id(ta[x], tb[y]) for x in ta for y in tb
-            }
+        rows = [
+            (elem_ids[x].__getitem__, elem_ids[v].__getitem__)
+            for x, v in ff_a.on_morphisms[m].items()
+        ]
+        for mid, (keys, values) in zip(mor_ids[m].values(), b_tables):
+            table = {}
+            for key_of, value_of in rows:
+                table.update(zip(map(key_of, keys), map(value_of, values)))
+            on_morphisms[mid] = table
     return cat, FibreFunctor(on_objects, on_morphisms)
 
 

@@ -662,19 +662,21 @@ def _check_fiberwise(spec: InstanceSpec):
         )
     except Exception as exc:
         return "theorem-violation", "product-total", repr(exc)
+    over_cell: dict[str, list[str]] = {}
+    for c, w in tb.elements:
+        over_cell.setdefault(c, []).append(w)
     paired = {
-        (c, fincat.pair_id(v, w))
-        for c, v in ta.elements
-        for cw, w in tb.elements
-        if cw == c
+        (c, fincat.pair_id(v, w)) for c, v in ta.elements for w in over_cell.get(c, ())
     }
     if paired != set(tp.elements):
         return "theorem-violation", "product-total", "element sets differ"
+    over_incidence: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for (f, vb), (c, wb) in tb.relations:
+        over_incidence.setdefault((f, c), []).append((vb, wb))
     rel = {
         ((f, fincat.pair_id(va, vb)), (c, fincat.pair_id(wa, wb)))
-        for ((f, va), (c, wa)) in ta.relations
-        for ((f2, vb), (c2, wb)) in tb.relations
-        if f2 == f and c2 == c
+        for (f, va), (c, wa) in ta.relations
+        for vb, wb in over_incidence.get((f, c), ())
     }
     if rel != set(tp.relations):
         return "theorem-violation", "product-relations", "relation sets differ"

@@ -271,6 +271,34 @@ def test_spurious_identity_entry_is_a_violation(tmp_path):
     ]
 
 
+
+def test_product_with_colliding_pair_ids_is_refused(tmp_path):
+    # ("i", "s,j") and ("i,s", "j") both format as "(i,s,j)"; so do the
+    # elements ("x", "y,z") and ("x,y", "z")
+    from stratabundle import strabundle
+
+    base, strat = corpus.c3()
+    paths = []
+    factors = [("A", ("x", "x,y"), "i", "i,s"), ("B", ("y,z", "z"), "j", "s,j")]
+    for obj, (a, b), ident, swap in factors:
+        cat, ff = fincat.concrete_category(
+            {obj: (a, b)}, [(ident, obj, obj), (swap, obj, obj)],
+            {ident: {a: a, b: b}, swap: {a: b, b: a}},
+        )
+        x = strabundle.product_bundle(base, strat, cat, ff, obj)
+        path = tmp_path / f"{obj}.json"
+        jsonio.write_doc(path, jsonio.bundle_to_doc(x))
+        assert run(["validate", str(path)]) == 0
+        paths.append(str(path))
+    out = tmp_path / "product.json"
+    proc = run_module("product", *paths, "-o", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "invalid: morphism pairs ('i', 's,j') and ('i,s', 'j') both get the id (i,s,j)"
+    ]
+    assert not out.exists()
+
 # sha256 of the `validate -o` report of every golden bundle and category
 # document, recorded while the category validator still ran the exhaustive
 # associativity loop on every input

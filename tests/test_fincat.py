@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratabundle import corpus, fincat, jsonio, oracle
-from stratabundle.validation import Violation
+from stratabundle.validation import StructureError, Violation
 
 
 def z2_category():
@@ -186,6 +186,16 @@ class TestHomFibreFunctor:
             assert fincat.validate_fibre_functor(cat, ffv).ok
 
 
+def swap_category(obj, elems, ident, swap):
+    """One object whose fibre has two elements, acted on by its identity and the swap."""
+    a, b = elems
+    return fincat.concrete_category(
+        {obj: elems},
+        [(ident, obj, obj), (swap, obj, obj)],
+        {ident: {a: a, b: b}, swap: {a: b, b: a}},
+    )
+
+
 class TestProductCategory:
     def test_unit_counts(self):
         z2 = z2_category()
@@ -219,6 +229,35 @@ class TestProductCategory:
             for x in ff.on_objects["X"]
         }
         assert prod_ff.on_morphisms[mid] == expected
+
+    @pytest.mark.parametrize("a, b, message", [
+        (
+            swap_category("A", ("x", "y"), "i", "i,s"),
+            swap_category("B", ("z", "w"), "j", "s,j"),
+            "morphism pairs ('i', 's,j') and ('i,s', 'j') both get the id (i,s,j)",
+        ),
+        (
+            fincat.concrete_category({"a": ("p",), "a,b": ("q",)},
+                                     [("ia", "a", "a"), ("iab", "a,b", "a,b")],
+                                     {"ia": {"p": "p"}, "iab": {"q": "q"}}),
+            fincat.concrete_category({"b,c": ("r",), "c": ("s",)},
+                                     [("ibc", "b,c", "b,c"), ("ic", "c", "c")],
+                                     {"ibc": {"r": "r"}, "ic": {"s": "s"}}),
+            "object pairs ('a', 'b,c') and ('a,b', 'c') both get the id (a,b,c)",
+        ),
+        (
+            swap_category("A", ("x", "x,y"), "i", "s"),
+            swap_category("B", ("y,z", "z"), "j", "t"),
+            "element pairs ('x', 'y,z') and ('x,y', 'z') both get the id (x,y,z)",
+        ),
+    ], ids=["morphisms", "objects", "elements"])
+    def test_colliding_pair_ids_are_refused(self, a, b, message):
+        for cat, ff in (a, b):
+            assert fincat.validate_category(cat).ok
+            assert fincat.validate_fibre_functor(cat, ff).ok
+        with pytest.raises(StructureError) as err:
+            fincat.product_category(*a, *b)
+        assert str(err.value) == message
 
 
 @settings(max_examples=25, deadline=None)
@@ -337,6 +376,44 @@ def unital_magma(n, index):
             index, digit = divmod(index, n)
             compose[(x, y)] = elems[digit]
     return fincat.category(["X"], [(m, "X", "X") for m in elems], compose, {"X": "e"})
+
+
+def all_pairs_composition(cat):
+    """The coverage and typing loop of ``check_composition`` over every pair of morphisms."""
+    found = []
+    mors = cat.morphisms
+    for f in mors.values():
+        for g in mors.values():
+            if f.tgt != g.src:
+                continue
+            gf = cat.compose_table.get((g.id, f.id))
+            if gf is None:
+                found.append(Violation("compose-missing", f"({g.id}, {f.id})"))
+            elif gf not in mors or mors[gf].src != f.src or mors[gf].tgt != g.tgt:
+                found.append(Violation("compose-typing", f"({g.id}, {f.id}) -> {gf}"))
+    return found
+
+
+class TestCheckComposition:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coverage_and_typing_follow_the_all_pairs_order(self, seed):
+        rng = random.Random(seed)
+        cat, _ = corpus.perm_category(3)
+        compose = dict(cat.compose_table)
+        for key in rng.sample(sorted(compose), len(compose) // 3):
+            if rng.random() < 0.5:
+                del compose[key]
+            else:
+                compose[key] = rng.choice(sorted(cat.morphisms) + ["nowhere"])
+        broken = copy_category(cat, compose)
+        stray = rng.choice(sorted(broken.morphisms))
+        broken.morphisms[stray] = fincat.Morphism(stray, "ghost", broken.morphisms[stray].tgt)
+        got = [
+            v for v in fincat.check_composition(broken).violations
+            if v.code in ("compose-missing", "compose-typing")
+        ]
+        assert len(got) > 5
+        assert got == all_pairs_composition(broken)
 
 
 class TestLightAssociativity:

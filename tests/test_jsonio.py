@@ -329,3 +329,60 @@ class TestDiagramDocuments:
         assert [v for v, b in d.components.items() if b.cat is not d.cat] == [second]
         violations = funcspace.validate_diagram(d).violations
         assert ("component-category", second) in [(v.code, v.detail) for v in violations]
+
+
+# sha256 of `product` on every ordered pair of golden bundles over one base
+# and stratification, from before the product kernel formatted each pair id once
+GOLDEN_PRODUCT = {
+    ("bz2_double_cover_c3", "bz2_double_cover_c3"): "89dfbbfe8ca3e50c2fe077d79b63d8a6e7d192e6eecb1e8cfb83496875380f3b",
+    ("bz2_double_cover_c3", "double_cover_c3"): "1a637c18c7b4707f138fd6b95cb1cefd873fef2787969683f6e42ec60aa6bd62",
+    ("bz2_double_cover_c3", "orbit_free_bundle_c3"): "554dfb0189b10c7050c17a0af10915e202e8bf4585d21e36158ccbeb280e8442",
+    ("bz2_double_cover_c3", "product_bundle_c3"): "3abd0f05f71c441c187c6029cb91b3877952325b66c70f0b0ef4c9e69b6bce37",
+    ("bz2_double_cover_c3", "triple_cover_c3"): "03850423546a9795546dbf9661cd5ccabf6cf85736a2761a4457a0f6fa640837",
+    ("bz2_double_cover_c3", "trivial_two_sheets_c3"): "9972cff0dcf87c8129db763de0178767bcc0de95a2c1867c1cf0548ab8dd40bd",
+    ("disk_collapse_two_strata", "disk_collapse_two_strata"): "195808222fd0cc2fac4f113ccd80fdcc890809e1aaad6b2e9fbb4eea328d9eae",
+    ("disk_trivial_two_strata", "disk_trivial_two_strata"): "1ace1ad0afa7ed52312909e56edbd09bbe54e02c1318aa2246b61172603ae40d",
+    ("double_cover_c3", "bz2_double_cover_c3"): "1b0b6282b067413b80043d712ea404bcfd20fd1bca4d7acc7c23bab4f5511088",
+    ("double_cover_c3", "double_cover_c3"): "5505f2935a2e82e525c1ffcc92f50d067420a11c1e4ea851c1f35a466dfd3c71",
+    ("double_cover_c3", "orbit_free_bundle_c3"): "6348425a9e3cf42618a36a5557df70e488ef520073801707ad50278121419dfc",
+    ("double_cover_c3", "product_bundle_c3"): "1a01bad12d3bf24d88428861e9d462ee2d1e9dfa01b637c4a8d292aedc2f10e7",
+    ("double_cover_c3", "triple_cover_c3"): "137b81983233cb89038baa9186b624f5a153384d0ddb36088c4b494ffbc641e4",
+    ("double_cover_c3", "trivial_two_sheets_c3"): "f317792c8bfe01fab0c61130057303673ee59b9f911aaa9847b81572333189b0",
+    ("orbit_free_bundle_c3", "bz2_double_cover_c3"): "d615ff5c531f81782d54ed6fce9cdbb7c65ca11cde08b95f7e848bfd6a8da91a",
+    ("orbit_free_bundle_c3", "double_cover_c3"): "a41a40f26aa27ec582e20252c53c7a322b58831e7121a77d9f3c2dfc7c7a82cd",
+    ("orbit_free_bundle_c3", "orbit_free_bundle_c3"): "8154e48d8c0539682505bfcce966c8b9adc0cdb20dc026616cc721e86b8123bf",
+    ("orbit_free_bundle_c3", "product_bundle_c3"): "ec1192ff1be3d156c6dc5eef859279f02b14b1d826e0aa94ad2075a7f9ac0d49",
+    ("orbit_free_bundle_c3", "triple_cover_c3"): "ad7dc6386711068b5160bc3b9b76d15e9981d7fbee33559d5ad78cd96e13f69e",
+    ("orbit_free_bundle_c3", "trivial_two_sheets_c3"): "af3eadafc5e0c729e9d9de8a2b74160a9b69cfa10477ecbcaa0b8224ba61617f",
+    ("product_bundle_c3", "bz2_double_cover_c3"): "3d2287b8460335e62d088eda586067cbf27a16995fd015df1cbf172331c03038",
+    ("product_bundle_c3", "double_cover_c3"): "46a57b30ca5aa9fd9399f25db421189ef89059cc65b9ab836da533ece8ea7caf",
+    ("product_bundle_c3", "orbit_free_bundle_c3"): "b57b9a3324820dd12fd2926120652a0add120d8f0b65e4e1f2d83401d4bf8ce5",
+    ("product_bundle_c3", "product_bundle_c3"): "e1e429d1a9349b2e6681432bdc2821c5c2f138d8897fe20bc39a0c66f492f742",
+    ("product_bundle_c3", "triple_cover_c3"): "26f941370969d66459e6ffbf9c146510bbf7c14419fec63c8e87faccc5e1d00b",
+    ("product_bundle_c3", "trivial_two_sheets_c3"): "bba1a5663c5445583182e77293819b831df42732dd7a0fffd92711da0b6b8cd7",
+    ("triple_cover_c3", "bz2_double_cover_c3"): "2bc4563b741e0ba334ff2d74c6c7672e5d100fca12f3efd81479c885034184fe",
+    ("triple_cover_c3", "double_cover_c3"): "a55cb40382942485f7e9a1e1a603c9bba4ef4df2838baddd2b7595666c39e482",
+    ("triple_cover_c3", "orbit_free_bundle_c3"): "51a6d505b070c0c7d582504ffb071cb10794a47de52b14fe802cca34793f426f",
+    ("triple_cover_c3", "product_bundle_c3"): "370927a7d996ddf12a3d17a3c0c06d1b9f8164385108456b81ebb3c89a5a318d",
+    ("triple_cover_c3", "triple_cover_c3"): "3d8d5f17b212c17dbb0f0a2af9b0ead3a8b1447598ebb5a0a87e592f44483c89",
+    ("triple_cover_c3", "trivial_two_sheets_c3"): "26dba0b8342af79dad635a17f89238fb2cc4c030083cb244161636caa74827d8",
+    ("trivial_two_sheets_c3", "bz2_double_cover_c3"): "d5447f562a5fa297caac0396bb291f513ef605e9071323c242c20b15554ce3c3",
+    ("trivial_two_sheets_c3", "double_cover_c3"): "60e83b71305c5f92fbbba46356f3c18b8c1a9cdc013777b41dd94ebd6be3e26b",
+    ("trivial_two_sheets_c3", "orbit_free_bundle_c3"): "6a9e85b9f85a209d176da5acc61e9521da69829ac88834ae7b3d9ec4d5798a9c",
+    ("trivial_two_sheets_c3", "product_bundle_c3"): "879bf80a98fa24683eb8a6f5260a21fe925e3ed64c827b762fcc81401b597c89",
+    ("trivial_two_sheets_c3", "triple_cover_c3"): "f6b6aaff0e8400ec1f352671fd246980578f22815a93a4f6772d912a1add928e",
+    ("trivial_two_sheets_c3", "trivial_two_sheets_c3"): "3096797cd3b39b75935922be1cfb3ba441712a47ec5e2e5c8f1fecdd3028b9fe",
+}
+
+
+class TestProductDocuments:
+    def test_every_golden_bundle_is_in_a_pinned_pair(self):
+        assert sorted({a for a, _ in GOLDEN_PRODUCT}) == sorted(GOLDEN_PRINCIPAL_COEND)
+        assert {b for _, b in GOLDEN_PRODUCT} == {a for a, _ in GOLDEN_PRODUCT}
+
+    @pytest.mark.parametrize("pair", sorted(GOLDEN_PRODUCT), ids="*".join)
+    def test_golden_products_are_unchanged(self, tmp_path, pair):
+        out = tmp_path / "product.json"
+        paths = [str(GOLDEN / f"{name}.json") for name in pair]
+        assert cli.main(["product", *paths, "-o", str(out)]) == 0
+        assert _sha256(out) == GOLDEN_PRODUCT[pair]
