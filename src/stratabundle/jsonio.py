@@ -8,29 +8,49 @@ atomic (write to a sibling temp file, then rename).
 The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
 ensure_ascii=False)`` plus a newline, but ``canon_dumps`` does not call it:
 with an indent, ``json`` never uses its C encoder and spends a generator
-step on every token.  The writer here joins each container in one call
-and escapes strings with the C-backed ``json.encoder.encode_basestring``,
-which matters on the multi-megabyte cover, certificate and diagram
-documents.
+step on every token.  The writer here joins each container in one call,
+copying its text once, and escapes strings with the C-backed
+``json.encoder.encode_basestring``, which matters on the multi-megabyte
+cover, certificate and diagram documents.
+
+The largest tables are rows of strings with one shape: ``compose``
+triples ``[g, f, gf]``, morphisms ``{id, src, tgt}``, bundle
+``transitions`` ``{cell, face, mor}``, and the total complex's
+``elements`` ``[cell, point]`` and ``relations`` ``[[face, point], [cell,
+point]]``.  The writers build each such table as the private marker
+``_Rows``, a list with a ``shape``: a row width, a tuple of widths for
+rows of flat rows, or a tuple of keys.  ``canon_dumps`` writes a marked
+table from one ``%``-format of its row per indent, applied to a block of
+rows at a time with the leaves escaped in one pass; no generator step or
+join per row.  When any row does not fit the shape (a leaf that is no
+string, a row that is no list or dict, another length or another key
+set), the whole table goes to the generic encoder, so the bytes never
+change.  Tables that stay with the generic encoder: base ``cells``
+(integer members, faces of varying length), ``monodromy`` and the
+``certify`` stars.
 
 A diagram document holds the same containers at many places: every
 component carries the one structure category, and the ``actions`` block
 repeats each (g, W) table under every cell with fibre object W.
 ``diagram_to_doc`` builds each such container once, as the private marker
-``_SharedList`` or ``_SharedDict``, and puts that one object at every place
-it occurs.  The markers subclass ``list`` and ``dict``, so ``json.dumps``
-and ``==`` still see a plain tree, and ``canon_dumps`` encodes each at most
-once per indent and reuses the text.  Invariant: a marked container is not
-mutated after it is built, or its cached text would go stale; only this
-module builds markers, and the documents it returns are written, not
-edited.  On the read side ``diagram_from_doc`` builds one category for
-every component whose category core equals the first component's.
+``_SharedList`` or ``_SharedDict`` or as a shared ``_Rows``, and puts that
+one object at every place it occurs.  The markers subclass ``list`` and
+``dict``, so ``json.dumps`` and ``==`` still see a plain tree, and
+``canon_dumps`` encodes each shared one at most once per indent and reuses
+the text.  A table written once caches nothing: keeping its text would
+hold a second copy of the document until the write ends.  Invariant: a
+shared container is not mutated after it is built, or its cached text
+would go stale; only this module builds markers, and the documents it
+returns are written, not edited.  On the read side ``diagram_from_doc``
+builds one category for every component whose category core equals the
+first component's.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 from . import cellbase, fincat
@@ -44,6 +64,8 @@ from .validation import DocumentError
 _encode_str = json.encoder.encode_basestring
 _int_repr = int.__repr__
 _float_repr = float.__repr__
+_flatten = chain.from_iterable
+_BLOCK = 1024  # rows per %-format: enough to amortise the call, few enough to hold no large copy
 
 
 class _SharedList(list):
@@ -64,6 +86,24 @@ class _SharedDict(dict):
     def __init__(self, items=()):
         super().__init__(items)
         self.encoded: dict[str, str] = {}
+
+
+class _Rows(list):
+    """A table of string rows of one shape; see the module docstring.
+
+    ``shape`` is a width k for rows ``[s1, ..., sk]``, a tuple of widths
+    for rows of flat rows, such as ``(2, 2)`` for ``[[a, b], [c, d]]``, or
+    a tuple of keys for rows ``{key: s, ...}`` built in sorted key order.
+    Widths and key tuples are not empty.  ``shared`` tables cache their
+    text per indent, as ``_SharedList`` does.
+    """
+
+    __slots__ = ("shape", "encoded")
+
+    def __init__(self, rows, shape, shared=False):
+        super().__init__(rows)
+        self.shape = shape
+        self.encoded: dict[str, str] | None = {} if shared else None
 
 
 def canon_dumps(doc) -> str:
@@ -87,12 +127,12 @@ def _encode(o, nl: str) -> str:
         return _encode_list(o, nl)
     if t is int:
         return _int_repr(o)
-    if t is _SharedList or t is _SharedDict:
-        text = o.encoded.get(nl)
-        if text is None:
-            body = _encode_list if t is _SharedList else _encode_dict
-            text = o.encoded[nl] = body(o, nl)
-        return text
+    if t is _Rows:
+        return _encode_rows(o, nl) if o.encoded is None else _cached(o, nl, _encode_rows)
+    if t is _SharedList:
+        return _cached(o, nl, _encode_list)
+    if t is _SharedDict:
+        return _cached(o, nl, _encode_dict)
     # json's own order of tests, so subclasses encode as json encodes them
     if isinstance(o, str):
         return _encode_str(o)
@@ -113,13 +153,30 @@ def _encode(o, nl: str) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
+def _cached(o, nl: str, body) -> str:
+    text = o.encoded.get(nl)
+    if text is None:
+        text = o.encoded[nl] = body(o, nl)
+    return text
+
+
+def _join(opening: str, parts: list[str], sep: str, closing: str) -> str:
+    """``opening + sep.join(parts) + closing`` for non-empty ``parts``, copying the body once.
+
+    Wrapping a joined body copies it a second time, so a write would hold
+    three copies of its largest container at once; this holds two.
+    """
+    parts[0] = opening + parts[0]
+    parts[-1] += closing
+    return sep.join(parts)
+
+
 def _encode_list(lst, nl: str) -> str:
     if not lst:
         return "[]"
     inner = nl + "  "
     parts = [_encode_str(v) if type(v) is str else _encode(v, inner) for v in lst]
-    # one join, not a chain of +, which would copy the body once per operator
-    return "".join(("[", inner, ("," + inner).join(parts), nl, "]"))
+    return _join("[" + inner, parts, "," + inner, nl + "]")
 
 
 def _encode_dict(dct, nl: str) -> str:
@@ -133,7 +190,63 @@ def _encode_dict(dct, nl: str) -> str:
         + (_encode_str(v) if type(v) is str else _encode(v, inner))
         for k, v in sorted(dct.items())
     ]
-    return "".join(("{", inner, ("," + inner).join(parts), nl, "}"))
+    return _join("{" + inner, parts, "," + inner, nl + "}")
+
+
+def _encode_rows(rows: _Rows, nl: str) -> str:
+    """A marked table from its row template, or from ``_encode_list`` if a row does not fit."""
+    leaves = _row_leaves(rows)
+    if leaves is None:
+        return _encode_list(rows, nl)
+    inner = nl + "  "
+    sep = "," + inner
+    row = _row_template(rows.shape, inner)
+    size = min(len(rows), _BLOCK)
+    block = sep.join([row] * size)
+    try:
+        parts = [
+            (block if len(part) == size else sep.join([row] * len(part)))
+            % tuple(map(_encode_str, leaves(part)))
+            for part in (rows[i : i + size] for i in range(0, len(rows), size))
+        ]
+    except TypeError:  # a leaf that is no string
+        return _encode_list(rows, nl)
+    return _join("[" + inner, parts, sep, nl + "]")
+
+
+def _row_leaves(rows: _Rows):
+    """The function from a slice of ``rows`` to its leaves in template order.
+
+    None when some row does not have the table's shape; the leaves are
+    typed as they are escaped, since ``encode_basestring`` refuses
+    anything but a string.
+    """
+    shape = rows.shape
+    if type(shape) is int:
+        if set(map(type, rows)) == {list} and set(map(len, rows)) == {shape}:
+            return _flatten
+    elif type(shape[0]) is int:
+        n = len(shape)
+        if set(map(type, rows)) == {list} and set(map(len, rows)) == {n}:
+            members = list(_flatten(rows))
+            if set(map(type, members)) == {list} and all(
+                set(map(len, members[j::n])) == {k} for j, k in enumerate(shape)
+            ):
+                return lambda part: _flatten(_flatten(part))
+    elif set(map(type, rows)) == {dict} and set(map(tuple, rows)) == {tuple(sorted(shape))}:
+        return lambda part: _flatten(map(dict.values, part))
+    return None
+
+
+def _row_template(shape, nl: str) -> str:
+    """The ``%``-format of one row of ``shape`` that starts on the line ``nl``."""
+    inner = nl + "  "
+    if type(shape) is int:
+        return _join("[" + inner, ["%s"] * shape, "," + inner, nl + "]")
+    if type(shape[0]) is int:
+        return _join("[" + inner, [_row_template(k, inner) for k in shape], "," + inner, nl + "]")
+    slots = [_encode_str(k).replace("%", "%%") + ": %s" for k in sorted(shape)]
+    return _join("{" + inner, slots, "," + inner, nl + "}")
 
 
 def _key_str(key) -> str:
@@ -225,15 +338,22 @@ def _strings(values, what: str) -> None:
 _CATEGORY_CORE = ("objects", "morphisms", "compose", "identities")
 
 
-def _category_core(cat: FiniteCategory) -> dict:
+def _category_core(cat: FiniteCategory, shared: bool = False) -> dict:
+    """``shared`` marks every member for a diagram, which repeats the core in each component."""
+    compose = _Rows(([g, f, gf] for (g, f), gf in cat.compose_table.items()), 3, shared)
+    compose.sort()
     return {
-        "objects": sorted(cat.objects),
-        "morphisms": [
-            {"id": m.id, "src": m.src, "tgt": m.tgt}
-            for m in sorted(cat.morphisms.values(), key=lambda m: m.id)
-        ],
-        "compose": sorted([g, f, gf] for (g, f), gf in cat.compose_table.items()),
-        "identities": dict(cat.identities),
+        "objects": (_SharedList if shared else list)(sorted(cat.objects)),
+        "morphisms": _Rows(
+            (
+                {"id": m.id, "src": m.src, "tgt": m.tgt}
+                for m in sorted(cat.morphisms.values(), key=lambda m: m.id)
+            ),
+            ("id", "src", "tgt"),
+            shared,
+        ),
+        "compose": compose,
+        "identities": (_SharedDict if shared else dict)(cat.identities),
     }
 
 
@@ -265,11 +385,13 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
             cat = known[1]
         else:
             _strings(doc["objects"], "category object")
+            compose = {(g, f): gf for g, f, gf in doc["compose"]}
+            _strings([*_flatten(compose), *compose.values()], "morphism in compose")
             _strings(_object(doc["identities"], "category identities").values(), "identity")
             cat = fincat.category(
                 doc["objects"],
                 [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]],
-                {(g, f): gf for g, f, gf in doc["compose"]},
+                compose,
                 doc["identities"],
             )
         ff = fincat.fibre_functor(fibres, actions)
@@ -338,10 +460,13 @@ def bundle_to_doc(x: StratBundle, core: dict | None = None) -> dict:
         "base": complex_to_doc(x.base, x.strat),
         "category": category_to_doc(x.cat, x.ff, core),
         "fibres": dict(x.fibre_obj),
-        "transitions": [
-            {"cell": c, "face": f, "mor": m}
-            for (f, c), m in sorted(x.transition.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ],
+        "transitions": _Rows(
+            (
+                {"cell": c, "face": f, "mor": m}
+                for (f, c), m in sorted(x.transition.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            ),
+            ("cell", "face", "mor"),
+        ),
     }
 
 
@@ -363,10 +488,7 @@ def bundle_from_doc(doc: dict, known=None) -> StratBundle:
 def diagram_to_doc(d: DiagramBundle) -> dict:
     """The category core is built once and shared by every component with ``d.cat``,
     and each distinct action table is one shared object under all its cells."""
-    core = {
-        k: (_SharedDict if type(v) is dict else _SharedList)(v)
-        for k, v in _category_core(d.cat).items()
-    }
+    core = _category_core(d.cat, shared=True)
     # principal_diagram puts one table object under every cell with the same
     # (g, W); the tables stay alive in d.actions, so their ids are stable here
     tables: dict[int, _SharedDict] = {}
@@ -467,8 +589,8 @@ def strat_from_doc(doc: dict) -> Stratification:
 
 def total_to_doc(t: TotalComplex) -> dict:
     return {
-        "elements": [list(e) for e in t.elements],
-        "relations": [[list(a), list(b)] for a, b in t.relations],
+        "elements": _Rows(map(list, t.elements), 2),
+        "relations": _Rows([[[f, u], [c, v]] for (f, u), (c, v) in t.relations], (2, 2)),
     }
 
 

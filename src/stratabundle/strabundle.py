@@ -11,6 +11,7 @@ finite bookkeeping on that data.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -356,13 +357,12 @@ def fiberwise_product(x: StratBundle, xprime: StratBundle) -> StratBundle:
     if x.base.cells != xprime.base.cells or x.strat.strata != xprime.strat.strata:
         raise StructureError("bundles must share base and stratification")
     cat, ff = fincat.product_category(x.cat, x.ff, xprime.cat, xprime.ff)
-    fibre_obj = {
-        c: fincat.pair_id(x.fibre_obj[c], xprime.fibre_obj[c]) for c in x.base.cells
-    }
-    transition = {
-        key: fincat.pair_id(x.transition[key], xprime.transition[key])
-        for key in x.transition
-    }
+    # the category's own id strings, which product_category fills A-major, B-minor
+    objects = itertools.product(dict.fromkeys(x.cat.objects), dict.fromkeys(xprime.cat.objects))
+    obj_of = dict(zip(objects, cat.identities))
+    mor_of = dict(zip(itertools.product(x.cat.morphisms, xprime.cat.morphisms), cat.morphisms))
+    fibre_obj = {c: obj_of[x.fibre_obj[c], xprime.fibre_obj[c]] for c in x.base.cells}
+    transition = {key: mor_of[x.transition[key], xprime.transition[key]] for key in x.transition}
     return StratBundle(x.base, x.strat, cat, ff, fibre_obj, transition)
 
 

@@ -658,6 +658,14 @@ NON_STRING_IDS = {
         "action table of 'p2:10' must be an object, not [['set2.0', 'set2.1']]",
     ),
     "category-number": (_set("category", 5), "category document must be an object, not 5"),
+    "composed-morphism": (
+        lambda doc: doc["category"]["compose"][0].__setitem__(0, 5),
+        "morphism in compose must be a string, not 5",
+    ),
+    "composite": (
+        lambda doc: doc["category"]["compose"][0].__setitem__(2, ["x"]),
+        "morphism in compose must be a string, not ['x']",
+    ),
 }
 
 
@@ -857,3 +865,39 @@ def test_no_command_leaves_cyclic_garbage(collector_off, tmp_path, capsys, argv)
     gc.collect()
     assert run([*argv, "-o", str(tmp_path / "out")]) == 0
     assert gc.collect() == 0
+
+
+# every command that reads a bundle, with the arguments after the bundle
+BUNDLE_COMMANDS = [
+    ["validate"],
+    ["attach", "@attachment"],
+    ["pullback", _golden("c6_fold_map")],
+    ["restrict", "--star", "v0"],
+    ["product", _golden("double_cover_c3")],
+    ["fnspace", "-V", "set2"],
+    ["principal"],
+    ["reconstruct"],
+    ["associate", _golden("bz2_trivializer_functor")],
+    ["trivialize"],
+    ["certify"],
+    ["cover"],
+    ["stratify", "@strat"],
+    ["total"],
+]
+
+
+@pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=lambda argv: argv[0])
+def test_a_composite_that_is_no_string_is_a_document_error(tmp_path, argv):
+    # a list composite used to die hashing it in check_composition, with a traceback
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    jsonio.write_doc(tmp_path / "@strat", {"strata": {c["id"]: 0 for c in doc["base"]["cells"]}})
+    jsonio.write_doc(tmp_path / "@attachment", _attachment_doc())
+    doc["category"]["compose"][0][2] = ["x"]
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    command, *options = argv
+    options = [str(tmp_path / o) if o.startswith("@") else o for o in options]
+    proc = run_module(command, str(path), *options)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "document error: morphism in compose must be a string, not ['x']" in proc.stderr.splitlines()

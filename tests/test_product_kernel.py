@@ -10,7 +10,7 @@ import dataclasses
 import itertools
 from pathlib import Path
 
-from stratabundle import fincat, jsonio, oracle
+from stratabundle import fincat, jsonio, oracle, strabundle
 from stratabundle.fincat import FibreFunctor, FiniteCategory, Morphism, pair_id
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,3 +169,17 @@ def test_largest_suite_product_shares_every_id_and_formats_each_once(monkeypatch
     assert len(calls) <= cells
     _assert_ids_shared(cat, ff)
 
+
+
+def test_the_fibrewise_product_takes_its_ids_from_the_category():
+    xa, xb = oracle._gen_pair(ACCEPTANCE.with_seed(49))
+    prod = strabundle.fiberwise_product(xa, xb)
+    objects = {v: v for v in prod.cat.objects}
+    morphisms = {m: m for m in prod.cat.morphisms}
+    assert len(prod.fibre_obj) == 11 and len(prod.transition) == 16
+    assert all(objects[v] is v for v in prod.fibre_obj.values())
+    assert all(morphisms[m] is m for m in prod.transition.values())
+    for c, v in prod.fibre_obj.items():
+        assert v == pair_id(xa.fibre_obj[c], xb.fibre_obj[c])
+    for key, m in prod.transition.items():
+        assert m == pair_id(xa.transition[key], xb.transition[key])

@@ -174,12 +174,13 @@ def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypat
     assert 0 < calls["compose_tables"] <= len(triples)
 
 
-SHARED_MARKERS = {"_SharedList", "_SharedDict"}
+SHARED_MARKERS = {"_SharedList", "_SharedDict", "_Rows"}
 
 
 def test_only_jsonio_builds_shared_containers():
-    # canon_dumps caches the text of a marked container; that is only sound
-    # for the documents jsonio builds and never mutates afterwards
+    # canon_dumps caches the text of a shared container and writes a row
+    # table by the template of its shape; that is only sound for the
+    # documents jsonio builds and never mutates afterwards
     offenders = []
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
