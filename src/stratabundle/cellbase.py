@@ -5,6 +5,14 @@ full face poset is the reflexive-transitive closure of that relation.
 Complexes are simplicial when every d-cell is spanned by d+1 distinct
 vertices and no two cells share a vertex set; attachments may weaken this
 to Delta-style cells, which ``is_simplicial`` then reports as False.
+
+Every traversal of a complex is ``region_walk``: one breadth-first walk of
+the shared incidence index, kept to a face-closed region without copying
+it.  Besides the spanning tree it returns the region's closing
+incidences, the non-tree ones, each recorded once at its face end, so a
+caller tests or transports around exactly one fundamental cycle per
+closing incidence.  ``bfs_tree`` is the walk of a region that must be
+connected.
 """
 from __future__ import annotations
 
@@ -301,35 +309,63 @@ def connected_components(nodes, edges) -> list[set]:
     return uf.groups()
 
 
-def bfs_tree(
+def region_walk(
     b: BaseComplex, region=None
-) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
-    """Breadth-first spanning tree of the cell-incidence graph.
+) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None], list[tuple[str, str]]]:
+    """Breadth-first walk of the cell-incidence graph from the least cell.
 
-    Walks ``b.adjacency``, the complex's one shared incidence index, from
-    the least cell and visits neighbours in sorted order.  Given a
-    face-closed ``region`` (a set of cells of ``b``), the walk keeps to it:
-    filtering each sorted neighbour list to the region gives exactly the
-    tree of ``bfs_tree(subcomplex(b, region))``, without the copy.
-    Returns the cells in discovery order and, for each cell, its tree
-    parent with the connecting incidence as ``(prev, (face, cell))``, or
-    None at the root; raises on a disconnected complex or region.
+    The one traversal of the engine.  It walks ``b.adjacency``, the
+    complex's shared incidence index, and visits neighbours in sorted
+    order.  Given a face-closed ``region`` (a set of cells of ``b``), the
+    walk keeps to it: filtering each sorted neighbour list to the region
+    gives exactly the walk of ``subcomplex(b, region)``, without the copy.
+
+    Returns the cells reached in discovery order; each one's tree parent
+    with the connecting incidence as ``(prev, (face, cell))``, or None at
+    the root; and the closing incidences, the non-tree incidences among
+    the cells reached.  Every incidence ``(f, c)`` is scanned from both
+    ends, so a closing one is recorded at its face end only: while ``f``
+    is scanned, ``(f, c)`` closes a cycle when ``c`` is already discovered
+    and the incidence is not ``f``'s own parent edge.  Otherwise it is a
+    tree edge, so each closing incidence is listed exactly once, and there
+    are ``incidences - cells + 1`` of them over a connected region.  They
+    come in the order of the scan, not sorted.  A disconnected complex or
+    region is walked only as far as the component of its least cell.
     """
     if region is None:
         region = b.cells
     if not region:
-        return [], {}
+        return [], {}, []
     adj = b.adjacency
     root = min(region)
     order = [root]
     parent: dict[str, tuple[str, tuple[str, str]] | None] = {root: None}
+    closing = []
     for cur in order:  # the list grows while it is walked: a FIFO queue
+        up = parent[cur]
+        up = up[1] if up is not None else None
         for edge in adj[cur]:
-            nxt = edge[1] if edge[0] == cur else edge[0]
-            if nxt not in parent and nxt in region:
-                parent[nxt] = (cur, edge)
-                order.append(nxt)
-    if len(order) != len(region):
+            f, c = edge
+            if f == cur:  # scanned from its face end
+                if c in region:
+                    if c not in parent:
+                        parent[c] = (cur, edge)
+                        order.append(c)
+                    elif edge is not up:
+                        closing.append(edge)
+            elif f not in parent and f in region:
+                parent[f] = (cur, edge)
+                order.append(f)
+    return order, parent, closing
+
+
+def bfs_tree(
+    b: BaseComplex, region=None
+) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
+    """Discovery order and tree parents of ``region_walk``; raises on a
+    disconnected complex or region."""
+    order, parent, _ = region_walk(b, region)
+    if len(order) != len(b.cells if region is None else region):
         raise StructureError("incidence graph is disconnected")
     return order, parent
 

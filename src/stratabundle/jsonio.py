@@ -335,6 +335,14 @@ def _strings(values, what: str) -> None:
             _string(value, what)
 
 
+def _list(value, what: str) -> list:
+    """A JSON list; strings are refused like every other non-list, since
+    read where a list of ids is due, a string gives its characters one by one."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 _CATEGORY_CORE = ("objects", "morphisms", "compose", "identities")
 
 
@@ -377,15 +385,19 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
     fibres = _object(doc["fibres"], "category fibres")
     actions = _object(doc["actions"], "category actions")
     try:
-        for elements in fibres.values():
-            _strings(elements, "fibre element")
+        for v, elements in fibres.items():
+            _strings(_list(elements, f"fibre of {v!r}"), "fibre element")
         for m, table in actions.items():
             _strings(_object(table, f"action table of {m!r}").values(), "fibre element")
         if known is not None and all(doc[k] == known[0][k] for k in _CATEGORY_CORE):
             cat = known[1]
         else:
-            _strings(doc["objects"], "category object")
-            compose = {(g, f): gf for g, f, gf in doc["compose"]}
+            _strings(_list(doc["objects"], "category objects"), "category object")
+            rows = _list(doc["compose"], "category compose")
+            if set(map(type, rows)) - {list}:  # one C-level pass; then find the culprit
+                for row in rows:
+                    _list(row, "compose entry")
+            compose = {(g, f): gf for g, f, gf in rows}  # a list of another length raises
             _strings([*_flatten(compose), *compose.values()], "morphism in compose")
             _strings(_object(doc["identities"], "category identities").values(), "identity")
             cat = fincat.category(
@@ -424,7 +436,7 @@ def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
         for entry in doc["cells"]:
             cid = _string(entry["id"], "cell id")
             dim = _integer(entry["dim"], f"dim of cell {cid!r}")
-            faces = set(entry["faces"])
+            faces = set(_list(entry["faces"], f"faces of cell {cid!r}"))
             for f in faces:
                 if type(f) is not str:
                     raise DocumentError(f"face {f!r} of cell {cid!r} must be a string")
@@ -562,6 +574,7 @@ def attachment_from_doc(
     """Attachment document: the piece bundle, its attached cells, base map and fibre morphisms."""
     _need(doc, ["bundle", "attached_cells", "map", "fibre_morphisms"], "attachment")
     m = bundle_from_doc(doc["bundle"])
+    _strings(_list(doc["attached_cells"], "attached cells"), "attached cell")
     a_cells = frozenset(doc["attached_cells"])
     try:
         smap = SimplicialMap.from_vertex_map(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import cellbase, fincat
 from .cellbase import BaseComplex, SimplicialMap, Stratification
@@ -372,12 +373,18 @@ def realize_total(x: StratBundle) -> TotalComplex:
     for c in x.base.sorted_cells():
         for v in x.fibre_set(c):
             elements.append((c, v))
+    # the incidences are sorted by face first, so sorting the block of each
+    # face sorts the whole: blocks of distinct faces come out in face order
     relations = []
-    for f, c in x.base.incidences:
-        table = x.transition_table(f, c)
-        for v in x.fibre_set(c):
-            relations.append(((f, table[v]), (c, v)))
-    return TotalComplex(tuple(elements), tuple(sorted(relations)))
+    for f, block in itertools.groupby(x.base.incidences, key=itemgetter(0)):
+        rows = []
+        for _, c in block:
+            table = x.transition_table(f, c)
+            for v in x.fibre_set(c):
+                rows.append(((f, table[v]), (c, v)))
+        rows.sort()
+        relations += rows
+    return TotalComplex(tuple(elements), tuple(relations))
 
 
 def disjoint_union_bundle(x: StratBundle, y: StratBundle) -> StratBundle:

@@ -1,19 +1,29 @@
 """Trivializations, local triviality certificates and covering realizations.
 
 Over a connected region whose transitions are all invertible in the
-fibre-functor image, charts are propagated from the least cell along a
-spanning tree of the incidence graph and every non-tree incidence is then
-checked; the first failing incidence closes a holonomy loop that is
+fibre-functor image, charts are propagated from the least cell along the
+spanning tree of the incidence graph, in discovery order.  Tree
+incidences are compatible by construction, so only the closing
+incidences that the walk returns (the non-tree ones) are tested; the
+first failing one in sorted order closes a holonomy loop that is
 reported as the obstruction.  Closed stars of a complex are contractible,
 so for groupoid-style bundles the star-by-star sweep always succeeds and
 its output is a complete locally-trivial atlas.
 
-Every region is walked in place: the spanning tree comes from the base's
-shared incidence index (``BaseComplex.adjacency``) restricted to the
-region, and the region's incidences are read off the faces of its cells,
-so no star is copied into a subcomplex.  Image inverses and chart
-compatibility depend only on a few morphism ids, so both are memoised
-across all the stars of a sweep.
+Every region is walked in place by ``cellbase.region_walk``, restricted to
+the region, so no star is copied into a subcomplex and no star's
+incidences are sorted.  ``trivialize_over`` first checks that every
+transition of its region has an image inverse.  The certificate needs no
+such scan: its groupoid check on the faithful image already gives every
+morphism an inverse in the image, so each transition's inverse is looked
+up once, on first use, and shared by all the stars of the sweep, as is
+every chart compatibility.
+
+``covering_space`` counts the components of the total space as the orbits
+of its monodromy permutations on the basepoint fibre when the base is
+connected, the classical correspondence for coverings of a connected
+base.  Over a disconnected base it has no monodromy and falls back to
+union-find over the total space.
 """
 from __future__ import annotations
 
@@ -58,73 +68,81 @@ def trivialize_over(x: StratBundle, region) -> TrivializeResult:
     cells = cellbase.face_closed_set(x.base, region)
     if not cells:
         raise StructureError("region is empty")
-    return _trivialize(x, cells, _Memo(x))
+    memo = _Memo(x)
+    faces, transition, inverses = x.base.cells, x.transition, memo.inverses
+    incidences = [(f, c) for c in cells for f in faces[c].faces]
+    # one test per distinct morphism; a failure names the first incidence in sorted order
+    if any(inverses[mid] is None for mid in {transition[inc] for inc in incidences}):
+        f, c = min(inc for inc in incidences if inverses[transition[inc]] is None)
+        raise PreconditionError(
+            f"transition ({f}, {c}) -> {transition[(f, c)]} is not invertible over the region"
+        )
+    return _trivialize(x, cells, memo)
+
+
+class _Lazy(dict):
+    """A table that computes the value of a missing key on its first lookup and keeps it."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 class _Memo:
     """Image inverses by morphism id, chart compatibility by (chart_f, transition, chart_c)."""
 
     def __init__(self, x: StratBundle):
-        self.x = x
-        self.inverses: dict[str, str | None] = {}
-        self.compatible: dict[tuple[str, str, str], bool] = {}
-
-    def inverse(self, mid: str) -> str | None:
-        if mid not in self.inverses:
-            self.inverses[mid] = fincat.image_inverse(self.x.cat, self.x.ff, mid)
-        return self.inverses[mid]
-
-    def compatible_at(self, chart_f: str, mid: str, chart_c: str) -> bool:
-        """Whether ``chart_f`` after the transition ``mid`` acts as ``chart_c``."""
-        key = (chart_f, mid, chart_c)
-        if key not in self.compatible:
-            on = self.x.ff.on_morphisms
-            self.compatible[key] = fincat.compose_tables(on[chart_f], on[mid]) == on[chart_c]
-        return self.compatible[key]
+        cat, ff, on = x.cat, x.ff, x.ff.on_morphisms
+        self.inverses = _Lazy(lambda mid: fincat.image_inverse(cat, ff, mid))
+        # whether chart_f after the transition acts as chart_c
+        self.compatible = _Lazy(
+            lambda key: fincat.compose_tables(on[key[0]], on[key[1]]) == on[key[2]]
+        )
 
 
 def _trivialize(x: StratBundle, region, memo: _Memo) -> TrivializeResult:
-    """``trivialize_over`` on a known, face-closed, non-empty ``region`` of ``x.base``."""
-    cells = sorted(region)
-    faces = x.base.cells
-    incidences = sorted((f, c) for c in cells for f in faces[c].faces)
-    mids = [x.transition[inc] for inc in incidences]
-    # one test per distinct morphism; a failure names the first incidence in sorted order
-    if any(memo.inverse(mid) is None for mid in set(mids)):
-        (f, c), mid = next(p for p in zip(incidences, mids) if memo.inverse(p[1]) is None)
-        raise PreconditionError(
-            f"transition ({f}, {c}) -> {mid} is not invertible over the region"
-        )
-    order, parent = cellbase.bfs_tree(x.base, region)
-
+    """``trivialize_over`` on a known, face-closed, non-empty ``region`` of ``x.base``
+    whose transitions all have image inverses."""
+    order, parent, closing = cellbase.region_walk(x.base, region)
+    if len(order) != len(region):
+        raise StructureError("incidence graph is disconnected")
     root = order[0]
     obj = x.fibre_obj[root]
     charts = {root: x.cat.identities[obj]}
+    compose, transition, inverses = x.cat.compose, x.transition, memo.inverses
     for nxt in order[1:]:
-        cur, (f, c) = parent[nxt]
-        mid = x.transition[(f, c)]
-        if nxt == f:  # stepping down: invert the transition afterwards
-            charts[nxt] = x.cat.compose(charts[cur], memo.inverses[mid])
-        else:  # stepping up along (f, c) with cur == f
-            charts[nxt] = x.cat.compose(charts[cur], mid)
+        cur, edge = parent[nxt]
+        mid = transition[edge]
+        if nxt == edge[0]:  # stepping down to the face: invert the transition afterwards
+            charts[nxt] = compose(charts[cur], inverses[mid])
+        else:  # stepping up from the face ``cur``
+            charts[nxt] = compose(charts[cur], mid)
 
-    tree = {parent[n][1] for n in order[1:]}
-    for (f, c), mid in zip(incidences, mids):
-        if (f, c) in tree:
-            continue
-        if not memo.compatible_at(charts[f], mid, charts[c]):
-            holonomy = x.cat.compose(x.cat.compose(charts[f], mid), memo.inverse(charts[c]))
-            loop = _loop_through(parent, f, c)
-            return TrivializeResult(
-                None,
-                Obstruction(
-                    loop,
-                    holonomy,
-                    f"incidence ({f}, {c}) closes a loop with non-identity holonomy {holonomy}",
-                ),
-            )
+    # tree incidences are compatible by construction, so only the closing
+    # ones are tested; a failure names the first in sorted order
+    compatible = memo.compatible
+    bad = [
+        inc for inc in closing if not compatible[charts[inc[0]], transition[inc], charts[inc[1]]]
+    ]
+    if bad:
+        f, c = min(bad)
+        holonomy = compose(compose(charts[f], transition[(f, c)]), inverses[charts[c]])
+        return TrivializeResult(
+            None,
+            Obstruction(
+                _loop_through(parent, f, c),
+                holonomy,
+                f"incidence ({f}, {c}) closes a loop with non-identity holonomy {holonomy}",
+            ),
+        )
     # chart compatibility now holds on every incidence, tree or not
-    return TrivializeResult(Trivialization(tuple(cells), obj, charts), None)
+    return TrivializeResult(Trivialization(tuple(sorted(region)), obj, charts), None)
 
 
 def _loop_through(parent, f: str, c: str) -> tuple[str, ...]:
@@ -154,8 +172,11 @@ def _loop_through(parent, f: str, c: str) -> tuple[str, ...]:
 
 def validate_trivialization(x: StratBundle, t: Trivialization) -> ValidationReport:
     rep = ValidationReport("trivialization")
-    sub = cellbase.subcomplex(x.base, t.region)
-    for c in sub.sorted_cells():
+    # the region's own cells and faces, read in place: this check shares
+    # no walk with the sweep that made the charts
+    cells = sorted(cellbase.face_closed_set(x.base, t.region))
+    faces = x.base.cells
+    for c in cells:
         mid = t.charts.get(c)
         if mid is None:
             rep.add("chart-missing", c)
@@ -167,7 +188,7 @@ def validate_trivialization(x: StratBundle, t: Trivialization) -> ValidationRepo
             rep.add("chart-iso", c)
     if not rep.ok:
         return rep
-    for f, c in sub.incidences:
+    for f, c in sorted((f, c) for c in cells for f in faces[c].faces):
         lhs = fincat.compose_tables(x.ff.on_morphisms[t.charts[f]], x.transition_table(f, c))
         if lhs != x.ff.on_morphisms[t.charts[c]]:
             rep.add("chart-compatibility", f"incidence ({f}, {c})")
@@ -192,7 +213,9 @@ def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
     """Trivialize over the closed star of every cell.
 
     Requires the faithful image of the structure category to be a
-    groupoid; the witness morphism is reported otherwise.  Failure over
+    groupoid; the witness morphism is reported otherwise.  That check
+    also gives every transition an image inverse, so the stars skip the
+    invertibility scan of ``trivialize_over``.  Failure over
     some star would contradict coherence and is raised as an internal
     error rather than returned.
     """
@@ -202,11 +225,11 @@ def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
         raise PreconditionError(
             f"structure category is not a groupoid in its faithful image; witness {witness}"
         )
+    memo = _Memo(x)  # each inverse is found on its first use and shared by all the stars
     stars = {}
-    memo = _Memo(x)
     for c in x.base.sorted_cells():
         # a closed star is a union of face closures, so it needs none of
-        # the region checks of ``trivialize_over``
+        # the region checks of ``trivialize_over`` either
         res = _trivialize(x, cellbase.star_cells(x.base, c), memo)
         if not res.ok:
             raise StructureError(
@@ -272,8 +295,11 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
 
     Requires every transition to act bijectively on fibres.  The
     certificate records component and sheet counts, the even-covering
-    flag, and the monodromy permutation of the basepoint
-    fibre around each fundamental cycle of the incidence graph.
+    flag, and, over a connected base, the monodromy permutation of the
+    basepoint fibre around the fundamental cycle of each closing
+    incidence, in sorted order.  The total space then has one component
+    per orbit of those permutations; over a disconnected base its
+    components are found by union-find instead.
     """
     bijective: dict[tuple[str, str], bool] = {}  # by (morphism, face object)
     for f, c in x.base.incidences:
@@ -286,47 +312,55 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
     total = strabundle.realize_total(x)
 
     base_nodes = x.base.sorted_cells()
-    base_comps = cellbase.connected_components(base_nodes, list(x.base.incidences))
-    sheets = {}
-    for comp in base_comps:
-        sizes = {len(x.fibre_set(c)) for c in comp}
-        if len(sizes) != 1:
-            raise StructureError(f"sheet count is not constant on component of {min(comp)}")
-        sheets[min(comp)] = sizes.pop()
-
-    total_comps = cellbase.connected_components(list(total.elements), list(total.relations))
-
     basepoint = base_nodes[0]
-    monodromy = []
-    if len(base_comps) == 1:
-        order, parent = cellbase.bfs_tree(x.base)
-        # transport[cell]: the fibre bijection carrying the basepoint fibre
-        # out to ``cell`` along the tree path
-        transport = {basepoint: fincat.identity_table(x.fibre_set(basepoint))}
-        inverse_steps: dict[str, dict[str, str]] = {}  # by transition morphism
-        for nxt in order[1:]:
-            cur, (f, c) = parent[nxt]
-            mid = x.transition[(f, c)]
-            if nxt == f:  # moving down applies the transition
-                step = x.ff.on_morphisms[mid]
-            else:  # moving up applies the inverse bijection
-                if mid not in inverse_steps:
-                    inverse_steps[mid] = {w: v for v, w in x.ff.on_morphisms[mid].items()}
-                step = inverse_steps[mid]
-            transport[nxt] = fincat.compose_tables(step, transport[cur])
+    order, parent, closing = cellbase.region_walk(x.base)
+    if len(order) != len(base_nodes):
+        # a disconnected base: components by union-find, and no monodromy
+        base_comps = cellbase.connected_components(base_nodes, list(x.base.incidences))
+        sheets = {min(comp): _sheet_count(x, comp) for comp in base_comps}
+        components = len(
+            cellbase.connected_components(list(total.elements), list(total.relations))
+        )
+        return CoveringCertificate(total, components, sheets, True, basepoint, [])
 
-        tree = {parent[n][1] for n in order[1:]}
-        for f, c in x.base.incidences:
-            if (f, c) in tree:
-                continue
-            back = {w: v for v, w in transport[f].items()}
-            around = fincat.compose_tables(x.transition_table(f, c), transport[c])
-            perm = fincat.compose_tables(back, around)
-            monodromy.append(MonodromyEntry((f, c), perm, permutation_cycle_type(perm)))
-    # every transition is a bijection onto its face fibre, so the cover is even
-    return CoveringCertificate(
-        total, len(total_comps), sheets, True, basepoint, monodromy
+    sheets = {basepoint: _sheet_count(x, base_nodes)}
+    # transport[cell]: the fibre bijection carrying the basepoint fibre
+    # out to ``cell`` along the tree path
+    transport = {basepoint: fincat.identity_table(x.fibre_set(basepoint))}
+    inverse_steps: dict[str, dict[str, str]] = {}  # by transition morphism
+    for nxt in order[1:]:
+        cur, (f, c) = parent[nxt]
+        mid = x.transition[(f, c)]
+        if nxt == f:  # moving down applies the transition
+            step = x.ff.on_morphisms[mid]
+        else:  # moving up applies the inverse bijection
+            if mid not in inverse_steps:
+                inverse_steps[mid] = {w: v for v, w in x.ff.on_morphisms[mid].items()}
+            step = inverse_steps[mid]
+        transport[nxt] = fincat.compose_tables(step, transport[cur])
+
+    monodromy = []
+    for f, c in sorted(closing):
+        back = {w: v for v, w in transport[f].items()}
+        around = fincat.compose_tables(x.transition_table(f, c), transport[c])
+        perm = fincat.compose_tables(back, around)
+        monodromy.append(MonodromyEntry((f, c), perm, permutation_cycle_type(perm)))
+    # over a connected base the components of the total space are the
+    # orbits of the monodromy group on the basepoint fibre
+    orbits = cellbase.connected_components(
+        transport[basepoint], [pair for e in monodromy for pair in e.permutation.items()]
     )
+    components = len(orbits)
+    # every transition is a bijection onto its face fibre, so the cover is even
+    return CoveringCertificate(total, components, sheets, True, basepoint, monodromy)
+
+
+def _sheet_count(x: StratBundle, component) -> int:
+    """The fibre size over a connected ``component`` of the base, which must be constant."""
+    sizes = {len(x.fibre_set(c)) for c in component}
+    if len(sizes) != 1:
+        raise StructureError(f"sheet count is not constant on component of {min(component)}")
+    return sizes.pop()
 
 
 @dataclass

@@ -666,6 +666,11 @@ NON_STRING_IDS = {
         lambda doc: doc["category"]["compose"][0].__setitem__(2, ["x"]),
         "morphism in compose must be a string, not ['x']",
     ),
+    "compose-pair": (
+        lambda doc: doc["category"]["compose"].__setitem__(0, ["p1:0", "p1:0"]),
+        "malformed category document: "
+        "ValueError('not enough values to unpack (expected 3, got 2)')",
+    ),
 }
 
 
@@ -901,3 +906,55 @@ def test_a_composite_that_is_no_string_is_a_document_error(tmp_path, argv):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "document error: morphism in compose must be a string, not ['x']" in proc.stderr.splitlines()
+
+
+def _faces_as_one_string(doc):
+    cell = next(c for c in doc["base"]["cells"] if c["id"] == "v0.v1")
+    cell["faces"] = "v0v1"
+
+
+# each string put where double_cover_c3 has a list of ids, and its document
+# error; read as a list, the string used to give its characters one by one
+STRING_FOR_A_LIST = {
+    "compose-entry": (
+        lambda doc: doc["category"]["compose"].__setitem__(0, "p2:"),
+        "compose entry must be a list, not 'p2:'",
+    ),
+    "faces": (_faces_as_one_string, "faces of cell 'v0.v1' must be a list, not 'v0v1'"),
+    "category-fibre": (
+        _set("category", "fibres", "set2", "ab"), "fibre of 'set2' must be a list, not 'ab'"
+    ),
+    "category-objects": (
+        _set("category", "objects", "set2"), "category objects must be a list, not 'set2'"
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", STRING_FOR_A_LIST)
+@pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=lambda argv: argv[0])
+def test_a_string_where_a_list_is_due_is_a_document_error(tmp_path, capsys, argv, damage):
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    jsonio.write_doc(tmp_path / "@strat", {"strata": {c["id"]: 0 for c in doc["base"]["cells"]}})
+    jsonio.write_doc(tmp_path / "@attachment", _attachment_doc())
+    mutate, message = STRING_FOR_A_LIST[damage]
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    command, *options = argv
+    options = [str(tmp_path / o) if o.startswith("@") else o for o in options]
+    # in process, so an uncaught error fails the test as a traceback would
+    assert run([command, str(path), *options]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("cells, message", [
+    ("u0u1", "attached cells must be a list, not 'u0u1'"),
+    ([["u0"]], "attached cell must be a string, not ['u0']"),
+], ids=["string", "list-member"])
+def test_attached_cells_that_are_no_list_of_ids_are_a_document_error(tmp_path, capsys, cells, message):
+    doc = _attachment_doc()
+    doc["attached_cells"] = cells
+    path = tmp_path / "attachment.json"
+    jsonio.write_doc(path, doc)
+    assert run(["attach", _golden("trivial_two_sheets_c3"), str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()

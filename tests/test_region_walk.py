@@ -50,6 +50,27 @@ def _reference_bfs_tree(b):
     return order, parent
 
 
+def _reference_closing(b, region):
+    """The region's incidences that are not edges of its ``_reference_bfs_tree``, sorted."""
+    sub = cellbase.subcomplex(b, region)
+    _, parent = _reference_bfs_tree(sub)
+    tree = {p[1] for p in parent.values() if p is not None}
+    return sorted(set(sub.incidences) - tree)
+
+
+def _reference_realize_total(x):
+    elements = []
+    for c in x.base.sorted_cells():
+        for v in x.fibre_set(c):
+            elements.append((c, v))
+    relations = []
+    for f, c in x.base.incidences:
+        table = x.transition_table(f, c)
+        for v in x.fibre_set(c):
+            relations.append(((f, table[v]), (c, v)))
+    return strabundle.TotalComplex(tuple(elements), tuple(sorted(relations)))
+
+
 def _reference_inverse(x, mid, memo):
     if mid not in memo:
         memo[mid] = fincat.image_inverse(x.cat, x.ff, mid)
@@ -123,7 +144,7 @@ def _reference_covering_space(x):
     for (f, c), mid in sorted(x.transition.items()):
         if not fincat.is_bijective_table(x.ff.on_morphisms[mid], x.fibre_set(f)):
             raise PreconditionError(f"transition ({f}, {c}) -> {mid} is not a bijection")
-    total = strabundle.realize_total(x)
+    total = _reference_realize_total(x)
     base_nodes = x.base.sorted_cells()
     base_comps = cellbase.connected_components(base_nodes, list(x.base.incidences))
     sheets = {}
@@ -270,6 +291,87 @@ class TestBfsTreeOverARegion:
         # the certificate walks stars without the region checks of trivialize_over
         b = _base(case)
         assert all(cellbase.is_face_closed(b, cellbase.star_cells(b, c)) for c in b.cells)
+
+
+def _assert_closing_incidences(b, region):
+    order, parent, closing = cellbase.region_walk(b, region)
+    incidences = [(f, c) for c in region for f in b.cells[c].faces]
+    # each listed once, and as many as the region has independent cycles
+    assert len(closing) == len(set(closing)) == len(incidences) - len(region) + 1
+    assert sorted(closing) == _reference_closing(b, region)
+    assert (order, parent) == cellbase.bfs_tree(b, region)
+
+
+class TestClosingIncidences:
+    @settings(max_examples=200, deadline=None)
+    @given(regions())
+    def test_are_the_non_tree_incidences_of_a_region(self, case):
+        b, region = case
+        # a union of stars and closures may be disconnected, and its walk stops
+        # at the component of the least cell
+        walk = cellbase.region_walk(b, region)
+        assert cellbase.region_walk(b, set(walk[0])) == walk
+        _assert_closing_incidences(b, set(walk[0]))
+
+    @pytest.mark.parametrize("case", [*GOLDEN_BASES, 15])
+    def test_every_star(self, case):
+        b = _base(case)
+        for c in b.sorted_cells():
+            _assert_closing_incidences(b, cellbase.star_cells(b, c))
+
+    @pytest.mark.parametrize("case", [*GOLDEN_BASES, 15])
+    def test_whole_complex(self, case):
+        b = _base(case)
+        _assert_closing_incidences(b, set(b.cells))
+
+    def test_a_disconnected_walk_keeps_to_the_least_component(self):
+        b = cellbase.disjoint_union(cellbase.cycle_complex(3, "a"), cellbase.cycle_complex(4, "b"))
+        order, parent, closing = cellbase.region_walk(b)
+        assert sorted(order) == sorted(c for c in b.cells if c.startswith("a"))
+        assert closing == [("a2", "a1.a2")]
+        with pytest.raises(StructureError, match="incidence graph is disconnected"):
+            cellbase.bfs_tree(b)
+
+
+def _with_a_second_copy(x):
+    """``x`` beside a relabelled copy of itself: a bundle over a disconnected base."""
+    return strabundle.disjoint_union_bundle(x, strabundle.relabel_bundle(x, lambda c: f"z{c}"))
+
+
+def _covering_instances():
+    for seed in ORACLE_SEEDS:
+        spec = oracle.InstanceSpec(seed=seed, groupoid_only=seed % 2 == 0)
+        yield oracle._gen_instance(spec)[3].bundle
+    for name in GOLDEN_BUNDLES:
+        yield _golden_bundle(name)
+        yield _with_a_second_copy(_golden_bundle(name))
+
+
+class TestCoveringAgainstUnionFind:
+    def test_components_are_the_components_of_the_total_space(self):
+        seen = set()
+        for x in _covering_instances():
+            try:
+                cert = triviality.covering_space(x)
+            except PreconditionError:
+                continue
+            total = _reference_realize_total(x)
+            groups = cellbase.connected_components(list(total.elements), list(total.relations))
+            assert cert.components == len(groups)
+            base = cellbase.connected_components(x.base.sorted_cells(), list(x.base.incidences))
+            seen.add((len(base) > 1, cert.components > 1))
+        # orbit counts over connected bases and union-find over disconnected
+        # ones were both compared, with one and with several components
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_realize_total_equals_the_global_sort(self):
+        for x in _covering_instances():
+            assert strabundle.realize_total(x) == _reference_realize_total(x)
+
+    @pytest.mark.parametrize("n", [9, 15])
+    def test_torus_cover_realize_total(self, n):
+        x = build_torus_cover(n)
+        assert strabundle.realize_total(x) == _reference_realize_total(x)
 
 
 class TestDocumentsMatchTheReference:

@@ -174,6 +174,51 @@ def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypat
     assert 0 < calls["compose_tables"] <= len(triples)
 
 
+def test_certificate_finds_each_inverse_once_and_sorts_no_incidences(monkeypatch, torus_cover):
+    # the groupoid check already guarantees every image inverse; a per-star
+    # invertibility scan or incidence sort would only show as a slower certify op
+    x = torus_cover(15)
+    x.base.adjacency  # the complex's own index, sorted once per complex
+    asked, sorted_pairs = [], []
+    image_inverse = fincat.image_inverse
+
+    def counting_inverse(cat, ff, mid):
+        asked.append(mid)
+        return image_inverse(cat, ff, mid)
+
+    def counting_sorted(items, **kwargs):
+        out = sorted(items, **kwargs)
+        if out and isinstance(out[0], tuple):
+            sorted_pairs.append(out)
+        return out
+
+    monkeypatch.setattr(fincat, "image_inverse", counting_inverse)
+    for module in (triviality, cellbase):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    cert = triviality.local_triviality_certificate(x)
+    assert len(cert.stars) == len(x.base.cells)
+    assert 0 < len(asked) == len(set(asked))
+    assert set(asked) <= set(x.transition.values())
+    assert sorted_pairs == []
+
+
+def test_cover_builds_no_union_find_beyond_the_basepoint_fibre(monkeypatch, torus_cover):
+    # over a connected base the components are monodromy orbits; a union-find
+    # over the total space or the base would only show as a slower cover op
+    x = torus_cover(15)
+    sizes = []
+
+    class Counting(cellbase.UnionFind):
+        def __init__(self, nodes):
+            super().__init__(nodes)
+            sizes.append(len(self.parent))
+
+    monkeypatch.setattr(cellbase, "UnionFind", Counting)
+    cert = triviality.covering_space(x)
+    assert cert.components == 1 and len(cert.monodromy) > 0
+    assert 0 < max(sizes) <= len(x.fibre_set(cert.basepoint))
+
+
 SHARED_MARKERS = {"_SharedList", "_SharedDict", "_Rows"}
 
 
