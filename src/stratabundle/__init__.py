@@ -27,7 +27,6 @@ from .fincat import (
     is_groupoid,
     product_category,
     validate_category,
-    validate_fibre_functor,
 )
 from .funcspace import (
     DiagramBundle,

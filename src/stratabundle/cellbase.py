@@ -11,8 +11,8 @@ the shared incidence index, kept to a face-closed region without copying
 it.  Besides the spanning tree it returns the region's closing
 incidences, the non-tree ones, each recorded once at its face end, so a
 caller tests or transports around exactly one fundamental cycle per
-closing incidence.  ``bfs_tree`` is the walk of a region that must be
-connected.
+closing incidence.  ``poset_spanning_tree`` lists the tree edges of the
+whole complex, which must be connected.
 """
 from __future__ import annotations
 
@@ -359,20 +359,14 @@ def region_walk(
     return order, parent, closing
 
 
-def bfs_tree(
-    b: BaseComplex, region=None
-) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None]]:
-    """Discovery order and tree parents of ``region_walk``; raises on a
-    disconnected complex or region."""
-    order, parent, _ = region_walk(b, region)
-    if len(order) != len(b.cells if region is None else region):
-        raise StructureError("incidence graph is disconnected")
-    return order, parent
-
-
 def poset_spanning_tree(b: BaseComplex) -> list[tuple[str, str]]:
-    """Tree edges of ``bfs_tree`` as (face, cell) pairs in discovery order."""
-    order, parent = bfs_tree(b)
+    """Tree edges of ``region_walk`` as (face, cell) pairs in discovery order.
+
+    Raises on a disconnected complex, whose walk misses cells.
+    """
+    order, parent, _ = region_walk(b)
+    if len(order) != len(b.cells):
+        raise StructureError("incidence graph is disconnected")
     return [parent[c][1] for c in order[1:]]
 
 

@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 validation failure, 2 precondition refused,
 3 unreadable or malformed document.  Every command writes its output
 atomically and prints a one-line summary to stderr; reports and documents
 go to the path given with ``-o`` or to stdout.
+
+Every bundle passes one gate, the stage list ``strabundle.bundle_stages``:
+``_load_bundle`` raises its first failing stage, and ``validate`` and
+``reconstruct`` merge every stage into the report they write.  No command
+calls a validator of its own beside it.
 """
 from __future__ import annotations
 
@@ -31,46 +36,29 @@ def _say(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _require_references(x: strabundle.StratBundle) -> strabundle.StratBundle:
-    """Raise the first failing stage of the bundle gate.
-
-    The stages are category references, composition, fibre tables and
-    bundle references. A command may then read every identity, composite,
-    fibre, action table and transition; associativity, the functor laws
-    and the bundle laws are ``_require_valid_bundle``'s.
-    """
-    fincat.check_category_references(x.cat).raise_if_invalid()
-    fincat.check_composition(x.cat).raise_if_invalid()
-    fincat.check_fibre_tables(x.cat, x.ff).raise_if_invalid()
-    strabundle.check_bundle_references(x).raise_if_invalid()
+def _valid_bundle(x: strabundle.StratBundle) -> strabundle.StratBundle:
+    """Raise the first failing stage of ``strabundle.bundle_stages``; the one bundle gate."""
+    for rep in strabundle.bundle_stages(x):
+        rep.raise_if_invalid()
     return x
 
 
 def _load_bundle(path: str) -> strabundle.StratBundle:
-    return _require_references(jsonio.bundle_from_doc(jsonio.read_doc(path)))
-
-
-def _require_valid_bundle(x: strabundle.StratBundle):
-    """Category and fibre functor first; the bundle checks assume both are valid."""
-    structure = fincat.validate_category(x.cat)
-    structure.merge(fincat.validate_fibre_functor(x.cat, x.ff))
-    if not structure.ok:
-        return ValidationReport("bundle", structure.violations)
-    return strabundle.validate_bundle(x)
+    return _valid_bundle(jsonio.bundle_from_doc(jsonio.read_doc(path)))
 
 
 def cmd_validate(args) -> int:
     doc = jsonio.read_doc(args.document)
     kind = args.kind or jsonio.detect_kind(doc)
     if kind == "category":
-        cat, ff = jsonio.category_from_doc(doc)
-        rep = fincat.validate_category(cat)
-        rep.merge(fincat.validate_fibre_functor(cat, ff))
+        stages = fincat.functor_stages(*jsonio.category_from_doc(doc))
+        rep = ValidationReport.merged("category", stages)
     elif kind == "complex":
         b, s = jsonio.complex_from_doc(doc)
         rep = cellbase.validate_complex(b, s)
     elif kind == "bundle":
-        rep = _require_valid_bundle(jsonio.bundle_from_doc(doc))
+        stages = strabundle.bundle_stages(jsonio.bundle_from_doc(doc))
+        rep = ValidationReport.merged("bundle", stages)
     elif kind == "diagram":
         rep = funcspace.validate_diagram(jsonio.diagram_from_doc(doc))
     else:
@@ -85,7 +73,7 @@ def cmd_attach(args) -> int:
     m, a_cells, base_map, fibre_morphisms = jsonio.attachment_from_doc(
         jsonio.read_doc(args.attachment), y
     )
-    _require_references(m)
+    _valid_bundle(m)
     res = strabundle.attach_bundle(y, m, a_cells, base_map, fibre_morphisms)
     _emit(jsonio.bundle_to_doc(res.bundle), args.out)
     _say(f"attached {len(res.new_cells)} new cell(s)")
@@ -173,7 +161,7 @@ def cmd_coend(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     x = jsonio.bundle_from_doc(jsonio.read_doc(args.bundle))
-    rep = _require_valid_bundle(x)
+    rep = ValidationReport.merged("bundle", strabundle.bundle_stages(x))
     if not rep.ok:
         _emit(rep.to_doc(), args.out)
         _say(str(rep))

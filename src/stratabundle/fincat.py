@@ -11,10 +11,34 @@ derived construction (quotients, products, hom functors) is
 deterministic.  Morphism equality is equality of identifiers; equality
 *in the image* of a fibre functor (same endpoints, same function table)
 is the coarser relation used throughout the bundle machinery.
+
+A category with a fibre functor is validated in stages, in the order of
+``functor_stages``: references, composition, associativity, fibre tables
+and the functor laws.  Each stage reads only what the earlier ones
+guarantee, and the last two use one generating set.  Light's
+associativity test (Clifford & Preston, *The Algebraic Theory of
+Semigroups* I, 1961, section 1.2) finds generators s, greedily, and
+checks h.(s.f) = (h.s).f only for them.  The same argument proves a
+fibre functor F lawful from its generators.  Let
+
+    L = {t : F(h.t) = F(h)F(t) for every h composable after t}.
+
+Once F(id) = id is checked, L holds every identity.  Over an associative
+category L is closed under composition: for t1, t2 in L,
+
+    F(h.(t1.t2)) = F((h.t1).t2) = F(h.t1)F(t2) = F(h)F(t1)F(t2)
+                 = F(h)F(t1.t2),
+
+the last step being t2 in L with h = t1.  So L is every morphism once it
+holds the generators, and checking F(h.s) = F(h)F(s) for the generators s
+costs O(generators x morphisms x fibre) instead of
+O(composable pairs x fibre).  Only a failure of that check, or of an
+earlier stage, pays for the exhaustive loop, which names every pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .validation import StructureError, ValidationReport
 
@@ -107,19 +131,35 @@ def concrete_category(fibres, morphisms, actions) -> tuple[FiniteCategory, Fibre
     return category(fibres, morphisms, compose, identities), fibre_functor(fibres, actions)
 
 
-def validate_category(cat: FiniteCategory) -> ValidationReport:
-    """Check the category axioms, naming every violation.
+@dataclass
+class CategoryReport(ValidationReport):
+    """``validate_category``'s report, with its stage reports kept apart.
 
-    The axioms other than associativity cost O(composable pairs).  When
+    ``generators`` is the generating set Light's test used when every stage
+    passed, and None otherwise; ``functor_stages`` hands it on to the
+    functor-law stage.
+    """
+
+    stages: tuple[ValidationReport, ...] = ()
+    generators: list[str] | None = None
+
+
+def validate_category(cat: FiniteCategory) -> CategoryReport:
+    """Check the category axioms in three stages, naming every violation.
+
+    References, then composition, each cost O(composable pairs).  When
     they hold, Light's test decides associativity; only an input that
     fails either pays for the exhaustive triple loop, which names every
     triple that does not associate.
     """
-    rep = check_category_references(cat)
-    rep.merge(check_composition(cat))
-    if not (rep.ok and _light_associative(cat)):
-        _check_associativity(cat, rep)
-    return rep
+    stages = (check_category_references(cat), check_composition(cat))
+    generators = _light_generators(cat) if stages[0].ok and stages[1].ok else None
+    associativity = ValidationReport("category")
+    if generators is None:
+        _check_associativity(cat, associativity)
+    stages += (associativity,)
+    violations = ValidationReport.merged("category", stages).violations
+    return CategoryReport("category", violations, stages, generators)
 
 
 def check_category_references(cat: FiniteCategory) -> ValidationReport:
@@ -154,16 +194,21 @@ def check_composition(cat: FiniteCategory) -> ValidationReport:
     out_of: dict[str, list[Morphism]] = {}
     for g in mors.values():
         out_of.setdefault(g.src, []).append(g)
+    recorded = 0
     for f in mors.values():
         for g in out_of.get(f.tgt, ()):
             gf = cat.compose_table.get((g.id, f.id))
             if gf is None:
                 rep.add("compose-missing", f"({g.id}, {f.id})")
-            elif gf not in mors or mors[gf].src != f.src or mors[gf].tgt != g.tgt:
+                continue
+            recorded += 1
+            if gf not in mors or mors[gf].src != f.src or mors[gf].tgt != g.tgt:
                 rep.add("compose-typing", f"({g.id}, {f.id}) -> {gf}")
-    for (g, f), gf in cat.compose_table.items():
-        if g not in mors or f not in mors or mors[f].tgt != mors[g].src:
-            rep.add("compose-spurious", f"({g}, {f}) -> {gf}")
+    # keys are distinct, so when every one was met above none is spurious
+    if recorded != len(cat.compose_table):
+        for (g, f), gf in cat.compose_table.items():
+            if g not in mors or f not in mors or mors[f].tgt != mors[g].src:
+                rep.add("compose-spurious", f"({g}, {f}) -> {gf}")
 
     for m in mors.values():
         left = cat.identities.get(m.tgt)
@@ -175,14 +220,15 @@ def check_composition(cat: FiniteCategory) -> ValidationReport:
     return rep
 
 
-def _light_associative(cat: FiniteCategory) -> bool:
+def _light_generators(cat: FiniteCategory) -> list[str] | None:
     """Light's associativity test on a table that passes the checks before it.
 
     The morphisms t with h.(t.f) = (h.t).f for all composable h, f
     include the identities and are closed under composition, so they are
     every morphism once they include a generating set.  Generators are
     taken greedily in sorted id order, skipping any morphism already in
-    the closure of the earlier ones and the identities.  Cost:
+    the closure of the earlier ones and the identities.  Returns them
+    when the table is associative, None when it is not.  Cost:
     O(generators x composable pairs).  See Clifford & Preston, *The
     Algebraic Theory of Semigroups* I (1961), section 1.2.
     """
@@ -192,37 +238,43 @@ def _light_associative(cat: FiniteCategory) -> bool:
     out_of: dict[str, list[str]] = {v: [] for v in cat.objects}
     for m in cat.morphisms.values():
         out_of[m.src].append(m.id)
-    for s in _generators(cat, rows, out_of):
-        row_s = rows[s]
+    gens = _generators(cat, rows)
+    for s in gens:
+        row_s = rows[s]  # not empty: it holds the identity at the source of s
+        # h.(s.f) and (h.s).f for every f, read as one tuple each
+        after_s, at = itemgetter(*row_s.values()), itemgetter(*row_s)
         for h in out_of[cat.morphisms[s].tgt]:
-            row_h, row_hs = rows[h], rows[rows[h][s]]
-            for f, sf in row_s.items():
-                if row_h[sf] != row_hs[f]:
-                    return False
-    return True
+            row_h = rows[h]
+            if after_s(row_h) != at(rows[row_h[s]]):
+                return None
+    return gens
 
 
-def _generators(
-    cat: FiniteCategory, rows: dict[str, dict[str, str]], out_of: dict[str, list[str]]
-) -> list[str]:
-    """Morphisms in sorted id order that the earlier ones and the identities do not generate."""
+def _generators(cat: FiniteCategory, rows: dict[str, dict[str, str]]) -> list[str]:
+    """Morphisms in sorted id order that the earlier ones and the identities do not generate.
+
+    Over an associative table every product of generators is an identity
+    multiplied on the left by generators, one at a time.  So a new
+    generator m needs multiplying onto the closure so far, and each new
+    member needs every generator multiplied onto it: O(generators x
+    morphisms) look-ups.  Over a table that does not associate this
+    closure can be smaller than the closure under composition; that only
+    adds generators, and Light's test stays exact with any set whose
+    closure is every morphism.
+    """
     closure = {cat.identities[v] for v in cat.objects}
     gens = []
     for m in sorted(cat.morphisms):
         if m in closure:
             continue
         gens.append(m)
-        closure.add(m)
-        todo = [m]
+        row_m = rows[m]
+        todo = [m] + [row_m[u] for u in closure if u in row_m]
         while todo:
-            t = todo.pop()
-            # every pair of closure members meets here once the later one is popped
-            found = [tf for f, tf in rows[t].items() if f in closure]
-            found += [rows[h][t] for h in out_of[cat.morphisms[t].tgt] if h in closure]
-            for u in found:
-                if u not in closure:
-                    closure.add(u)
-                    todo.append(u)
+            u = todo.pop()
+            if u not in closure:
+                closure.add(u)
+                todo += [rows[g][u] for g in gens if u in rows[g]]
     return gens
 
 
@@ -274,8 +326,68 @@ def check_fibre_tables(cat: FiniteCategory, ff: FibreFunctor) -> ValidationRepor
     return rep
 
 
+def functor_stages(cat: FiniteCategory, ff: FibreFunctor):
+    """The stages of a category with a fibre functor, one report each, in order.
+
+    Category references, composition and associativity (the stages of
+    ``validate_category``), then fibre tables, then the functor laws.  A
+    caller that stops at the first failing report never runs the later
+    stages; one that merges them all gets ``validate_category`` followed
+    by ``validate_fibre_functor``.  The functor-law stage checks only the
+    generators of the associativity stage when every stage before it
+    passed, and runs the exhaustive loop otherwise.
+    """
+    category = validate_category(cat)
+    yield from category.stages
+    tables = check_fibre_tables(cat, ff)
+    yield tables
+    yield check_functor_laws(cat, ff, category.generators if tables.ok else None)
+
+
 def validate_fibre_functor(cat: FiniteCategory, ff: FibreFunctor) -> ValidationReport:
-    rep = check_fibre_tables(cat, ff)
+    """Fibre tables, then the functor laws checked exhaustively, on any category."""
+    stages = (check_fibre_tables(cat, ff), check_functor_laws(cat, ff, None))
+    return ValidationReport.merged("fibre-functor", stages)
+
+
+def check_functor_laws(
+    cat: FiniteCategory, ff: FibreFunctor, generators: list[str] | None
+) -> ValidationReport:
+    """F(id) = id on every object and F(g.f) = F(g)F(f) on every composite.
+
+    ``generators`` is None, or ``validate_category(cat).generators`` for
+    a functor whose ``check_fibre_tables`` passed; then the laws are
+    checked on the generators alone (see the module docstring).  When
+    that check fails, or without generators, the exhaustive loop names
+    every failure, so the report is the same either way.
+    """
+    rep = ValidationReport("fibre-functor")
+    if generators is None or not _lawful_on_generators(cat, ff, generators):
+        _check_functor_laws_exhaustively(cat, ff, rep)
+    return rep
+
+
+def _lawful_on_generators(cat: FiniteCategory, ff: FibreFunctor, generators: list[str]) -> bool:
+    """The identity law, and F(h.s) = F(h)F(s) for every generator s and every h after it."""
+    on = ff.on_morphisms
+    for v in cat.objects:
+        if on[cat.identities[v]] != identity_table(ff.on_objects[v]):
+            return False
+    out_of: dict[str, list[str]] = {v: [] for v in cat.objects}
+    for m in cat.morphisms.values():
+        out_of[m.src].append(m.id)
+    compose = cat.compose_table
+    for s in generators:
+        inner = on[s]
+        for h in out_of[cat.morphisms[s].tgt]:
+            outer = on[h]
+            if on[compose[(h, s)]] != {e: outer[v] for e, v in inner.items()}:
+                return False
+    return True
+
+
+def _check_functor_laws_exhaustively(cat: FiniteCategory, ff: FibreFunctor, rep) -> None:
+    """The functor laws on every object and every recorded composite, in O(composites x fibre)."""
     for v in cat.objects:
         i = cat.identities.get(v)
         if i in ff.on_morphisms and v in ff.on_objects:
@@ -284,12 +396,11 @@ def validate_fibre_functor(cat: FiniteCategory, ff: FibreFunctor) -> ValidationR
     for (g, f), gf in cat.compose_table.items():
         if g in ff.on_morphisms and f in ff.on_morphisms and gf in ff.on_morphisms:
             outer = ff.on_morphisms[g]
-            # a value outside the domain of ``outer`` was reported above; get()
-            # turns it into a mismatch here instead of a KeyError
+            # a value outside the domain of ``outer`` was reported by the
+            # fibre tables; get() turns it into a mismatch here instead of a KeyError
             composite = {e: outer.get(v) for e, v in ff.on_morphisms[f].items()}
             if ff.on_morphisms[gf] != composite:
                 rep.add("action-composition", f"({g}, {f})")
-    return rep
 
 
 def image_inverse(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> str | None:

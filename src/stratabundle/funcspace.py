@@ -376,8 +376,9 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Stra
     x = _faithful_input(x)
     if phi.source != x.cat:
         raise StructureError("functor source must be the bundle's structure category")
+    for rep in fincat.functor_stages(phi.target, gg):
+        rep.raise_if_invalid()
     fincat.validate_cat_functor(phi).raise_if_invalid()
-    fincat.validate_fibre_functor(phi.target, gg).raise_if_invalid()
     ff2 = fincat.precompose_fibre_functor(gg, phi)
     pulled = StratBundle(x.base, x.strat, x.cat, ff2, x.fibre_obj, x.transition)
     coend(pulled).report.raise_if_invalid()

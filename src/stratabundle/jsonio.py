@@ -428,10 +428,21 @@ def complex_to_doc(b: BaseComplex, s: Stratification) -> dict:
     }
 
 
+def _own_strings(keys) -> dict[str, str]:
+    """Each key mapped to itself, to give equal ids read elsewhere the key's string.
+
+    The JSON reader makes a new string for every occurrence of an id, and a
+    lookup by an equal but distinct string compares the characters; by one
+    string it compares identity.  On a complex of thousands of cells every
+    transition and face lookup of a command pays that difference.
+    """
+    return {k: k for k in keys}
+
+
 def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
     _need(doc, ["cells"], "complex")
     try:
-        cells = {}
+        raw = {}
         strata = {}
         for entry in doc["cells"]:
             cid = _string(entry["id"], "cell id")
@@ -440,8 +451,13 @@ def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
             for f in faces:
                 if type(f) is not str:
                     raise DocumentError(f"face {f!r} of cell {cid!r} must be a string")
-            cells[cid] = Cell(cid, dim, tuple(sorted(faces)))
+            raw[cid] = dim, faces
             strata[cid] = _integer(entry["stratum"], f"stratum of cell {cid!r}")
+        ids = _own_strings(raw)
+        cells = {
+            cid: Cell(cid, dim, tuple(sorted([ids.get(f, f) for f in faces])))
+            for cid, (dim, faces) in raw.items()
+        }
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -487,11 +503,15 @@ def bundle_from_doc(doc: dict, known=None) -> StratBundle:
     _need(doc, ["base", "category", "fibres", "transitions"], "bundle")
     base, strat = complex_from_doc(doc["base"])
     cat, ff = category_from_doc(doc["category"], known)
+    ids = _own_strings(base.cells)
     try:
-        transition = {(t["face"], t["cell"]): t["mor"] for t in doc["transitions"]}
+        transition = {
+            (ids.get(t["face"], t["face"]), ids.get(t["cell"], t["cell"])): t["mor"]
+            for t in doc["transitions"]
+        }
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed bundle document: {exc!r}") from exc
-    fibres = dict(_object(doc["fibres"], "bundle fibres"))
+    fibres = {ids.get(c, c): o for c, o in _object(doc["fibres"], "bundle fibres").items()}
     _strings(transition.values(), "transition morphism")
     _strings(fibres.values(), "fibre object")
     return StratBundle(base, strat, cat, ff, fibres, transition)

@@ -8,6 +8,18 @@ fibre functor, and transitions between cells of the same stratum must be
 invertible in that image.  Everything else here (restriction, attachment,
 pull-back, fibrewise product, totalization, push-out checking) is exact
 finite bookkeeping on that data.
+
+A bundle is validated by ``bundle_stages``, one report per stage, in
+order: the stages of ``fincat.functor_stages`` (category references,
+composition, associativity, fibre tables, functor laws), then bundle
+references, then stratum-wise invertibility and coherence.  Later stages
+wait on earlier ones because they read what those guarantee.  The bundle
+references look each fibre object and transition up in the category, and
+equality in the image, which the last two stages test, is only the
+bundle's notion of equality once the category and its fibre functor are
+lawful.  Invertibility and coherence then compose the action tables of
+transitions, which the bundle references have shown to exist and to
+have the right endpoints.
 """
 from __future__ import annotations
 
@@ -105,36 +117,83 @@ def check_bundle_references(x: StratBundle) -> ValidationReport:
     return rep
 
 
+def bundle_stages(x: StratBundle):
+    """Every stage of a bundle's validation, one report each, in order.
+
+    The stages of ``fincat.functor_stages``, then, only if all of them
+    pass, bundle references, then, only if that passes, stratum-wise
+    invertibility and coherence.  A loader raises the first failing
+    report; ``validate`` merges them all.
+    """
+    ok = True
+    for rep in fincat.functor_stages(x.cat, x.ff):
+        ok = ok and rep.ok
+        yield rep
+    if ok:
+        yield from _bundle_law_stages(x)
+
+
+def _bundle_law_stages(x: StratBundle):
+    references = check_bundle_references(x)
+    yield references
+    if references.ok:
+        yield check_stratum_isos(x)
+        yield check_coherence(x)
+
+
 def validate_bundle(x: StratBundle) -> ValidationReport:
     """``check_bundle_references``, then stratum-wise invertibility and coherence."""
-    rep = check_bundle_references(x)
-    if not rep.ok:
-        return rep
-    is_iso: dict[str, bool] = {}
-    for f, c in x.base.incidences:
-        if x.strat.strata[f] == x.strat.strata[c]:
-            mid = x.transition[(f, c)]
-            if mid not in is_iso:
-                is_iso[mid] = fincat.is_iso_in_image(x.cat, x.ff, mid)
-            if not is_iso[mid]:
+    return ValidationReport.merged("bundle", _bundle_law_stages(x))
+
+
+def check_stratum_isos(x: StratBundle) -> ValidationReport:
+    """Every transition within one stratum is invertible in the fibre-functor image.
+
+    Each distinct transition id is tested once; only when one fails are
+    the incidences walked, in order, to name each failing incidence.
+    """
+    rep = ValidationReport("bundle")
+    strata, t = x.strat.strata, x.transition
+    # the references stage showed the keys of ``t`` to be the incidences
+    within = {mid for (f, c), mid in t.items() if strata[f] == strata[c]}
+    singular = {mid for mid in within if not fincat.is_iso_in_image(x.cat, x.ff, mid)}
+    if singular:
+        for f, c in x.base.incidences:
+            mid = t[(f, c)]
+            if mid in singular and strata[f] == strata[c]:
                 rep.add(
                     "stratum-iso",
                     f"within-stratum transition ({f}, {c}) -> {mid} is not invertible",
                 )
+    return rep
+
+
+def check_coherence(x: StratBundle) -> ValidationReport:
+    """The two descents around every codimension-two square agree in the image."""
+    rep = ValidationReport("bundle")
     commutes: dict[tuple[str, str, str, str], bool] = {}  # by the square's four transitions
     on, cells, t = x.ff.on_morphisms, x.base.cells, x.transition
     for c in x.base.sorted_cells():
+        # the references stage put every face one dimension down, so a cell
+        # below dimension 2 bounds no square
+        if cells[c].dim < 2:
+            continue
         faces = cells[c].faces
         for i, a in enumerate(faces):
+            t_ac, faces_a = t[(a, c)], cells[a].faces
             for b in faces[i + 1 :]:
+                t_bc, faces_b = t[(b, c)], cells[b].faces
                 # faces are sorted and duplicate-free: these are sorted(common faces)
-                for g in [g for g in cells[a].faces if g in cells[b].faces]:
-                    key = (t[(g, a)], t[(a, c)], t[(g, b)], t[(b, c)])
-                    if key not in commutes:
-                        via_a = compose_tables(on[key[0]], on[key[1]])
-                        via_b = compose_tables(on[key[2]], on[key[3]])
-                        commutes[key] = via_a == via_b
-                    if not commutes[key]:
+                for g in faces_a:
+                    if g not in faces_b:
+                        continue
+                    key = (t[(g, a)], t_ac, t[(g, b)], t_bc)
+                    ok = commutes.get(key)
+                    if ok is None:
+                        via_a = compose_tables(on[key[0]], on[t_ac])
+                        via_b = compose_tables(on[key[2]], on[t_bc])
+                        ok = commutes[key] = via_a == via_b
+                    if not ok:
                         rep.add(
                             "coherence",
                             f"descents {c} -> {a} -> {g} and {c} -> {b} -> {g} disagree",

@@ -44,6 +44,11 @@ class ValidationReport:
     def merge(self, other: "ValidationReport") -> None:
         self.violations.extend(other.violations)
 
+    @classmethod
+    def merged(cls, subject: str, reports) -> "ValidationReport":
+        """Every violation of ``reports``, in their order, as one report on ``subject``."""
+        return cls(subject, [v for rep in reports for v in rep.violations])
+
     def raise_if_invalid(self) -> None:
         if not self.ok:
             lines = "; ".join(f"{v.code}: {v.detail}" for v in self.violations)

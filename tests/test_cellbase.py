@@ -195,7 +195,7 @@ class TestSpanningTree:
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# poset_spanning_tree of each golden base, recorded before it moved onto bfs_tree
+# poset_spanning_tree of each golden base, recorded before it moved onto the shared walk
 C3_TREE = [
     ("v0", "v0.v1"), ("v0", "v0.v2"), ("v1", "v0.v1"), ("v2", "v0.v2"), ("v1", "v1.v2"),
 ]
@@ -261,7 +261,7 @@ class TestBfsTree:
     @pytest.mark.parametrize("case", kernel_cases())
     def test_visits_every_cell_once(self, case, torus):
         b = kernel_base(case, torus)
-        order, parent = cellbase.bfs_tree(b)
+        order, parent, _ = cellbase.region_walk(b)
         assert len(order) == len(set(order)) == len(b.cells)
         assert set(order) == set(parent) == set(b.cells)
         assert order[0] == min(b.cells)
@@ -269,7 +269,7 @@ class TestBfsTree:
     @pytest.mark.parametrize("case", kernel_cases())
     def test_parent_edges_form_a_tree(self, case, torus):
         b = kernel_base(case, torus)
-        order, parent = cellbase.bfs_tree(b)
+        order, parent, _ = cellbase.region_walk(b)
         position = {c: i for i, c in enumerate(order)}
         incidences = set(b.incidences)
         assert parent[order[0]] is None
@@ -291,16 +291,17 @@ class TestBfsTree:
 
     def test_disconnected_is_rejected(self, torus):
         with pytest.raises(StructureError):
-            cellbase.bfs_tree(cellbase.complex_from_cells([("p", 0, []), ("q", 0, [])]))
+            cellbase.poset_spanning_tree(
+                cellbase.complex_from_cells([("p", 0, []), ("q", 0, [])])
+            )
         b = torus(3)[0]
         two = cellbase.disjoint_union(b, cellbase.relabel_complex(b, lambda c: "s" + c))
-        with pytest.raises(StructureError):
-            cellbase.bfs_tree(two)
         with pytest.raises(StructureError):
             cellbase.poset_spanning_tree(two)
 
     def test_empty_complex_has_empty_tree(self):
-        assert cellbase.bfs_tree(cellbase.BaseComplex({})) == ([], {})
+        assert cellbase.region_walk(cellbase.BaseComplex({})) == ([], {}, [])
+        assert cellbase.poset_spanning_tree(cellbase.BaseComplex({})) == []
 
 
 class TestUnionFind:

@@ -619,6 +619,19 @@ def test_every_bundle_command_refuses_unresolved_references(tmp_path, argv, dama
     assert proc.stdout == ""
 
 
+def test_associate_refuses_a_functor_whose_target_is_no_category(tmp_path, capsys):
+    # the target category was read unchecked, and a bundle built over it
+    doc = jsonio.read_doc(GOLDEN / "bz2_trivializer_functor.json")
+    assert doc["target"]["compose"].pop() == ["g", "g", "e"]
+    functor, out = tmp_path / "functor.json", tmp_path / "out.json"
+    jsonio.write_doc(functor, doc)
+    bundle = str(GOLDEN / "bz2_double_cover_c3.json")
+    assert run(["associate", bundle, str(functor), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "invalid: category invalid: compose-missing: (g, g)" in err
+    assert not out.exists()
+
+
 def _set(*path_and_value):
     *path, key, value = path_and_value
 

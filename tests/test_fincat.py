@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from stratabundle import corpus, fincat, jsonio, oracle
 from stratabundle.validation import StructureError, Violation
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def z2_category():
@@ -416,6 +420,22 @@ class TestCheckComposition:
         assert got == all_pairs_composition(broken)
 
 
+    def test_a_spurious_composite_is_named_beside_a_missing_one(self):
+        # the spurious keys are looked for only when the table holds keys that
+        # no composable pair met; one missing pair must not hide one extra key
+        cat, _ = corpus.perm_category(3)
+        compose = dict(cat.compose_table)
+        compose[("p2:10", "p3:021")] = "p3:021"
+
+        def codes():
+            rep = fincat.check_composition(copy_category(cat, compose))
+            return [v.code for v in rep.violations]
+
+        assert codes() == ["compose-spurious"]
+        del compose[("p3:102", "p3:102")]
+        assert codes() == ["compose-missing", "compose-spurious"]
+
+
 class TestLightAssociativity:
     def test_equals_reference_on_corpus_oracle_and_mutants(self):
         rng = random.Random(20)
@@ -444,7 +464,7 @@ class TestLightAssociativity:
             # only the identities of objects are known to associate with
             # everything; taking ``a`` for one would hide three failures
             cat.identities["ghost"] = "a"
-            assert fincat._light_associative(cat) == rep.ok, index
+            assert (fincat._light_generators(cat) is not None) == rep.ok, index
             ghost = Violation("identity-spurious", "identity given for ghost, which is not an object")
             assert fincat.validate_category(cat).violations == [ghost, *rep.violations], index
         assert outcomes == {True, False}
@@ -576,3 +596,112 @@ class TestConcreteCategory:
             spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
             category_doc_sha256(*oracle.gen_category(spec), digest)
         assert digest.hexdigest() == GEN_DOCS_SHA256[groupoid_only]
+
+
+def reference_functor_laws(cat, ff):
+    """The exhaustive identity and composition loop that checked every fibre functor before
+    the generator check."""
+    found = []
+    for v in cat.objects:
+        i = cat.identities.get(v)
+        if i in ff.on_morphisms and v in ff.on_objects:
+            if ff.on_morphisms[i] != fincat.identity_table(ff.on_objects[v]):
+                detail = f"identity of {v} does not act as identity"
+                found.append(Violation("action-identity", detail))
+    for (g, f), gf in cat.compose_table.items():
+        if g in ff.on_morphisms and f in ff.on_morphisms and gf in ff.on_morphisms:
+            outer = ff.on_morphisms[g]
+            composite = {e: outer.get(v) for e, v in ff.on_morphisms[f].items()}
+            if ff.on_morphisms[gf] != composite:
+                found.append(Violation("action-composition", f"({g}, {f})"))
+    return found
+
+
+def golden_structures():
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = jsonio.read_doc(path)
+        kind = jsonio.detect_kind(doc)
+        if kind == "category":
+            yield path.stem, *jsonio.category_from_doc(doc)
+        elif kind == "bundle":
+            x = jsonio.bundle_from_doc(doc)
+            yield path.stem, x.cat, x.ff
+
+
+def single_table_corruptions(cat, ff):
+    """``ff`` with one action table replaced by the table of another morphism of its hom-set."""
+    for hom in cat.homs.values():
+        for m in hom:
+            for other in hom:
+                if ff.on_morphisms[other] != ff.on_morphisms[m]:
+                    broken = copy_functor(ff)
+                    broken.on_morphisms[m] = dict(ff.on_morphisms[other])
+                    yield f"{m}<-{other}", broken
+
+
+class TestFunctorLawsOnGenerators:
+    def assert_same_as_exhaustive(self, name, cat, ff):
+        category = fincat.validate_category(cat)
+        assert category.ok and category.generators is not None, name
+        assert fincat.check_fibre_tables(cat, ff).ok, name
+        expected = reference_functor_laws(cat, ff)
+        # the verdict on the generators alone, then the report, which runs the
+        # exhaustive loop when that verdict is a failure
+        assert fincat._lawful_on_generators(cat, ff, category.generators) == (not expected), name
+        assert fincat.check_functor_laws(cat, ff, category.generators).violations == expected, name
+        assert fincat.check_functor_laws(cat, ff, None).violations == expected, name
+        return expected
+
+    def test_golden_categories(self):
+        names = []
+        for name, cat, ff in golden_structures():
+            assert self.assert_same_as_exhaustive(name, cat, ff) == []
+            names.append(name)
+        assert len(names) == 12
+
+    def test_generated_categories(self):
+        for seed in range(200):
+            for groupoid_only in (False, True):
+                spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
+                cat, ff = oracle.gen_category(spec)
+                name = f"gen{seed}-{groupoid_only}"
+                assert self.assert_same_as_exhaustive(name, cat, ff) == [], name
+
+    def test_every_single_table_corruption_of_perm3(self):
+        cat, ff = corpus.perm_category(3)
+        corruptions = list(single_table_corruptions(cat, ff))
+        assert len(corruptions) == 2 * 1 + 6 * 5
+        lawful = [n for n, ff2 in corruptions if not self.assert_same_as_exhaustive(n, cat, ff2)]
+        # the swap acting as the identity is still a functor, an unfaithful one
+        assert lawful == ["p2:10<-p2:01"]
+
+    def test_every_assignment_of_tables_to_the_permutations_of_set3(self):
+        # every morphism of set3 but the identity acting by any of the six
+        # permutations: 6 ** 5 table assignments, wrong at several pairs at
+        # once, which single-table corruptions are not
+        cat, ff = corpus.perm_category(3)
+        generators = fincat.validate_category(cat).generators
+        hom = cat.hom("set3", "set3")
+        tables = [ff.on_morphisms[m] for m in hom]
+        moved = [m for m in hom if m != cat.identities["set3"]]
+        lawful = 0
+        for choice in itertools.product(tables, repeat=len(moved)):
+            tables_of = {**ff.on_morphisms, **dict(zip(moved, choice))}
+            assigned = fincat.FibreFunctor(ff.on_objects, tables_of)
+            expected = reference_functor_laws(cat, assigned)
+            assert fincat._lawful_on_generators(cat, assigned, generators) == (not expected), choice
+            lawful += not expected
+        # the homomorphisms S3 -> S3: the trivial one, three onto a
+        # subgroup of order 2, and six automorphisms
+        assert lawful == 10
+
+    def test_merged_stages_equal_the_two_validators(self):
+        # validate writes this merge; it must stay the report of the two
+        # validators run one after the other, on broken categories too
+        rng = random.Random(18)
+        for name, cat, ff in corpus_structures():
+            for kind, mcat, mff in structure_mutants(cat, ff, rng):
+                merged = [v for rep in fincat.functor_stages(mcat, mff) for v in rep.violations]
+                expected = fincat.validate_category(mcat).violations
+                expected += fincat.validate_fibre_functor(mcat, mff).violations
+                assert merged == expected, (name, kind)

@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from stratabundle import cellbase, cli, fincat, funcspace, oracle, triviality
+from stratabundle import (
+    cellbase,
+    cli,
+    corpus,
+    fincat,
+    funcspace,
+    jsonio,
+    oracle,
+    strabundle,
+    triviality,
+)
+from stratabundle.validation import StructureError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,7 +69,8 @@ def test_every_exported_name_has_a_caller():
     assert UNREFERENCED_EXPORTS <= exported - used
 
 
-# these two write the full violation report of a bundle, so they read it unchecked
+# these two write the full violation report of a bundle, so they merge every
+# stage's report instead of raising at the first failing one
 UNGATED_COMMANDS = {"cmd_validate", "cmd_reconstruct"}
 
 
@@ -77,6 +89,61 @@ def test_bundle_commands_read_bundles_through_the_loader():
         and node.value.id == "jsonio"
     )
     assert sorted(set(direct)) == sorted(UNGATED_COMMANDS)
+
+
+def test_no_command_runs_a_validator_of_its_own():
+    # every bundle comes through _load_bundle or the merged stage list; a
+    # check called beside them would be a second, partial gate
+    tree = ast.parse((ROOT / "src" / "stratabundle" / "cli.py").read_text(encoding="utf-8"))
+    direct = sorted(
+        f"{fn.name}: {node.value.id}.{node.attr}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("fincat", "strabundle")
+        and node.attr.startswith(("check_", "validate_"))
+    )
+    assert direct == []
+
+
+@pytest.fixture
+def exhaustive_calls(monkeypatch):
+    calls = {"_check_associativity": 0, "_check_functor_laws_exhaustively": 0}
+
+    def counting(name):
+        original = getattr(fincat, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fincat, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    return calls
+
+
+def test_loading_a_bundle_runs_no_exhaustive_loop(exhaustive_calls, tmp_path):
+    # Light's generators decide associativity and the functor laws of a valid
+    # bundle; a cubic or all-pairs loop would only show as slower commands
+    cat, ff = corpus.perm_category(4)
+    base = cellbase.cycle_complex(3)
+    x = strabundle.product_bundle(base, cellbase.single_stratum(base), cat, ff, "set4")
+    path = tmp_path / "perm4.json"
+    jsonio.write_doc(path, jsonio.bundle_to_doc(x))
+    assert cli._load_bundle(str(path)).cat == cat
+    assert exhaustive_calls == {"_check_associativity": 0, "_check_functor_laws_exhaustively": 0}
+    # a table that breaks a law fails the generator check, and only then does
+    # the exhaustive loop run, to name every pair
+    doc = jsonio.bundle_to_doc(x)
+    doc["category"]["actions"]["p4:1023"] = doc["category"]["actions"]["p4:0132"]
+    jsonio.write_doc(path, doc)
+    with pytest.raises(StructureError, match="^fibre-functor invalid: action-composition: "):
+        cli._load_bundle(str(path))
+    assert exhaustive_calls == {"_check_associativity": 0, "_check_functor_laws_exhaustively": 1}
 
 
 @pytest.mark.parametrize("document", ["double_cover_c3.json", "perm2_category.json"])
