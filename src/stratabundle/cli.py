@@ -6,9 +6,11 @@ atomically and prints a one-line summary to stderr; reports and documents
 go to the path given with ``-o`` or to stdout.
 
 Every bundle passes one gate, the stage list ``strabundle.bundle_stages``:
-``_load_bundle`` raises its first failing stage, and ``validate`` and
-``reconstruct`` merge every stage into the report they write.  No command
-calls a validator of its own beside it.
+``_valid_bundle`` raises its first failing stage, for every bundle that
+``_load_bundle`` reads and for the one ``coend`` builds from its diagram
+and ``--category``, and ``validate`` and ``reconstruct`` merge every stage
+into the report they write.  No command calls a validator of its own
+beside it.
 """
 from __future__ import annotations
 
@@ -149,7 +151,7 @@ def cmd_coend(args) -> int:
         _say(str(rep))
         return INVALID
     y = strabundle.StratBundle(d.base, d.strat, d.cat, ff, d.fibre_obj, d.transitions)
-    res = funcspace.coend(y)
+    res = funcspace.coend(_valid_bundle(y))
     if not res.report.ok:
         _emit(res.report.to_doc(), args.out)
         _say(str(res.report))

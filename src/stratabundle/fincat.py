@@ -38,6 +38,7 @@ earlier stage, pays for the exhaustive loop, which names every pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .validation import StructureError, ValidationReport
@@ -77,6 +78,14 @@ class FiniteCategory:
         for m in self.morphisms.values():
             buckets.setdefault((m.src, m.tgt), []).append(m.id)
         self.homs = {k: tuple(sorted(v)) for k, v in buckets.items()}
+
+    @cached_property
+    def out_of(self) -> dict[str, list[str]]:
+        """Ids of the morphisms out of each object, in ``morphisms`` order, built on first use."""
+        out: dict[str, list[str]] = {v: [] for v in self.objects}
+        for mid, m in self.morphisms.items():
+            out.setdefault(m.src, []).append(mid)
+        return out
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self.homs.get((a, b), ())
@@ -190,20 +199,17 @@ def check_category_references(cat: FiniteCategory) -> ValidationReport:
 def check_composition(cat: FiniteCategory) -> ValidationReport:
     """The composition table's coverage, typing and identity laws, in O(composable pairs)."""
     rep = ValidationReport("category")
-    mors = cat.morphisms
-    out_of: dict[str, list[Morphism]] = {}
-    for g in mors.values():
-        out_of.setdefault(g.src, []).append(g)
+    mors, out_of = cat.morphisms, cat.out_of
     recorded = 0
     for f in mors.values():
         for g in out_of.get(f.tgt, ()):
-            gf = cat.compose_table.get((g.id, f.id))
+            gf = cat.compose_table.get((g, f.id))
             if gf is None:
-                rep.add("compose-missing", f"({g.id}, {f.id})")
+                rep.add("compose-missing", f"({g}, {f.id})")
                 continue
             recorded += 1
-            if gf not in mors or mors[gf].src != f.src or mors[gf].tgt != g.tgt:
-                rep.add("compose-typing", f"({g.id}, {f.id}) -> {gf}")
+            if gf not in mors or mors[gf].src != f.src or mors[gf].tgt != mors[g].tgt:
+                rep.add("compose-typing", f"({g}, {f.id}) -> {gf}")
     # keys are distinct, so when every one was met above none is spurious
     if recorded != len(cat.compose_table):
         for (g, f), gf in cat.compose_table.items():
@@ -235,9 +241,7 @@ def _light_generators(cat: FiniteCategory) -> list[str] | None:
     rows: dict[str, dict[str, str]] = {m: {} for m in cat.morphisms}
     for (g, f), gf in cat.compose_table.items():
         rows[g][f] = gf
-    out_of: dict[str, list[str]] = {v: [] for v in cat.objects}
-    for m in cat.morphisms.values():
-        out_of[m.src].append(m.id)
+    out_of = cat.out_of
     gens = _generators(cat, rows)
     for s in gens:
         row_s = rows[s]  # not empty: it holds the identity at the source of s
@@ -280,24 +284,20 @@ def _generators(cat: FiniteCategory, rows: dict[str, dict[str, str]]) -> list[st
 
 def _check_associativity(cat: FiniteCategory, rep: ValidationReport) -> None:
     """The exhaustive O(|Mor|^3) associativity check over composable triples."""
-    mors = cat.morphisms
-    for f in mors.values():
-        for g in mors.values():
-            if g.src != f.tgt:
-                continue
-            gf = cat.compose_table.get((g.id, f.id))
+    compose, out_of = cat.compose_table, cat.out_of
+    for f in cat.morphisms.values():
+        for g in out_of.get(f.tgt, ()):
+            gf = compose.get((g, f.id))
             if gf is None:
                 continue
-            for h in mors.values():
-                if h.src != g.tgt:
-                    continue
-                hg = cat.compose_table.get((h.id, g.id))
+            for h in out_of.get(cat.morphisms[g].tgt, ()):
+                hg = compose.get((h, g))
                 if hg is None:
                     continue
-                left = cat.compose_table.get((h.id, gf))
-                right = cat.compose_table.get((hg, f.id))
+                left = compose.get((h, gf))
+                right = compose.get((hg, f.id))
                 if left != right or left is None:
-                    rep.add("associativity", f"({h.id}, {g.id}, {f.id})")
+                    rep.add("associativity", f"({h}, {g}, {f.id})")
 
 
 def check_fibre_tables(cat: FiniteCategory, ff: FibreFunctor) -> ValidationReport:
@@ -373,10 +373,7 @@ def _lawful_on_generators(cat: FiniteCategory, ff: FibreFunctor, generators: lis
     for v in cat.objects:
         if on[cat.identities[v]] != identity_table(ff.on_objects[v]):
             return False
-    out_of: dict[str, list[str]] = {v: [] for v in cat.objects}
-    for m in cat.morphisms.values():
-        out_of[m.src].append(m.id)
-    compose = cat.compose_table
+    out_of, compose = cat.out_of, cat.compose_table
     for s in generators:
         inner = on[s]
         for h in out_of[cat.morphisms[s].tgt]:

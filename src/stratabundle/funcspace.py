@@ -4,12 +4,11 @@ For finite fibres the space of admissible maps out of an object is again
 a finite set, so the whole principal-bundle story becomes exact set
 bookkeeping: the component at V has fibre hom(V, W_c) over a cell with
 fibre object W_c, morphisms of the structure category act by
-post-composition, and the diagram actions act by pre-composition.  The
-coend classes are the fibres of the evaluation map (co-Yoneda) wherever
-three cheap conditions certify that, and the union-find closure of the
-generating relation otherwise; either way they carry least-representative
-canonical names, and the evaluation map is produced as an explicit
-cellwise bijection.
+post-composition, and the diagram actions act by pre-composition.  Every
+bundle a coend reads has passed ``strabundle.bundle_stages``, so its
+classes are the fibres of the evaluation map (co-Yoneda); they carry
+least-representative canonical names, and the evaluation map is produced
+as an explicit cellwise bijection.
 
 A principal diagram enters its coend only through the category and base
 data it shares with its bundle, so ``coend`` takes that bundle, carrying
@@ -106,7 +105,9 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
     law and the contravariance check restates associativity:
     alpha.(g2.g1) = (alpha.g2).g1.  So when ``fincat.validate_category``
     passes, both hold and are skipped; otherwise ``_check_contravariance``
-    names every failure, and the report is the same either way.
+    names every failure, and the report is the same either way.  A
+    category law can fail away from the fibre objects and leave every
+    action lawful; the category's own violations are reported then.
     """
     rep = ValidationReport("diagram")
     if set(d.components) != set(d.cat.objects):
@@ -142,9 +143,13 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
         for c in cells:
             if d.actions[g].get(c) != per_cell[c]:
                 rep.add("action-table", f"{g} over {c}")
-    if not rep.ok or fincat.validate_category(d.cat).ok:
+    if not rep.ok:
         return rep
-    _check_contravariance(d, rep)
+    category = fincat.validate_category(d.cat)
+    if not category.ok:
+        _check_contravariance(d, rep)
+        if rep.ok:
+            rep.merge(category)
     return rep
 
 
@@ -177,7 +182,10 @@ class CoendResult:
 def _coend_classes_by_union(
     cat: FiniteCategory, ff2: FibreFunctor, w: str
 ) -> tuple[list[tuple], dict]:
-    """Quotient of all (object, map-to-w, fibre element) triples for one object."""
+    """Quotient of all (object, map-to-w, fibre element) triples for one object.
+
+    The principal suite's independent reference for ``_coend_classes``.
+    """
     uf = cellbase.UnionFind(
         (v, alpha, y)
         for v in cat.objects
@@ -199,76 +207,37 @@ def _named_classes(groups) -> tuple[list[tuple], dict]:
     return ordered, reps
 
 
-def _coend_classes_by_evaluation(
-    cat: FiniteCategory, ff2: FibreFunctor, w: str
-) -> tuple[list[tuple], dict] | None:
+def _coend_classes(cat: FiniteCategory, ff2: FibreFunctor, w: str) -> tuple[list[tuple], dict]:
     """The same quotient as ``_coend_classes_by_union``, read off the evaluation map.
 
     Groups the triples (v, alpha, y) by ev(v, alpha, y) = ff2(alpha)(y)
-    (co-Yoneda; Loregian, *(Co)end Calculus*, 2021, ch. 2).  Returns None,
-    and the caller takes the union path, unless
+    (co-Yoneda; Loregian, *(Co)end Calculus*, 2021, ch. 2).  Precondition:
+    ``cat`` and ``ff2`` have passed ``fincat.functor_stages``.  Stage 4
+    (``action-domain``, ``action-codomain``) makes every table of an
+    alpha: v -> w total on ff2(v) with values in ff2(w), and the others give
 
-    (i)   ff2(id_w) is the identity table on ff2(w);
+    (i)   ff2(id_w) is the identity on ff2(w): ``action-identity`` (stage 5);
     (ii)  id_w is an endomorphism of w and id_w.alpha = alpha for every
-          alpha into w;
+          alpha into w: ``identity-endpoints`` and ``identity-law`` (stages 1-2);
     (iii) ev takes one value on both sides of every generating relation
-          (src g, alpha.g, y) ~ (tgt g, alpha, ff2(g)(y)).
-
-    Every table is read with ``get``, and the table of each alpha: v -> w
-    must have exactly the keys ff2(v), so malformed input fails a check
-    instead of raising; whenever this returns, the union path would not
-    raise either.
+          (src g, alpha.g, y) ~ (tgt g, alpha, ff2(g)(y)):
+          ``action-composition`` (stage 5).
 
     Proof that the two partitions are equal.  By (iii) ev is constant on
     union classes, so they are finer than the ev fibres.  Conversely, the
     relation with g = alpha and alpha' = id_w links (v, id_w.alpha, y),
-    which is (v, alpha, y) by (ii), to (w, id_w, ff2(alpha)(y)).  There
-    (iii) reads ff2(id_w) at ff2(alpha)(y), which by (i) is defined only
-    on ff2(w), so (w, id_w, ff2(alpha)(y)) is a triple.  Two triples with
-    equal ev therefore reach the same (w, id_w, z).
-
-    Condition (ii) is not implied by ``fincat.validate_fibre_functor``:
-    with identity e, e.x = e and both acting trivially on {0, 1}, the
-    functor is valid, the union path gives 4 classes and the ev fibres 2.
+    which is (v, alpha, y) by (ii), to the triple (w, id_w, z) with
+    z = ff2(alpha)(y), whose ev is z by (i).  Two triples with equal ev
+    therefore reach the same (w, id_w, z).  The functor laws alone do not
+    give (ii): with identity e, e.x = e and both acting trivially on
+    {0, 1}, the union path gives 4 classes and the ev fibres 2.
     """
-    tables = ff2.on_morphisms
-    fibres = ff2.on_objects
-    id_w = cat.identities.get(w)
-    if tables.get(id_w) != fincat.identity_table(fibres.get(w, ())):  # (i)
-        return None
-    into_w = {}  # alpha -> (source, table, values in fibre order)
-    groups: dict[str, set[tuple[str, str, str]]] = {}
+    groups: dict[str, list[tuple[str, str, str]]] = {}
     for v in cat.objects:
-        ys = fibres.get(v)
-        if ys is None:
-            return None
-        size = len(set(ys))
         for alpha in cat.hom(v, w):
-            table = tables.get(alpha)
-            if table is None or len(table) != size:
-                return None
-            values = tuple(map(table.get, ys))
-            if None in values:
-                return None
-            into_w[alpha] = (v, table, values)
-            for y, z in zip(ys, values):
-                groups.setdefault(z, set()).add((v, alpha, y))
-    compose = cat.compose_table
-    if (
-        id_w not in into_w
-        or into_w[id_w][0] != w
-        or any(compose.get((id_w, alpha)) != alpha for alpha in into_w)
-    ):  # (ii)
-        return None
-    for g in cat.morphisms.values():  # (iii)
-        moved = tuple(map(tables.get(g.id, {}).get, fibres.get(g.src, ())))
-        for alpha in cat.hom(g.tgt, w):
-            right = into_w.get(alpha)
-            left = into_w.get(compose.get((alpha, g.id)))
-            if right is None or left is None or left[0] != g.src:
-                return None
-            if left[2] != tuple(map(right[1].get, moved)):
-                return None
+            table = ff2.on_morphisms[alpha]
+            for y in ff2.on_objects[v]:
+                groups.setdefault(table[y], []).append((v, alpha, y))
     return _named_classes(groups.values())
 
 
@@ -277,7 +246,8 @@ def coend(y: StratBundle) -> CoendResult:
 
     A principal diagram enters its coend only through the category, base,
     fibre objects and transitions it shares with its bundle, so ``y``
-    carries those together with ff2.  Classes over a cell are classes of
+    carries those together with ff2, and must have passed
+    ``strabundle.bundle_stages``.  Classes over a cell are classes of
     (V, alpha: V -> W_c, e in ff2(V)); the induced transitions are verified
     to be well defined on classes, and the evaluation map applying
     ff2(alpha) to e is produced and checked to be a cellwise bijection onto
@@ -285,12 +255,7 @@ def coend(y: StratBundle) -> CoendResult:
     """
     rep = ValidationReport("coend")
     cat, ff2 = y.cat, y.ff
-    fincat.check_fibre_tables(cat, ff2).raise_if_invalid()
-    memo: dict[str, tuple[list[tuple], dict]] = {}
-    for w in sorted(set(y.fibre_obj.values())):
-        memo[w] = _coend_classes_by_evaluation(cat, ff2, w) or _coend_classes_by_union(
-            cat, ff2, w
-        )
+    memo = {w: _coend_classes(cat, ff2, w) for w in sorted(set(y.fibre_obj.values()))}
 
     classes = {}
     class_of = {}
@@ -324,7 +289,6 @@ def coend(y: StratBundle) -> CoendResult:
             target_rep = images.pop()
             if evaluation[f][target_rep] != table[evaluation[c][members[0]]]:
                 rep.add("transition-evaluation", f"({f}, {c}) on class {members[0]}")
-    rep.merge(strabundle.validate_bundle(y))
     return CoendResult(classes, class_of, evaluation, rep)
 
 
@@ -346,10 +310,12 @@ class ReconstructResult:
 def reconstruct_check(x: StratBundle) -> ReconstructResult:
     """Rebuild a bundle as the coend of its own principal diagram.
 
-    The returned iso sends each coend class (named by its least
-    representative) to the fibre element it evaluates to; it is a
-    cellwise bijection commuting with every transition.  On valid input a
-    False answer indicates a defect in this package, not in the input.
+    ``x`` must have passed ``strabundle.bundle_stages``; its faithful
+    image, which ``coend`` reads, then passes them too.  The returned iso
+    sends each coend class (named by its least representative) to the
+    fibre element it evaluates to; it is a cellwise bijection commuting
+    with every transition.  A False answer indicates a defect in this
+    package, not in the input.
     """
     x = _faithful_input(x)
     # the coend's bundle is x's own base data with x's fibre functor, so a
@@ -372,6 +338,11 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Stra
     fibre functor (the coend of ``x`` with its fibre functor replaced);
     the result is re-expressed over the target category by applying the
     functor to fibre objects and transitions.
+
+    ``x`` must have passed ``strabundle.bundle_stages``.  The pulled-back
+    bundle then meets ``coend``'s precondition: ``gg`` passes
+    ``functor_stages`` and ``phi`` passes ``validate_cat_functor`` below,
+    so ``gg`` after ``phi`` is lawful on the gated ``x.cat``.
     """
     x = _faithful_input(x)
     if phi.source != x.cat:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from stratabundle import cli, corpus, fincat, jsonio
+from stratabundle import cellbase, cli, corpus, fincat, funcspace, jsonio, strabundle
+from stratabundle.validation import ValidationReport
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -494,6 +495,71 @@ def test_coend_against_another_category_is_a_named_violation(tmp_path, damage):
     assert "Traceback" not in proc.stderr
     assert "coend computed" not in proc.stderr
     assert [v["code"] for v in jsonio.read_doc(report)["violations"]] == ["category-mismatch"]
+
+
+def law_broken_away_from_the_fibre(tmp_path):
+    """Diagram and category documents whose category fails a law only on m: A -> B.
+
+    idB.m = m2, so the left identity fails on m.  The one cell has fibre
+    object A, and every action of the diagram is read into A, where the
+    actions stay lawful.
+    """
+    cat = fincat.category(
+        ["A", "B"],
+        [("idA", "A", "A"), ("idB", "B", "B"), ("m", "A", "B"), ("m2", "A", "B")],
+        {
+            ("idA", "idA"): "idA", ("idB", "idB"): "idB", ("m", "idA"): "m",
+            ("m2", "idA"): "m2", ("idB", "m"): "m2", ("idB", "m2"): "m2",
+        },
+        {"A": "idA", "B": "idB"},
+    )
+    ff = fincat.fibre_functor(
+        {"A": ["a"], "B": ["b"]},
+        {"idA": {"a": "a"}, "idB": {"b": "b"}, "m": {"a": "b"}, "m2": {"a": "b"}},
+    )
+    base = cellbase.complex_from_cells([("pt", 0, [])])
+    strat, fibre_obj = cellbase.single_stratum(base), {"pt": "A"}
+    components = {
+        v: strabundle.StratBundle(base, strat, cat, fincat.hom_fibre_functor(cat, v), fibre_obj, {})
+        for v in cat.objects
+    }
+    actions = funcspace._precomposition_tables(cat, fibre_obj, base.sorted_cells())
+    d = funcspace.DiagramBundle(cat, base, strat, fibre_obj, {}, components, actions)
+    diagram, category = tmp_path / "diagram.json", tmp_path / "category.json"
+    jsonio.write_doc(diagram, jsonio.diagram_to_doc(d))
+    jsonio.write_doc(category, jsonio.category_to_doc(cat, ff))
+    return str(diagram), str(category)
+
+
+LEFT_IDENTITY = {"code": "identity-law", "detail": "left identity fails on m"}
+
+
+def test_validate_names_a_law_broken_away_from_the_fibre(tmp_path):
+    diagram, _ = law_broken_away_from_the_fibre(tmp_path)
+    report = tmp_path / "report.json"
+    assert run(["validate", diagram, "-o", str(report)]) == 1
+    assert jsonio.read_doc(report) == {"subject": "diagram", "ok": False, "violations": [LEFT_IDENTITY]}
+
+
+def test_coend_writes_no_bundle_for_a_law_broken_away_from_the_fibre(tmp_path, capsys):
+    diagram, category = law_broken_away_from_the_fibre(tmp_path)
+    out = tmp_path / "out.json"
+    assert run(["coend", diagram, "--category", category, "-o", str(out)]) == 1
+    assert "identity-law: left identity fails on m" in capsys.readouterr().err
+    assert jsonio.read_doc(out)["violations"] == [LEFT_IDENTITY]
+
+
+def test_coend_gates_its_bundle_without_the_diagram_check(tmp_path, capsys, monkeypatch):
+    # the bundle coend builds passes the stage list whatever the diagram
+    # check let through; with that check passing everything, the law is
+    # still refused before the coend runs
+    diagram, category = law_broken_away_from_the_fibre(tmp_path)
+    monkeypatch.setattr(funcspace, "validate_diagram", lambda d: ValidationReport("diagram"))
+    out = tmp_path / "out.json"
+    assert run(["coend", diagram, "--category", category, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: category invalid: identity-law: left identity fails on m" in err.splitlines()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["dim", "stratum"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratabundle import corpus, fincat, jsonio, oracle
-from stratabundle.validation import StructureError, Violation
+from stratabundle.validation import StructureError, ValidationReport, Violation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -434,6 +434,49 @@ class TestCheckComposition:
         assert codes() == ["compose-spurious"]
         del compose[("p3:102", "p3:102")]
         assert codes() == ["compose-missing", "compose-spurious"]
+
+
+def all_triples_associativity(cat):
+    """The associativity loop of ``_check_associativity`` over every triple of morphisms."""
+    found = []
+    mors, compose = cat.morphisms, cat.compose_table
+    for f in mors.values():
+        for g in mors.values():
+            if g.src != f.tgt or (g.id, f.id) not in compose:
+                continue
+            for h in mors.values():
+                if h.src != g.tgt or (h.id, g.id) not in compose:
+                    continue
+                left = compose.get((h.id, compose[(g.id, f.id)]))
+                if left is None or left != compose.get((compose[(h.id, g.id)], f.id)):
+                    found.append(Violation("associativity", f"({h.id}, {g.id}, {f.id})"))
+    return found
+
+
+class TestMorphismsBySource:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_associativity_follows_the_all_triples_order(self, seed):
+        rng = random.Random(seed)
+        cat, _ = corpus.perm_category(3)
+        compose = dict(cat.compose_table)
+        for key in rng.sample(sorted(compose), len(compose) // 4):
+            compose[key] = rng.choice(sorted(cat.morphisms) + ["nowhere"])
+        broken = copy_category(cat, compose)
+        rep = ValidationReport("category")
+        fincat._check_associativity(broken, rep)
+        assert len(rep.violations) > 5
+        assert rep.violations == all_triples_associativity(broken)
+
+    def test_the_index_is_built_once_on_first_use(self):
+        cat, ff = corpus.perm_category(3)
+        assert "out_of" not in vars(cat)
+        for _ in fincat.functor_stages(cat, ff):
+            pass
+        index = vars(cat)["out_of"]
+        assert fincat.validate_category(cat).ok and cat.out_of is index
+        assert index == {
+            v: [m for m, mor in cat.morphisms.items() if mor.src == v] for v in cat.objects
+        }
 
 
 class TestLightAssociativity:

@@ -108,6 +108,39 @@ def test_no_command_runs_a_validator_of_its_own():
     assert direct == []
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((ROOT / "src" / "stratabundle" / f"{module}.py").read_text(encoding="utf-8"))
+    return next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
+
+
+@pytest.mark.parametrize("function", ["coend", "reconstruct_check"])
+def test_the_coend_runs_no_validator_of_its_own(function):
+    # every bundle that reaches the coend has passed the gate; a check here
+    # would be a second gate, paid on every call
+    names = (
+        node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        for node in ast.walk(_function("funcspace", function))
+    )
+    assert sorted(n for n in names if n.lstrip("_").startswith(("check_", "validate_"))) == []
+
+
+def test_the_coend_command_gates_its_bundle_first():
+    # cmd_coend builds its bundle from the diagram and --category; the coend
+    # must read it only as the gate returns it
+    calls = [
+        node
+        for node in ast.walk(_function("cli", "cmd_coend"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) == ("funcspace", "coend")
+    ]
+    assert len(calls) == 1
+    (bundle,) = calls[0].args
+    assert isinstance(bundle, ast.Call) and isinstance(bundle.func, ast.Name)
+    assert bundle.func.id == "_valid_bundle"
+
+
 @pytest.fixture
 def exhaustive_calls(monkeypatch):
     calls = {"_check_associativity": 0, "_check_functor_laws_exhaustively": 0}
