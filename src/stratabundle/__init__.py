@@ -24,7 +24,6 @@ from .fincat import (
     FiniteCategory,
     faithful_image,
     hom_fibre_functor,
-    is_groupoid,
     product_category,
     validate_category,
 )

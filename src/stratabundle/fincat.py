@@ -32,8 +32,16 @@ category L is closed under composition: for t1, t2 in L,
 the last step being t2 in L with h = t1.  So L is every morphism once it
 holds the generators, and checking F(h.s) = F(h)F(s) for the generators s
 costs O(generators x morphisms x fibre) instead of
-O(composable pairs x fibre).  Only a failure of that check, or of an
-earlier stage, pays for the exhaustive loop, which names every pair.
+O(composable pairs x fibre).  The same argument, with
+L = {t : phi(h.t) = phi(h)phi(t)}, proves a functor phi between two
+lawful categories from its source's generators: once phi respects
+endpoints and phi(id) = id, the target's identity law puts every identity
+in L, and associativity on both sides gives phi(h.(t1.t2)) =
+phi(h.t1)phi(t2) = phi(h)phi(t1)phi(t2) = phi(h)phi(t1.t2).  Both laws
+go through one kernel, ``_law_failures``; only a failure on the
+generators, or of an earlier stage, pays for its exhaustive pass,
+``_failing_pairs``, which names every failing pair.  A category's own
+laws are decided once, by ``FiniteCategory.laws``.
 """
 from __future__ import annotations
 
@@ -86,6 +94,11 @@ class FiniteCategory:
         for mid, m in self.morphisms.items():
             out.setdefault(m.src, []).append(mid)
         return out
+
+    @cached_property
+    def laws(self) -> CategoryReport:
+        """``validate_category(self)``, kept: no code edits a category after reading it."""
+        return validate_category(self)
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self.homs.get((a, b), ())
@@ -333,11 +346,12 @@ def functor_stages(cat: FiniteCategory, ff: FibreFunctor):
     ``validate_category``), then fibre tables, then the functor laws.  A
     caller that stops at the first failing report never runs the later
     stages; one that merges them all gets ``validate_category`` followed
-    by ``validate_fibre_functor``.  The functor-law stage checks only the
+    by ``validate_fibre_functor``.  The category stages come from
+    ``cat.laws``.  The functor-law stage checks only the
     generators of the associativity stage when every stage before it
-    passed, and runs the exhaustive loop otherwise.
+    passed, and runs the exhaustive pass otherwise.
     """
-    category = validate_category(cat)
+    category = cat.laws
     yield from category.stages
     tables = check_fibre_tables(cat, ff)
     yield tables
@@ -355,49 +369,49 @@ def check_functor_laws(
 ) -> ValidationReport:
     """F(id) = id on every object and F(g.f) = F(g)F(f) on every composite.
 
-    ``generators`` is None, or ``validate_category(cat).generators`` for
-    a functor whose ``check_fibre_tables`` passed; then the laws are
-    checked on the generators alone (see the module docstring).  When
-    that check fails, or without generators, the exhaustive loop names
-    every failure, so the report is the same either way.
+    ``generators`` is None, or ``cat.laws.generators`` for a functor whose
+    ``check_fibre_tables`` passed; then, once every identity acts as the
+    identity, the composition law is checked on the generators alone (see
+    the module docstring).  The report is the same either way.
     """
     rep = ValidationReport("fibre-functor")
-    if generators is None or not _lawful_on_generators(cat, ff, generators):
-        _check_functor_laws_exhaustively(cat, ff, rep)
+    on, fibres = ff.on_morphisms, ff.on_objects
+    for v in cat.objects:
+        i = cat.identities.get(v)
+        if i in on and v in fibres and on[i] != identity_table(fibres[v]):
+            rep.add("action-identity", f"identity of {v} does not act as identity")
+
+    def holds(g, f):
+        gf = cat.compose_table[(g, f)]
+        if g not in on or f not in on or gf not in on:
+            return True
+        outer = on[g]
+        # a value outside the domain of ``outer`` was reported by the
+        # fibre tables; get() turns it into a mismatch here instead of a KeyError
+        return on[gf] == {e: outer.get(v) for e, v in on[f].items()}
+
+    for g, f in _law_failures(cat, generators if rep.ok else None, holds):
+        rep.add("action-composition", f"({g}, {f})")
     return rep
 
 
-def _lawful_on_generators(cat: FiniteCategory, ff: FibreFunctor, generators: list[str]) -> bool:
-    """The identity law, and F(h.s) = F(h)F(s) for every generator s and every h after it."""
-    on = ff.on_morphisms
-    for v in cat.objects:
-        if on[cat.identities[v]] != identity_table(ff.on_objects[v]):
-            return False
-    out_of, compose = cat.out_of, cat.compose_table
-    for s in generators:
-        inner = on[s]
-        for h in out_of[cat.morphisms[s].tgt]:
-            outer = on[h]
-            if on[compose[(h, s)]] != {e: outer[v] for e, v in inner.items()}:
-                return False
-    return True
+def _law_failures(cat: FiniteCategory, generators: list[str] | None, holds) -> list:
+    """The composites (g, f) of ``cat`` where the law ``holds(g, f)`` fails.
+
+    ``generators`` is None, or generators of a lawful ``cat`` for a law
+    closed under composition and holding on identities; then [] when
+    ``holds(h, s)`` for every generator s and every h after it.
+    """
+    if generators is not None:
+        out_of, mors = cat.out_of, cat.morphisms
+        if all(holds(h, s) for s in generators for h in out_of[mors[s].tgt]):
+            return []
+    return _failing_pairs(cat, holds)
 
 
-def _check_functor_laws_exhaustively(cat: FiniteCategory, ff: FibreFunctor, rep) -> None:
-    """The functor laws on every object and every recorded composite, in O(composites x fibre)."""
-    for v in cat.objects:
-        i = cat.identities.get(v)
-        if i in ff.on_morphisms and v in ff.on_objects:
-            if ff.on_morphisms[i] != identity_table(ff.on_objects[v]):
-                rep.add("action-identity", f"identity of {v} does not act as identity")
-    for (g, f), gf in cat.compose_table.items():
-        if g in ff.on_morphisms and f in ff.on_morphisms and gf in ff.on_morphisms:
-            outer = ff.on_morphisms[g]
-            # a value outside the domain of ``outer`` was reported by the
-            # fibre tables; get() turns it into a mismatch here instead of a KeyError
-            composite = {e: outer.get(v) for e, v in ff.on_morphisms[f].items()}
-            if ff.on_morphisms[gf] != composite:
-                rep.add("action-composition", f"({g}, {f})")
+def _failing_pairs(cat: FiniteCategory, holds) -> list:
+    """Every recorded composite (g, f) with ``holds(g, f)`` false, in ``compose_table`` order."""
+    return [pair for pair in cat.compose_table if not holds(*pair)]
 
 
 def image_inverse(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> str | None:
@@ -415,22 +429,6 @@ def image_inverse(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> str | None
 
 def is_iso_in_image(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> bool:
     return image_inverse(cat, ff, mid) is not None
-
-
-def is_groupoid(cat: FiniteCategory) -> tuple[bool, str | None]:
-    """True when every morphism has a strict two-sided inverse; else a witness."""
-    for m in sorted(cat.morphisms.values(), key=lambda x: x.id):
-        found = False
-        for u in cat.hom(m.tgt, m.src):
-            if (
-                cat.compose_table.get((u, m.id)) == cat.identities[m.src]
-                and cat.compose_table.get((m.id, u)) == cat.identities[m.tgt]
-            ):
-                found = True
-                break
-        if not found:
-            return False, m.id
-    return True, None
 
 
 @dataclass
@@ -635,12 +633,18 @@ def validate_cat_functor(phi: CatFunctor) -> ValidationReport:
         i = src.identities[v]
         if phi.on_morphisms.get(i) != tgt.identities.get(phi.on_objects.get(v)):
             rep.add("functor-identity", f"identity of {v} not preserved")
-    for (g, f), gf in src.compose_table.items():
-        pg, pf, pgf = (phi.on_morphisms.get(x) for x in (g, f, gf))
+    on = phi.on_morphisms
+
+    def holds(g, f):
+        pg, pf = on.get(g), on.get(f)
         if pg is None or pf is None:
-            continue
-        if tgt.compose_table.get((pg, pf)) != pgf:
-            rep.add("functor-composition", f"({g}, {f})")
+            return True
+        return tgt.compose_table.get((pg, pf)) == on.get(src.compose_table[(g, f)])
+
+    # the module docstring's proof needs the checks above and both categories lawful
+    lawful = rep.ok and src.laws.ok and tgt.laws.ok
+    for g, f in _law_failures(src, src.laws.generators if lawful else None, holds):
+        rep.add("functor-composition", f"({g}, {f})")
     return rep
 
 

@@ -98,16 +98,15 @@ def _precomposition_tables(
 
 
 def validate_diagram(d: DiagramBundle) -> ValidationReport:
-    """Check component consistency, action tables and contravariance.
+    """Check component consistency, action tables and the category's laws.
 
     Once every action table equals pre-composition and the components
-    carry the hom functors, the identity check restates the right identity
-    law and the contravariance check restates associativity:
-    alpha.(g2.g1) = (alpha.g2).g1.  So when ``fincat.validate_category``
-    passes, both hold and are skipped; otherwise ``_check_contravariance``
-    names every failure, and the report is the same either way.  A
-    category law can fail away from the fibre objects and leave every
-    action lawful; the category's own violations are reported then.
+    carry the hom functors, the actions' identity law and contravariance,
+    alpha.(g2.g1) = (alpha.g2).g1, restate the category's right identity
+    law and associativity on the maps into fibre objects.  So the actions
+    are lawful when the category is, and the category's own violations,
+    ``d.cat.laws``, complete the report; a law can fail away from the
+    fibre objects and leave every action lawful.
     """
     rep = ValidationReport("diagram")
     if set(d.components) != set(d.cat.objects):
@@ -143,32 +142,9 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
         for c in cells:
             if d.actions[g].get(c) != per_cell[c]:
                 rep.add("action-table", f"{g} over {c}")
-    if not rep.ok:
-        return rep
-    category = fincat.validate_category(d.cat)
-    if not category.ok:
-        _check_contravariance(d, rep)
-        if rep.ok:
-            rep.merge(category)
+    if rep.ok:
+        rep.merge(d.cat.laws)
     return rep
-
-
-def _check_contravariance(d: DiagramBundle, rep: ValidationReport) -> None:
-    """Identity and composition laws of the actions, in O(composable pairs x hom-set)."""
-    # action tables agree across cells with one fibre object, so
-    # contravariance is checked once per distinct object
-    for w in sorted(set(d.fibre_obj.values())):
-        c = min(c for c, o in d.fibre_obj.items() if o == w)
-        for v in d.cat.objects:
-            ident = d.cat.identities[v]
-            elems = d.components[v].fibre_set(c)
-            if d.actions[ident][c] != fincat.identity_table(elems):
-                rep.add("action-identity", f"{ident} over object {w}")
-        for (g2, g1), comp in d.cat.compose_table.items():
-            left = d.actions[comp][c]
-            right = fincat.compose_tables(d.actions[g1][c], d.actions[g2][c])
-            if left != right:
-                rep.add("contravariance", f"({g2}, {g1}) over object {w}")
 
 
 @dataclass

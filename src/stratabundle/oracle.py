@@ -584,11 +584,11 @@ def classify_principal_instance(x: StratBundle) -> tuple[str, str]:
 
     Distinguishes defective inputs from genuine reconstruction failures so
     mutated negative controls are reported without polluting the theorem
-    count.
+    count; a defective input fails a stage of the bundle gate.
     """
-    rep = strabundle.validate_bundle(x)
-    if not rep.ok:
-        return "invalid-input", str(rep.violations[0])
+    for rep in strabundle.bundle_stages(x):
+        if not rep.ok:
+            return "invalid-input", str(rep.violations[0])
     res = funcspace.reconstruct_check(x)
     if not res.ok:
         return "theorem-violation", str(res.coend.report.violations[:1])

@@ -213,19 +213,19 @@ def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
     """Trivialize over the closed star of every cell.
 
     Requires the faithful image of the structure category to be a
-    groupoid; the witness morphism is reported otherwise.  That check
-    also gives every transition an image inverse, so the stars skip the
-    invertibility scan of ``trivialize_over``.  Failure over
+    groupoid: the first morphism in sorted id order without an image
+    inverse, always its class's least member, is the witness otherwise.
+    The check also gives every transition an image inverse, so the stars
+    skip the invertibility scan of ``trivialize_over``.  Failure over
     some star would contradict coherence and is raised as an internal
     error rather than returned.
     """
-    fi = fincat.faithful_image(x.cat, x.ff)
-    ok, witness = fincat.is_groupoid(fi.category)
-    if not ok:
+    memo = _Memo(x)  # each inverse is found once and shared by all the stars
+    witness = next((m for m in sorted(x.cat.morphisms) if memo.inverses[m] is None), None)
+    if witness is not None:
         raise PreconditionError(
             f"structure category is not a groupoid in its faithful image; witness {witness}"
         )
-    memo = _Memo(x)  # each inverse is found on its first use and shared by all the stars
     stars = {}
     for c in x.base.sorted_cells():
         # a closed star is a union of face closures, so it needs none of

@@ -1,9 +1,10 @@
-"""Builders shared by several test modules: small triangulated tori, and a paused collector."""
+"""Helpers shared by several test modules: small triangulated tori, a groupoid
+reference, a paused collector and a count of the exhaustive law passes."""
 import gc
 
 import pytest
 
-from stratabundle import cellbase, corpus, strabundle
+from stratabundle import cellbase, corpus, fincat, strabundle
 
 
 def build_torus(n: int):
@@ -56,3 +57,34 @@ def collector_off():
     yield
     if was_enabled:
         gc.enable()
+
+
+def is_groupoid(cat):
+    """True when every morphism has a strict two-sided inverse; else the least witness."""
+    for m in sorted(cat.morphisms.values(), key=lambda x: x.id):
+        if not any(
+            cat.compose_table.get((u, m.id)) == cat.identities[m.src]
+            and cat.compose_table.get((m.id, u)) == cat.identities[m.tgt]
+            for u in cat.hom(m.tgt, m.src)
+        ):
+            return False, m.id
+    return True, None
+
+
+@pytest.fixture
+def exhaustive_calls(monkeypatch):
+    """Calls of the exhaustive associativity and functor-law passes, by name."""
+    calls = {"_check_associativity": 0, "_failing_pairs": 0}
+
+    def counting(name):
+        original = getattr(fincat, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fincat, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    return calls

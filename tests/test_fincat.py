@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from conftest import is_groupoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,12 +141,12 @@ class TestFaithfulImage:
 
 class TestGroupoid:
     def test_group_is_groupoid(self):
-        ok, witness = fincat.is_groupoid(z2_category())
+        ok, witness = is_groupoid(z2_category())
         assert ok and witness is None
 
     def test_orbit_category_is_not(self):
         cat, _ = corpus.orbit_z2_category()
-        ok, witness = fincat.is_groupoid(cat)
+        ok, witness = is_groupoid(cat)
         assert not ok
         # independent oracle: exhaustive two-sided inverse search
         found = set()
@@ -161,7 +162,7 @@ class TestGroupoid:
 
     def test_collapse_witness(self):
         cat, _ = corpus.finset_category((1, 2))
-        ok, witness = fincat.is_groupoid(cat)
+        ok, witness = is_groupoid(cat)
         assert not ok and witness is not None
 
 
@@ -283,6 +284,99 @@ def test_cat_functor_validation():
     assert fincat.validate_cat_functor(phi).ok
     broken = fincat.CatFunctor(phi.source, phi.target, {"pt": "pt"}, {"e": "g", "g": "g"})
     assert not fincat.validate_cat_functor(broken).ok
+
+
+def reference_validate_cat_functor(phi):
+    """The all-pairs ``validate_cat_functor``, checking every composite of the source."""
+    rep = ValidationReport("functor")
+    src, tgt = phi.source, phi.target
+    for v in src.objects:
+        if phi.on_objects.get(v) not in tgt.objects:
+            rep.add("functor-object", f"{v} has no image object")
+    for m in src.morphisms.values():
+        img = phi.on_morphisms.get(m.id)
+        if img is None or img not in tgt.morphisms:
+            rep.add("functor-morphism", f"{m.id} has no image morphism")
+            continue
+        im = tgt.morphisms[img]
+        if (im.src, im.tgt) != (phi.on_objects.get(m.src), phi.on_objects.get(m.tgt)):
+            rep.add("functor-typing", f"{m.id} image has wrong endpoints")
+    for v in src.objects:
+        i = src.identities[v]
+        if phi.on_morphisms.get(i) != tgt.identities.get(phi.on_objects.get(v)):
+            rep.add("functor-identity", f"identity of {v} not preserved")
+    for (g, f), gf in src.compose_table.items():
+        pg, pf, pgf = (phi.on_morphisms.get(x) for x in (g, f, gf))
+        if pg is None or pf is None:
+            continue
+        if tgt.compose_table.get((pg, pf)) != pgf:
+            rep.add("functor-composition", f"({g}, {f})")
+    return rep
+
+
+def conjugation_functor(cat, seed):
+    """The automorphism p -> s p s^-1 of ``corpus.perm_category``, one random s per set."""
+    rng = random.Random(seed)
+    sigma, images = {}, {}
+    for m in sorted(cat.morphisms):
+        k, digits = m[1:].split(":")
+        n = int(k)
+        if n not in sigma:
+            sigma[n] = rng.sample(range(n), n)
+        s = sigma[n]
+        inverse = {v: i for i, v in enumerate(s)}
+        images[m] = f"p{k}:" + "".join(str(s[int(digits[inverse[i]])]) for i in range(n))
+    return fincat.CatFunctor(cat, cat, {v: v for v in cat.objects}, images)
+
+
+def lawful_functor(name):
+    """``bz2-identity``, ``bz2-trivializer``, or ``perm<n>-identity``/``-conjugation``."""
+    if name == "bz2-identity":
+        return fincat.identity_cat_functor(corpus.bz2_category()[0])
+    if name == "bz2-trivializer":
+        return corpus.bz2_trivializer()[0]
+    n, kind = int(name[4]), name[6:]
+    cat, _ = corpus.perm_category(n)
+    return fincat.identity_cat_functor(cat) if kind == "identity" else conjugation_functor(cat, n)
+
+
+def _mutant(phi, rng):
+    """``phi`` with one to three morphism images changed; some keep their hom-set."""
+    images = dict(phi.on_morphisms)
+    for m in rng.sample(sorted(images), min(len(images), rng.randint(1, 3))):
+        old = phi.target.morphisms[images[m]]
+        choice = rng.random()
+        if choice < 0.6:
+            images[m] = rng.choice(phi.target.hom(old.src, old.tgt))
+        elif choice < 0.9:
+            images[m] = rng.choice(sorted(phi.target.morphisms))
+        else:
+            images[m] = "nope"
+    return fincat.CatFunctor(phi.source, phi.target, dict(phi.on_objects), images)
+
+
+@pytest.mark.parametrize("name", [
+    "bz2-identity", "bz2-trivializer",
+    "perm3-identity", "perm3-conjugation", "perm4-identity", "perm4-conjugation",
+])
+def test_cat_functor_validation_matches_all_pairs(exhaustive_calls, name):
+    # the composition law is checked on the source's generators; the report
+    # must equal the all-pairs loop's, and a lawful functor must never pay
+    # for the exhaustive pass
+    phi = lawful_functor(name)
+    assert fincat.validate_cat_functor(phi).ok
+    assert exhaustive_calls["_failing_pairs"] == 0
+    rng = random.Random(name)
+    lawful = 0
+    for _ in range(40):
+        mutant = _mutant(phi, rng)
+        before = exhaustive_calls["_failing_pairs"]
+        expected = reference_validate_cat_functor(mutant).to_doc()
+        assert fincat.validate_cat_functor(mutant).to_doc() == expected
+        if expected["ok"]:
+            lawful += 1
+            assert exhaustive_calls["_failing_pairs"] == before
+    assert lawful < 40
 
 
 def test_image_inverse_and_iso():
@@ -682,43 +776,54 @@ def single_table_corruptions(cat, ff):
                     yield f"{m}<-{other}", broken
 
 
+def _lawful_on_generators(calls, cat, ff, generators):
+    """The verdict on the generators alone: whether the law check ran no exhaustive pass."""
+    before = calls["_failing_pairs"]
+    fincat.check_functor_laws(cat, ff, generators)
+    return calls["_failing_pairs"] == before
+
+
 class TestFunctorLawsOnGenerators:
-    def assert_same_as_exhaustive(self, name, cat, ff):
+    def assert_same_as_exhaustive(self, calls, name, cat, ff):
         category = fincat.validate_category(cat)
         assert category.ok and category.generators is not None, name
         assert fincat.check_fibre_tables(cat, ff).ok, name
         expected = reference_functor_laws(cat, ff)
         # the verdict on the generators alone, then the report, which runs the
-        # exhaustive loop when that verdict is a failure
-        assert fincat._lawful_on_generators(cat, ff, category.generators) == (not expected), name
+        # exhaustive pass when that verdict is a failure
+        assert _lawful_on_generators(calls, cat, ff, category.generators) == (not expected), name
         assert fincat.check_functor_laws(cat, ff, category.generators).violations == expected, name
         assert fincat.check_functor_laws(cat, ff, None).violations == expected, name
         return expected
 
-    def test_golden_categories(self):
+    def test_golden_categories(self, exhaustive_calls):
         names = []
         for name, cat, ff in golden_structures():
-            assert self.assert_same_as_exhaustive(name, cat, ff) == []
+            assert self.assert_same_as_exhaustive(exhaustive_calls, name, cat, ff) == []
             names.append(name)
         assert len(names) == 12
 
-    def test_generated_categories(self):
+    def test_generated_categories(self, exhaustive_calls):
         for seed in range(200):
             for groupoid_only in (False, True):
                 spec = oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only)
                 cat, ff = oracle.gen_category(spec)
                 name = f"gen{seed}-{groupoid_only}"
-                assert self.assert_same_as_exhaustive(name, cat, ff) == [], name
+                assert self.assert_same_as_exhaustive(exhaustive_calls, name, cat, ff) == [], name
 
-    def test_every_single_table_corruption_of_perm3(self):
+    def test_every_single_table_corruption_of_perm3(self, exhaustive_calls):
         cat, ff = corpus.perm_category(3)
         corruptions = list(single_table_corruptions(cat, ff))
         assert len(corruptions) == 2 * 1 + 6 * 5
-        lawful = [n for n, ff2 in corruptions if not self.assert_same_as_exhaustive(n, cat, ff2)]
+        lawful = [
+            n
+            for n, ff2 in corruptions
+            if not self.assert_same_as_exhaustive(exhaustive_calls, n, cat, ff2)
+        ]
         # the swap acting as the identity is still a functor, an unfaithful one
         assert lawful == ["p2:10<-p2:01"]
 
-    def test_every_assignment_of_tables_to_the_permutations_of_set3(self):
+    def test_every_assignment_of_tables_to_the_permutations_of_set3(self, exhaustive_calls):
         # every morphism of set3 but the identity acting by any of the six
         # permutations: 6 ** 5 table assignments, wrong at several pairs at
         # once, which single-table corruptions are not
@@ -732,7 +837,8 @@ class TestFunctorLawsOnGenerators:
             tables_of = {**ff.on_morphisms, **dict(zip(moved, choice))}
             assigned = fincat.FibreFunctor(ff.on_objects, tables_of)
             expected = reference_functor_laws(cat, assigned)
-            assert fincat._lawful_on_generators(cat, assigned, generators) == (not expected), choice
+            verdict = _lawful_on_generators(exhaustive_calls, cat, assigned, generators)
+            assert verdict == (not expected), choice
             lawful += not expected
         # the homomorphisms S3 -> S3: the trivial one, three onto a
         # subgroup of order 2, and six automorphisms

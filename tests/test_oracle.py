@@ -1,10 +1,11 @@
 import hashlib
 
 import pytest
+from conftest import is_groupoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import fincat, funcspace, jsonio, oracle, strabundle, triviality
+from stratabundle import corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
 from stratabundle.validation import StructureError, ValidationReport, Violation
 
 
@@ -48,7 +49,7 @@ class TestGenCategory:
         assert fincat.validate_fibre_functor(cat, ff).ok
         assert fincat.is_faithful(cat, ff)
         if groupoid_only:
-            assert fincat.is_groupoid(cat)[0]
+            assert is_groupoid(cat)[0]
 
 
 class TestGenBundle:
@@ -155,6 +156,18 @@ class TestSuites:
         outcome, _ = oracle.classify_principal_instance(broken)
         assert outcome == "invalid-input"
 
+    def test_unlawful_category_is_invalid_input(self):
+        # p2:10 . p2:10 recorded as p2:10 breaks the functor law but no stage
+        # after it; such an input is defective, not a theorem violation
+        x = corpus.double_cover_c3()
+        x.cat.compose_table[("p2:10", "p2:10")] = "p2:10"
+        x = strabundle.StratBundle(x.base, x.strat, x.cat, x.ff, x.fibre_obj, x.transition)
+        assert strabundle.validate_bundle(x).ok
+        assert oracle.classify_principal_instance(x) == (
+            "invalid-input",
+            "Violation(code='action-composition', detail='(p2:10, p2:10)')",
+        )
+
     def test_unknown_suite_is_rejected(self):
         with pytest.raises(StructureError):
             oracle.run_suite("nope", oracle.InstanceSpec(seed=1), 1)
@@ -230,6 +243,9 @@ class TestFailurePaths:
                 return real(spec, rng)
 
             monkeypatch.setattr(oracle, "gen_category", gen_category)
+        elif path == "validate" and name == "principal":
+            # the principal classifier reads the whole gate, not validate_bundle
+            monkeypatch.setattr(strabundle, "bundle_stages", lambda x: [_failing_report()])
         elif path == "validate":
             monkeypatch.setattr(strabundle, "validate_bundle", _failing_report)
         else:

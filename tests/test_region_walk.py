@@ -10,7 +10,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from conftest import build_torus, build_torus_cover
+from conftest import build_torus, build_torus_cover, is_groupoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,7 +122,7 @@ def _reference_trivialize(x, region, memo):
 
 def _reference_certificate(x):
     fi = fincat.faithful_image(x.cat, x.ff)
-    ok, witness = fincat.is_groupoid(fi.category)
+    ok, witness = is_groupoid(fi.category)
     if not ok:
         raise PreconditionError(
             f"structure category is not a groupoid in its faithful image; witness {witness}"

@@ -141,24 +141,6 @@ def test_the_coend_command_gates_its_bundle_first():
     assert bundle.func.id == "_valid_bundle"
 
 
-@pytest.fixture
-def exhaustive_calls(monkeypatch):
-    calls = {"_check_associativity": 0, "_check_functor_laws_exhaustively": 0}
-
-    def counting(name):
-        original = getattr(fincat, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(fincat, name, wrapper)
-
-    for name in calls:
-        counting(name)
-    return calls
-
-
 def test_loading_a_bundle_runs_no_exhaustive_loop(exhaustive_calls, tmp_path):
     # Light's generators decide associativity and the functor laws of a valid
     # bundle; a cubic or all-pairs loop would only show as slower commands
@@ -168,7 +150,7 @@ def test_loading_a_bundle_runs_no_exhaustive_loop(exhaustive_calls, tmp_path):
     path = tmp_path / "perm4.json"
     jsonio.write_doc(path, jsonio.bundle_to_doc(x))
     assert cli._load_bundle(str(path)).cat == cat
-    assert exhaustive_calls == {"_check_associativity": 0, "_check_functor_laws_exhaustively": 0}
+    assert exhaustive_calls == {"_check_associativity": 0, "_failing_pairs": 0}
     # a table that breaks a law fails the generator check, and only then does
     # the exhaustive loop run, to name every pair
     doc = jsonio.bundle_to_doc(x)
@@ -176,13 +158,71 @@ def test_loading_a_bundle_runs_no_exhaustive_loop(exhaustive_calls, tmp_path):
     jsonio.write_doc(path, doc)
     with pytest.raises(StructureError, match="^fibre-functor invalid: action-composition: "):
         cli._load_bundle(str(path))
-    assert exhaustive_calls == {"_check_associativity": 0, "_check_functor_laws_exhaustively": 1}
+    assert exhaustive_calls == {"_check_associativity": 0, "_failing_pairs": 1}
 
 
-@pytest.mark.parametrize("document", ["double_cover_c3.json", "perm2_category.json"])
-def test_validate_calls_the_traced_category_validator(monkeypatch, tmp_path, document):
-    # the traced run times `fincat.validate_category` by replacing the module
-    # attribute, so the CLI must reach the validator through it
+def test_associate_checks_the_functor_on_generators(exhaustive_calls, tmp_path):
+    # a functor between lawful categories is proved lawful from its source's
+    # generators; only a broken image pays for the all-pairs pass
+    cat, ff = corpus.perm_category(4)
+    base = cellbase.cycle_complex(3)
+    x = strabundle.product_bundle(base, cellbase.single_stratum(base), cat, ff, "set4")
+    bundle, functor = str(tmp_path / "perm4.json"), tmp_path / "functor.json"
+    jsonio.write_doc(bundle, jsonio.bundle_to_doc(x))
+    doc = jsonio.functor_to_doc(fincat.identity_cat_functor(cat), ff)
+    jsonio.write_doc(functor, doc)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["associate", bundle, str(functor), "-o", out]) == 0
+    assert exhaustive_calls == {"_check_associativity": 0, "_failing_pairs": 0}
+    doc["on_morphisms"]["p4:1023"] = "p4:0132"
+    jsonio.write_doc(functor, doc)
+    assert cli.main(["associate", bundle, str(functor), "-o", out]) == 1
+    assert exhaustive_calls == {"_check_associativity": 0, "_failing_pairs": 1}
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """Qualified names of the functions in ``tree`` that call ``name``, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_laws_property_decides_a_category():
+    # a category's laws are decided once, on the category; a second call
+    # site would run Light's test again on a category already decided
+    callers = [
+        f"{path.stem}.{caller}"
+        for path in sorted((ROOT / "src" / "stratabundle").glob("*.py"))
+        for caller in _callers(ast.parse(path.read_text(encoding="utf-8")), "validate_category")
+    ]
+    assert callers == ["fincat.FiniteCategory.laws"]
+
+
+def test_coend_decides_its_category_once(category_validations, tmp_path):
+    # the diagram check and the bundle gate read one category object
+    x = corpus.double_cover_c3()
+    diagram, category = tmp_path / "diagram.json", tmp_path / "category.json"
+    jsonio.write_doc(diagram, jsonio.diagram_to_doc(funcspace.principal_diagram(x)))
+    jsonio.write_doc(category, jsonio.category_to_doc(x.cat, x.ff))
+    argv = ["coend", str(diagram), "--category", str(category), "-o", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert len(category_validations) == 1
+
+
+@pytest.fixture
+def category_validations(monkeypatch):
     calls = []
     original = fincat.validate_category
 
@@ -191,9 +231,16 @@ def test_validate_calls_the_traced_category_validator(monkeypatch, tmp_path, doc
         return original(cat)
 
     monkeypatch.setattr(fincat, "validate_category", counting)
+    return calls
+
+
+@pytest.mark.parametrize("document", ["double_cover_c3.json", "perm2_category.json"])
+def test_validate_calls_the_traced_category_validator(category_validations, tmp_path, document):
+    # the traced run times `fincat.validate_category` by replacing the module
+    # attribute, so the CLI must reach the validator through it
     out = tmp_path / "report.json"
     assert cli.main(["validate", str(ROOT / "tests" / "golden" / document), "-o", str(out)]) == 0
-    assert len(calls) == 1
+    assert len(category_validations) == 1
 
 
 @pytest.fixture
@@ -275,8 +322,9 @@ def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypat
 
 
 def test_certificate_finds_each_inverse_once_and_sorts_no_incidences(monkeypatch, torus_cover):
-    # the groupoid check already guarantees every image inverse; a per-star
-    # invertibility scan or incidence sort would only show as a slower certify op
+    # the groupoid check finds every morphism's image inverse once and the stars
+    # reuse them; a per-star invertibility scan or incidence sort would only
+    # show as a slower certify op
     x = torus_cover(15)
     x.base.adjacency  # the complex's own index, sorted once per complex
     asked, sorted_pairs = [], []
@@ -298,7 +346,7 @@ def test_certificate_finds_each_inverse_once_and_sorts_no_incidences(monkeypatch
     cert = triviality.local_triviality_certificate(x)
     assert len(cert.stars) == len(x.base.cells)
     assert 0 < len(asked) == len(set(asked))
-    assert set(asked) <= set(x.transition.values())
+    assert set(asked) == set(x.cat.morphisms)
     assert sorted_pairs == []
 
 
