@@ -31,7 +31,7 @@ def _emit(doc, out: str | None) -> None:
     if out:
         jsonio.write_doc(out, doc)
     else:
-        sys.stdout.write(jsonio.canon_dumps(doc))
+        sys.stdout.writelines(jsonio.canon_chunks(doc))
 
 
 def _say(msg: str) -> None:

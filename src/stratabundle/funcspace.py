@@ -122,15 +122,20 @@ def validate_diagram(d: DiagramBundle) -> ValidationReport:
         except StructureError as exc:
             rep.add("component-functor", f"{v}: {exc}")
             return rep
-        if b.ff != hom_v:
+        functor_ok = b.ff == hom_v
+        if not functor_ok:
             rep.add("component-functor", v)
         # a diagram read from a document shares one category object wherever
         # the components' categories agree, so this is mostly an identity test
-        if b.cat is not d.cat and b.cat != d.cat:
+        category_ok = b.cat is d.cat or b.cat == d.cat
+        if not category_ok:
             rep.add("component-category", v)
-        sub = strabundle.validate_bundle(b)
-        if not sub.ok:
-            rep.add("component-invalid", f"{v}: {sub.violations[0].code}")
+        # stages 6-8 look up action and composition entries that a component
+        # failing either check above may lack
+        if functor_ok and category_ok:
+            sub = strabundle.validate_bundle(b)
+            if not sub.ok:
+                rep.add("component-invalid", f"{v}: {sub.violations[0].code}")
     if not rep.ok:
         return rep
     if set(d.actions) != set(d.cat.morphisms):

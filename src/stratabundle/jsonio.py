@@ -6,12 +6,27 @@ bytes, which keeps golden files and manifest hashes stable.  Writers are
 atomic (write to a sibling temp file, then rename).
 
 The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
-ensure_ascii=False)`` plus a newline, but ``canon_dumps`` does not call it:
+ensure_ascii=False)`` plus a newline, but the writer here does not call it:
 with an indent, ``json`` never uses its C encoder and spends a generator
-step on every token.  The writer here joins each container in one call,
-copying its text once, and escapes strings with the C-backed
-``json.encoder.encode_basestring``, which matters on the multi-megabyte
-cover, certificate and diagram documents.
+step on every token.  The one encoder is ``canon_chunks``, which yields
+the text of a document in pieces of about a block of rows or ``_FLUSH``
+characters at most, never one per leaf.  ``write_doc`` streams the pieces
+to its temp file and the CLI streams them to stdout, so a command holds
+its document's objects and one piece of text, not the whole text on top;
+``canon_dumps`` joins them for the callers that need a string.  Small
+containers are written whole by ``_encode``, which joins each in one
+call, copying its text once; strings are escaped with the C-backed
+``json.encoder.encode_basestring``.
+
+A streamed dict or list (``_member_chunks``) is one of two kinds.  A
+table, with ``_SMALL`` members or more, all scalars or all small dicts or
+all small lists, is written in blocks of whole members: the first of
+``_SMALL`` members, each later one sized from the ones before it.
+Anything else, such as a document's top level, the ``components`` of a
+diagram or a category document, streams each member that holds a
+container or is itself large, and writes the rest whole.  So what a
+write holds beyond the document is bounded by a block, except where a
+table's row is itself large.
 
 The largest tables are rows of strings with one shape: ``compose``
 triples ``[g, f, gf]``, morphisms ``{id, src, tgt}``, bundle
@@ -19,15 +34,15 @@ triples ``[g, f, gf]``, morphisms ``{id, src, tgt}``, bundle
 ``elements`` ``[cell, point]`` and ``relations`` ``[[face, point], [cell,
 point]]``.  The writers build each such table as the private marker
 ``_Rows``, a list with a ``shape``: a row width, a tuple of widths for
-rows of flat rows, or a tuple of keys.  ``canon_dumps`` writes a marked
-table from one ``%``-format of its row per indent, applied to a block of
-rows at a time with the leaves escaped in one pass; no generator step or
-join per row.  When any row does not fit the shape (a leaf that is no
-string, a row that is no list or dict, another length or another key
-set), the whole table goes to the generic encoder, so the bytes never
-change.  Tables that stay with the generic encoder: base ``cells``
-(integer members, faces of varying length), ``monodromy`` and the
-``certify`` stars.
+rows of flat rows, or a tuple of keys.  ``_row_chunks`` writes a marked
+table from one ``%``-format of its row per indent, one piece per block of
+``_BLOCK`` rows with the leaves escaped in one pass; no generator step or
+join per row.  When a row does not fit the shape (a row that is no list
+or dict, another length or another key set), the table is streamed as a
+plain list, and a block with a leaf that is no string is written by the
+generic encoder, so the bytes never change.  Tables that stay with the
+generic encoder: base ``cells`` (integer members, faces of varying
+length), ``monodromy`` and the ``certify`` stars.
 
 A diagram document holds the same containers at many places: every
 component carries the one structure category, and the ``actions`` block
@@ -36,9 +51,9 @@ repeats each (g, W) table under every cell with fibre object W.
 ``_SharedList`` or ``_SharedDict`` or as a shared ``_Rows``, and puts that
 one object at every place it occurs.  The markers subclass ``list`` and
 ``dict``, so ``json.dumps`` and ``==`` still see a plain tree, and
-``canon_dumps`` encodes each shared one at most once per indent and reuses
-the text.  A table written once caches nothing: keeping its text would
-hold a second copy of the document until the write ends.  Invariant: a
+the writer encodes each shared one at most once per indent and yields the
+cached text as one piece.  A table written once caches nothing: keeping
+its text would hold a second copy of it until the write ends.  Invariant: a
 shared container is not mutated after it is built, or its cached text
 would go stale; only this module builds markers, and the documents it
 returns are written, not edited.  On the read side ``diagram_from_doc``
@@ -66,6 +81,9 @@ _int_repr = int.__repr__
 _float_repr = float.__repr__
 _flatten = chain.from_iterable
 _BLOCK = 1024  # rows per %-format: enough to amortise the call, few enough to hold no large copy
+_FLUSH = 1 << 20  # characters: about the most text a streamed container gathers into one piece
+_SMALL = 64  # members: fewer in a flat container or a table's row, and it is written whole
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 class _SharedList(list):
@@ -106,6 +124,12 @@ class _Rows(list):
         self.encoded: dict[str, str] | None = {} if shared else None
 
 
+def canon_chunks(doc):
+    """The text of ``canon_dumps(doc)`` as pieces, in order; see the module docstring."""
+    yield from _value_chunks(doc, "\n")
+    yield "\n"
+
+
 def canon_dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` and a newline.
 
@@ -113,11 +137,101 @@ def canon_dumps(doc) -> str:
     values ``json`` cannot encode are those of ``json.dumps``; documents
     are trees, so a circular reference is not detected.
     """
-    return _encode(doc, "\n") + "\n"
+    return "".join(canon_chunks(doc))
+
+
+def _value_chunks(o, nl: str):
+    """``_encode(o, nl)`` as pieces: containers and unshared tables streamed, the rest whole."""
+    t = type(o)
+    if t is dict or t is list or t is tuple:
+        return _member_chunks(o, nl)
+    if t is _Rows and o.encoded is None:
+        return _row_chunks(o, nl)
+    return (_encode(o, nl),)
+
+
+def _streams(v) -> bool:
+    """True when the member ``v`` of a streamed container is streamed itself.
+
+    Markers and unshared tables stream, and so do plain containers that
+    hold a container or ``_SMALL`` members or more; flat small containers
+    and scalars are written whole.
+    """
+    t = type(v)
+    if t is dict or t is list or t is tuple:
+        return len(v) >= _SMALL or not set(map(type, v.values() if t is dict else v)) <= _SCALARS
+    return t is _Rows or t is _SharedList or t is _SharedDict
+
+
+def _is_table(values) -> bool:
+    """True for ``_SMALL`` members or more, all scalars, or all plain dicts
+    or all plain lists of fewer than ``_SMALL`` members each."""
+    if len(values) < _SMALL:
+        return False
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return True
+    return (kinds == {dict} or kinds == {list}) and max(map(len, values)) < _SMALL
+
+
+def _member_chunks(o, nl: str):
+    """The pieces of a dict, list or tuple.
+
+    A table (``_is_table``) is written in blocks of whole members: the
+    first of ``_SMALL`` members, each later one sized from the blocks
+    before to about ``_FLUSH`` characters and at most ``_BLOCK`` members.
+    In any other container each member that ``_streams`` is streamed on
+    its own, and the text of the others is gathered and flushed at
+    ``_FLUSH`` characters.
+    """
+    if not o:
+        yield "{}" if type(o) is dict else "[]"
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if type(o) is dict:
+        # json sorts the items, not the keys, and converts keys after sorting
+        items = sorted(o.items())
+        heads = [_encode_str(k if type(k) is str else _key_str(k)) + ": " for k, _ in items]
+        values = [v for _, v in items]
+        text, closing = "{" + inner, nl + "}"
+    else:
+        heads, values, text, closing = None, o, "[" + inner, nl + "]"
+    if _is_table(values):
+        start, step = 0, _SMALL
+        while start < len(values):
+            stop = start + step
+            texts = [
+                _encode_str(v) if type(v) is str else _encode(v, inner) for v in values[start:stop]
+            ]
+            if heads is not None:
+                texts = list(map(str.__add__, heads[start:stop], texts))
+            body = _join(text, texts, sep, "")
+            yield body
+            text = sep
+            step = min(_BLOCK, 2 * step, step * _FLUSH // len(body)) or 1
+            start = stop
+        yield closing
+        return
+    for i, v in enumerate(values):
+        if i:
+            text += sep
+        if heads is not None:
+            text += heads[i]
+        if _streams(v):
+            yield text
+            yield from _value_chunks(v, inner)
+            text = ""
+        else:
+            text += _encode_str(v) if type(v) is str else _encode(v, inner)
+            if len(text) >= _FLUSH:
+                yield text
+                text = ""
+    yield text + closing
 
 
 def _encode(o, nl: str) -> str:
-    """One value; ``nl`` is a newline and the indent of the line it starts on."""
+    """One value, whole; ``nl`` is a newline and the indent of the line it starts on."""
     t = type(o)
     if t is str:
         return _encode_str(o)
@@ -163,8 +277,8 @@ def _cached(o, nl: str, body) -> str:
 def _join(opening: str, parts: list[str], sep: str, closing: str) -> str:
     """``opening + sep.join(parts) + closing`` for non-empty ``parts``, copying the body once.
 
-    Wrapping a joined body copies it a second time, so a write would hold
-    three copies of its largest container at once; this holds two.
+    The body is a container written whole or one block of a streamed
+    one; wrapping the joined body would copy it a second time.
     """
     parts[0] = opening + parts[0]
     parts[-1] += closing
@@ -194,24 +308,37 @@ def _encode_dict(dct, nl: str) -> str:
 
 
 def _encode_rows(rows: _Rows, nl: str) -> str:
-    """A marked table from its row template, or from ``_encode_list`` if a row does not fit."""
+    return "".join(_row_chunks(rows, nl))
+
+
+def _row_chunks(rows: _Rows, nl: str):
+    """A marked table from its row template, one piece per block of ``_BLOCK`` rows.
+
+    A table whose rows do not all have its shape is streamed as a list; a
+    block with a leaf that is no string is written by ``_encode``, which
+    gives the template's text for every row that fits it.
+    """
     leaves = _row_leaves(rows)
     if leaves is None:
-        return _encode_list(rows, nl)
+        yield from _member_chunks(rows, nl)
+        return
     inner = nl + "  "
     sep = "," + inner
     row = _row_template(rows.shape, inner)
     size = min(len(rows), _BLOCK)
     block = sep.join([row] * size)
-    try:
-        parts = [
-            (block if len(part) == size else sep.join([row] * len(part)))
-            % tuple(map(_encode_str, leaves(part)))
-            for part in (rows[i : i + size] for i in range(0, len(rows), size))
-        ]
-    except TypeError:  # a leaf that is no string
-        return _encode_list(rows, nl)
-    return _join("[" + inner, parts, sep, nl + "]")
+    text = "[" + inner
+    for i in range(0, len(rows), size):
+        part = rows[i : i + size]
+        try:
+            body = (block if len(part) == size else sep.join([row] * len(part))) % tuple(
+                map(_encode_str, leaves(part))
+            )
+        except TypeError:  # a leaf that is no string
+            body = sep.join([_encode(r, inner) for r in part])
+        yield text + body
+        text = sep
+    yield nl + "]"
 
 
 def _row_leaves(rows: _Rows):
@@ -276,10 +403,20 @@ def _float_str(x: float) -> str:
 
 
 def write_doc(path, doc) -> None:
+    """Stream ``canon_chunks(doc)`` to a sibling temp file, then rename it over ``path``.
+
+    If encoding or writing fails, the temp file is removed and ``path``
+    keeps the bytes it had.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canon_dumps(doc), encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(canon_chunks(doc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_doc(path) -> dict:
@@ -472,11 +609,20 @@ def map_to_doc(m: SimplicialMap, src_strat: Stratification | None = None) -> dic
     return doc
 
 
+def _vertex_map(doc: dict) -> dict:
+    """The ``vertex_map`` of a map: an object from vertex ids to vertex ids."""
+    vertex_map = _object(doc["vertex_map"], "vertex map")
+    _strings(vertex_map, "vertex")
+    _strings(vertex_map.values(), "vertex image")
+    return vertex_map
+
+
 def map_from_doc(doc: dict, target: BaseComplex) -> tuple[SimplicialMap, Stratification]:
     _need(doc, ["vertex_map", "source"], "simplicial-map")
     source, strat = complex_from_doc(doc["source"])
+    vertex_map = _vertex_map(doc)
     try:
-        smap = SimplicialMap.from_vertex_map(source, target, doc["vertex_map"])
+        smap = SimplicialMap.from_vertex_map(source, target, vertex_map)
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed map document: {exc!r}") from exc
     return smap, strat
@@ -597,8 +743,9 @@ def attachment_from_doc(
     _strings(_list(doc["attached_cells"], "attached cells"), "attached cell")
     a_cells = frozenset(doc["attached_cells"])
     try:
+        vertex_map = _vertex_map(_object(doc["map"], "attachment map"))
         smap = SimplicialMap.from_vertex_map(
-            cellbase.subcomplex(m.base, a_cells), y.base, doc["map"]["vertex_map"]
+            cellbase.subcomplex(m.base, a_cells), y.base, vertex_map
         )
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed attachment document: {exc!r}") from exc

@@ -1037,3 +1037,53 @@ def test_attached_cells_that_are_no_list_of_ids_are_a_document_error(tmp_path, c
     jsonio.write_doc(path, doc)
     assert run(["attach", _golden("trivial_two_sheets_c3"), str(path)]) == 3
     assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
+def _diagram_without_an_action_entry(tmp_path):
+    """The principal diagram of double_cover_c3 with one action entry of set2 removed."""
+    path = tmp_path / "diagram.json"
+    assert run(["principal", _golden("double_cover_c3"), "-o", str(path)]) == 0
+    doc = jsonio.read_doc(path)
+    del doc["components"]["set2"]["category"]["actions"]["p2:01"]["p2:01"]
+    jsonio.write_doc(path, doc)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "options", [["validate"], ["coend", "--category", _golden("perm2_category")]],
+    ids=["validate", "coend"],
+)
+def test_a_diagram_component_with_a_missing_action_is_a_named_violation(tmp_path, options):
+    # the component's bundle checks used to look up the missing entry, with a KeyError traceback
+    command, *rest = options
+    proc = run_module(command, _diagram_without_an_action_entry(tmp_path), *rest)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "  component-functor: set2" in proc.stderr.splitlines()
+
+
+def test_a_vertex_map_that_is_no_object_is_a_document_error(tmp_path):
+    # a list used to die in dict() with a ValueError traceback
+    doc = jsonio.read_doc(GOLDEN / "c6_fold_map.json")
+    doc["vertex_map"] = [doc["vertex_map"]]
+    path = tmp_path / "map.json"
+    jsonio.write_doc(path, doc)
+    proc = run_module("pullback", _golden("double_cover_c3"), str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("document error: vertex map must be an object, not [{")
+
+
+@pytest.mark.parametrize("vertex_map, message", [
+    ([{"u0": "v0"}], "vertex map must be an object, not [{'u0': 'v0'}]"),
+    ({"u0": ["v0"], "u1": "v1", "u2": "v2"}, "vertex image must be a string, not ['v0']"),
+], ids=["list", "list-image"])
+def test_an_attachment_vertex_map_of_another_type_is_a_document_error(
+    tmp_path, capsys, vertex_map, message
+):
+    doc = _attachment_doc()
+    doc["map"]["vertex_map"] = vertex_map
+    path = tmp_path / "attachment.json"
+    jsonio.write_doc(path, doc)
+    assert run(["attach", _golden("trivial_two_sheets_c3"), str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()

@@ -1,17 +1,22 @@
 import enum
+import gc
 import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import cli, corpus, fincat, funcspace, jsonio, strabundle
+from stratabundle import cli, corpus, fincat, funcspace, jsonio, strabundle, triviality
 from stratabundle.validation import DocumentError
+
+from conftest import build_torus_cover
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -212,12 +217,67 @@ documents_with_sharing = documents | st.tuples(markers, documents).map(
 )
 
 
+def written(path, doc) -> str:
+    """What ``write_doc`` puts in ``path``, as text."""
+    jsonio.write_doc(path, doc)
+    return path.read_bytes().decode("utf-8")
+
+
+def _cover_doc(x):
+    """The document ``cover`` writes: the covering certificate and the total complex."""
+    cert = triviality.covering_space(x)
+    doc = cert.to_doc()
+    doc["total"] = jsonio.total_to_doc(cert.total)
+    return doc
+
+
+# large containers of each kind the writer tells apart: tables of scalars,
+# of flat rows and of nested rows, a table with one long row, records of
+# long strings, and members far above the piece size
+streamed_documents = {
+    "scalar-table": {f"k{i:05}": [f"v{i}", i, i / 7, None, i > 9][i % 5] for i in range(5000)},
+    "row-table": [{"id": f"c{i}", "faces": [f"f{i}", f"g{i}"], "dim": i % 3} for i in range(3000)],
+    "one-long-row": [[f"a{i}"] for i in range(200)] + [[f"b{i}" for i in range(100)]],
+    "long-strings": {"a": ["x" * 300_000] * 12, "b": "y" * 1_500_000, "c": 1},
+    "growing-members": [["z" * n] for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000)] * 10,
+    "nested-tables": {f"m{i}": {f"c{j}": f"e{(i * j) % 11}" for j in range(i)} for i in range(150)},
+}
+
+
 class TestCanonDumps:
     @settings(max_examples=600, deadline=None)
     @given(documents_with_sharing)
     def test_equals_json_dumps(self, doc):
         assert jsonio.canon_dumps(doc) == reference_dumps(doc)
         assert jsonio.canon_dumps(doc) == reference_dumps(doc)  # now from the caches
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents_with_sharing)
+    def test_write_doc_writes_the_canonical_bytes(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "written.json"
+        assert written(path, doc) == jsonio.canon_dumps(doc) == reference_dumps(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents_with_sharing)
+    def test_every_path_of_the_walker_with_tiny_limits(self, doc):
+        # with these limits the small generated documents hold tables, blocks
+        # of one or two members and flushes in the middle of a container
+        with mock.patch.multiple(jsonio, _SMALL=2, _FLUSH=8, _BLOCK=2):
+            assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("name", streamed_documents)
+    def test_streamed_containers_equal_json_dumps(self, tmp_path, name):
+        doc = streamed_documents[name]
+        assert written(tmp_path / "doc.json", doc) == reference_dumps(doc)
+
+    def test_a_large_document_is_written_in_bounded_pieces(self):
+        # one piece per leaf would make the write slow, one huge piece would
+        # hold a copy of the document
+        doc = _cover_doc(build_torus_cover(15))
+        sizes = list(map(len, jsonio.canon_chunks(doc)))
+        rows = len(doc["monodromy"]) + len(doc["total"]["elements"]) + len(doc["total"]["relations"])
+        assert len(sizes) < rows / 100
+        assert max(sizes) <= 2 * jsonio._FLUSH
 
     @settings(max_examples=300, deadline=None)
     @given(row_tables(shared=False) | row_tables(shared=True))
@@ -228,7 +288,7 @@ class TestCanonDumps:
 
     @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2 * 1024 + 7])
     @pytest.mark.parametrize("misfit", [None, 0, -1], ids=["fits", "first-misfit", "last-misfit"])
-    def test_row_tables_over_several_blocks(self, count, misfit):
+    def test_row_tables_over_several_blocks(self, tmp_path, count, misfit):
         rows = [[f"g{i}", f"f{i % 7}", f"%{i}\u00e9"] for i in range(count)]
         if misfit is not None:
             rows[misfit][1] = misfit  # an int leaf, in the first or the last block
@@ -236,6 +296,7 @@ class TestCanonDumps:
             table = jsonio._Rows(rows, 3, shared)
             doc = {"compose": table, "again": [table]}
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+            assert written(tmp_path / "doc.json", doc) == reference_dumps(doc)
 
     @pytest.mark.parametrize(
         "rows, shape",
@@ -308,6 +369,40 @@ class TestCanonDumps:
             jsonio.canon_dumps(doc)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+    def test_a_failed_write_leaves_no_temp_file_and_the_target_untouched(self, tmp_path):
+        rows = [[f"g{i}", f"f{i}", f"h{i}"] for i in range(3 * 1024)]
+        doc = {"compose": jsonio._Rows(rows, 3), "tail": [f"x{i}" for i in range(5000)] + [object()]}
+        with pytest.raises(TypeError) as expected:
+            reference_dumps(doc)
+        # the writer has streamed much of the document when the leaf fails
+        pieces = jsonio.canon_chunks(doc)
+        streamed = []
+        with pytest.raises(TypeError):
+            for piece in pieces:
+                streamed.append(piece)
+        assert len(streamed) > 3 and sum(map(len, streamed)) > 100_000
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"earlier bytes\n")
+        with pytest.raises(TypeError) as got:
+            jsonio.write_doc(target, doc)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"earlier bytes\n"
+
+    def test_writing_the_torus_cover_holds_no_copy_of_its_text(self, tmp_path, collector_off):
+        doc = _cover_doc(build_torus_cover(33))
+        size = len(jsonio.canon_dumps(doc))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            jsonio.write_doc(tmp_path / "cover.json", doc)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 2
 
     @pytest.mark.parametrize("name", corpus.example_names())
     def test_equals_json_dumps_on_every_example(self, name):
@@ -420,10 +515,11 @@ class TestDiagramDocuments:
         assert len({id(t) for t in tables}) == len(distinct) < len(tables)
 
     def test_the_shared_row_tables_are_encoded_once(self, monkeypatch):
+        # every table is written by _row_chunks, a shared one through its cache
         encoded = []
-        original = jsonio._encode_rows
+        original = jsonio._row_chunks
         monkeypatch.setattr(
-            jsonio, "_encode_rows", lambda rows, nl: encoded.append(rows) or original(rows, nl)
+            jsonio, "_row_chunks", lambda rows, nl: encoded.append(rows) or original(rows, nl)
         )
         doc = jsonio.diagram_to_doc(funcspace.principal_diagram(corpus.triple_cover_c3()))
         assert jsonio.canon_dumps(doc) == reference_dumps(doc)

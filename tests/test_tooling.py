@@ -276,11 +276,16 @@ def test_principal_suite_builds_no_diagram(principal_diagram_calls):
 
 
 def test_documents_are_written_only_by_the_canonical_writer():
-    # a stray json.dump(s) would write bytes that no golden hash or manifest pins
-    call = re.compile(r"\bjson\.dumps?\(")
+    # a stray json.dump(s) would write bytes that no golden hash or manifest
+    # pins, and a canon_dumps call in the package would hold the whole text
+    # of a document that write_doc or canon_chunks streams
+    calls = {
+        "src": re.compile(r"\bjson\.dumps?\(|\bcanon_dumps\("),
+        "scripts": re.compile(r"\bjson\.dumps?\("),
+    }
     offenders = [
         f"{path.relative_to(ROOT)}:{n}"
-        for folder in ("src", "scripts")
+        for folder, call in calls.items()
         for path in sorted((ROOT / folder).rglob("*.py"))
         if path.name != "jsonio.py"
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
