@@ -127,13 +127,10 @@ def cmd_principal(args) -> int:
 
 
 def cmd_coend(args) -> int:
-    doc = jsonio.read_doc(args.diagram)
-    d = jsonio.diagram_from_doc(doc)
     # a --category document whose category core equals the first
-    # component's is read as d.cat; the parsed diagram itself is freed
-    # here, so that it does not add to the coend's peak memory
-    first = next(iter(doc["components"].values()))["category"]
-    del doc
+    # component's is read as d.cat; of the parsed diagram only that
+    # component's category document outlives the read
+    d, first = jsonio.read_diagram(args.diagram)
     rep = funcspace.validate_diagram(d)
     if not rep.ok:
         _emit(rep.to_doc(), args.out)

@@ -1,10 +1,15 @@
-"""Helpers shared by several test modules: small triangulated tori, a groupoid
-reference, a paused collector and a count of the exhaustive law passes."""
+"""Helpers shared by several test modules: small triangulated tori, the
+principal diagrams of the golden bundles, a groupoid reference, a paused
+collector and a count of the exhaustive law passes."""
+import functools
 import gc
+from pathlib import Path
 
 import pytest
 
-from stratabundle import cellbase, corpus, fincat, strabundle
+from stratabundle import cellbase, corpus, fincat, funcspace, jsonio, strabundle
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def build_torus(n: int):
@@ -37,6 +42,13 @@ def build_torus_cover(n: int) -> strabundle.StratBundle:
     vertex_map = {f"t{i}_{j}": f"v{i % 3}" for i in range(n) for j in range(n)}
     fbar = cellbase.SimplicialMap.from_vertex_map(b, circle.base, vertex_map)
     return strabundle.pullback(circle, fbar, s).bundle
+
+
+@functools.cache
+def principal_text(name: str) -> str:
+    """The canonical principal diagram of the golden bundle ``name``."""
+    x = jsonio.bundle_from_doc(jsonio.read_doc(GOLDEN / f"{name}.json"))
+    return jsonio.canon_dumps(jsonio.diagram_to_doc(funcspace.principal_diagram(x)))
 
 
 @pytest.fixture

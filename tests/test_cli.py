@@ -49,6 +49,25 @@ def test_validate_unreadable_is_exit_3(tmp_path):
     assert run(["validate", str(path)]) == 3
 
 
+# bytes that are no UTF-8, and objects nested deeper than json's parser recurses
+UNDECODABLE = {
+    "not-utf8": (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    "nested": (b'{"a": ' * 100_000, "nests its values too deeply to be read"),
+}
+
+
+@pytest.mark.parametrize("text", UNDECODABLE)
+@pytest.mark.parametrize("command", ["validate", "coend", "cover"])
+def test_undecodable_text_is_a_document_error(tmp_path, command, text):
+    data, message = UNDECODABLE[text]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    proc = run_module(command, str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"document error: {path} {message}")
+
+
 def test_reconstruct_golden_double_cover(tmp_path):
     bundle = write_example(tmp_path, "double_cover_c3")
     out = tmp_path / "iso.json"

@@ -1,8 +1,10 @@
-"""Every bundle command on mutated golden bundles ends in a documented exit.
+"""Every bundle command on mutated golden bundles, and ``coend`` on mutated
+principal diagrams, ends in a documented exit.
 
 Each command reads its bundle through the stage list that ``validate``
-merges, so a command may exit 0 only on a document that ``validate``
-accepts; no mutation may let an exception escape ``cli.main``.
+merges, and ``coend`` validates its diagram as ``validate`` does, so a
+command may exit 0 only on a document that ``validate`` accepts; no
+mutation may let an exception escape ``cli.main``.
 """
 import json
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import principal_text
 from test_cli import _attachment_doc
 
 from stratabundle import cli, jsonio
@@ -154,6 +157,40 @@ def test_no_bundle_command_accepts_what_validate_refuses(work, case):
         code = cli.main([*argv, "-o", out])
         assert code in EXITS, (name, kind, argv)
         assert code != 0 or valid == 0, (name, kind, argv)
+
+
+# the mutations that take a bundle document, applied to one component of a diagram
+COMPONENT_MUTATIONS = {"other_action_table", "other_composite", "other_transition"}
+
+
+@st.composite
+def diagram_mutants(draw):
+    name = draw(st.sampled_from(BUNDLES))
+    kind = draw(st.sampled_from(sorted(MUTATIONS)))
+    doc = json.loads(principal_text(name))
+    target = doc
+    if kind in COMPONENT_MUTATIONS:
+        target = doc["components"][draw(st.sampled_from(sorted(doc["components"])))]
+    MUTATIONS[kind](target, draw)
+    return name, kind, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(diagram_mutants())
+def test_coend_accepts_no_diagram_that_validate_refuses(work, case):
+    name, kind, doc = case
+    # written canonically, so the unmutated components repeat their core text
+    path = work / "diagram.json"
+    jsonio.write_doc(path, doc)
+    category = work / f"{name}.category.json"
+    if not category.exists():
+        jsonio.write_doc(category, _golden(name)["category"])
+    out = str(work / "out")
+    valid = cli.main(["validate", str(path), "-o", out])
+    assert valid in EXITS
+    code = cli.main(["coend", str(path), "--category", str(category), "-o", out])
+    assert code in EXITS, (name, kind)
+    assert code != 0 or valid == 0, (name, kind)
 
 
 def _give_p3_021_the_table_of_p3_102(doc):

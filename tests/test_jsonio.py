@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from stratabundle import cli, corpus, fincat, funcspace, jsonio, strabundle, triviality
 from stratabundle.validation import DocumentError
 
-from conftest import build_torus_cover
+from conftest import build_torus_cover, principal_text
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -564,6 +564,128 @@ class TestDiagramDocuments:
         assert [v for v, b in d.components.items() if b.cat is not d.cat] == [second]
         violations = funcspace.validate_diagram(d).violations
         assert ("component-category", second) in [(v.code, v.detail) for v in violations]
+
+
+def _another_composite(doc, draw):
+    """One composite of one component's category core changed to another morphism."""
+    sub = doc["components"][draw(st.sampled_from(sorted(doc["components"])))]["category"]
+    row = draw(st.sampled_from(sub["compose"]))
+    others = sorted({m["id"] for m in sub["morphisms"]} - {row[2]}) or [row[2] + "~"]
+    row[2] = draw(st.sampled_from(others))
+
+
+def _dropped_table(doc, draw):
+    per_cell = doc["actions"][draw(st.sampled_from(sorted(doc["actions"])))]
+    del per_cell[draw(st.sampled_from(sorted(per_cell)))]
+
+
+DIAGRAM_DAMAGE = {
+    "none": lambda doc, draw: None,
+    "another-composite": _another_composite,
+    "dropped-table": _dropped_table,
+}
+
+# the texts a diagram reaches the reader as: the writer's own, re-spaced,
+# and the shapes and syntax errors that the reader's walk must hand to json.loads
+DIAGRAM_FORMS = {
+    "canonical": jsonio.canon_dumps,
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "indent-4": lambda doc: json.dumps(doc, indent=4),
+    "bom": lambda doc: "\ufeff" + jsonio.canon_dumps(doc),
+    "top-level-list": lambda doc: jsonio.canon_dumps([doc]),
+    "components-list": lambda doc: jsonio.canon_dumps(
+        {**doc, "components": list(doc["components"].values())}
+    ),
+}
+
+
+@st.composite
+def diagram_texts(draw):
+    doc = json.loads(principal_text(draw(st.sampled_from(sorted(GOLDEN_PRINCIPAL_COEND)))))
+    DIAGRAM_DAMAGE[draw(st.sampled_from(sorted(DIAGRAM_DAMAGE)))](doc, draw)
+    text = DIAGRAM_FORMS[draw(st.sampled_from(sorted(DIAGRAM_FORMS)))](doc)
+    # whole texts are drawn as often as cut ones, so the walk runs to its end in many cases
+    end = draw(st.sampled_from(["whole", "whole", "truncated", "trailing"]))
+    if end == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif end == "trailing":
+        text += draw(st.sampled_from(["x", " {}", "[]", ",1", "\n \t\r\n"]))
+    return text
+
+
+def _plain_read(path, text: str):
+    """What ``read_diagram`` must give: ``diagram_from_doc(json.loads(text))`` and the first
+    component's category document, or the ``DocumentError`` text of ``read_doc`` and of that."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"{path} is not valid JSON: {exc}"
+    if not isinstance(doc, dict):
+        return f"{path}: top level must be an object"
+    try:
+        return jsonio.diagram_from_doc(doc), next(iter(doc["components"].values()))["category"]
+    except DocumentError as exc:
+        return str(exc)
+
+
+class TestDiagramReader:
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("diagram-reader")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(diagram_texts())
+    def test_reads_what_json_loads_reads(self, work, text):
+        path = work / "diagram.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            got = jsonio.read_diagram(path)
+        except DocumentError as exc:
+            got = str(exc)
+        assert got == _plain_read(path, text)
+
+    def test_a_scalar_that_begins_an_earlier_one_is_read_whole(self):
+        # only containers are reused: "12" begins "123", "[1]" ends itself
+        text = (
+            '{"actions": {"g": {"c": 12, "d": 123, "e": [1], "f": [1], "h": [1, 2]}},'
+            ' "components": {"a": {"category": {"objects": 12}}, "b": {"category": {"objects": 123}}}}'
+        )
+        tree = jsonio._diagram_tree(text)
+        assert tree == json.loads(text)
+        assert tree["actions"]["g"]["e"] is tree["actions"]["g"]["f"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PRINCIPAL_COEND))
+    def test_coend_reads_the_written_diagram_without_json_loads(self, monkeypatch, tmp_path, name):
+        diagram, category, out = tmp_path / "d.json", tmp_path / "cat.json", tmp_path / "out.json"
+        assert cli.main(["principal", str(GOLDEN / f"{name}.json"), "-o", str(diagram)]) == 0
+        jsonio.write_doc(category, jsonio.read_doc(GOLDEN / f"{name}.json")["category"])
+        text = diagram.read_text(encoding="utf-8")
+        loads, parsed = json.loads, []
+
+        def no_diagram_loads(s, *args, **kwargs):
+            assert s != text, "the diagram fell back to json.loads"
+            return loads(s, *args, **kwargs)
+
+        original = jsonio.diagram_from_doc
+        monkeypatch.setattr(jsonio.json, "loads", no_diagram_loads)
+        monkeypatch.setattr(jsonio, "diagram_from_doc", lambda doc: parsed.append(doc) or original(doc))
+        assert cli.main(["coend", str(diagram), "--category", str(category), "-o", str(out)]) == 0
+        assert _sha256(out) == GOLDEN_PRINCIPAL_COEND[name][1]
+        [doc] = parsed
+        cores = [sub["category"] for sub in doc["components"].values()]
+        for key in ("objects", "morphisms", "compose", "identities"):
+            assert len({id(core[key]) for core in cores}) == 1
+        d = original(doc)
+        distinct = {(g, d.fibre_obj[c]) for g, per_cell in d.actions.items() for c in per_cell}
+        tables = [t for per_cell in d.actions.values() for t in per_cell.values()]
+        assert len({id(t) for t in tables}) == len(distinct)
+
+    def test_read_doc_gives_every_component_its_own_core(self, tmp_path):
+        # callers edit what read_doc gives them, one component at a time
+        diagram = tmp_path / "d.json"
+        diagram.write_text(principal_text("triple_cover_c3"), encoding="utf-8")
+        cores = [sub["category"]["compose"] for sub in jsonio.read_doc(diagram)["components"].values()]
+        assert len({id(c) for c in cores}) == len(cores) == 3
 
 
 # sha256 of `product` on every ordered pair of golden bundles over one base

@@ -294,6 +294,21 @@ def test_documents_are_written_only_by_the_canonical_writer():
     assert offenders == []
 
 
+def test_documents_are_read_only_by_jsonio():
+    # read_doc and read_diagram turn every unreadable text into a document
+    # error, and read_diagram parses a diagram's repeated containers once; a
+    # json.load(s) elsewhere in the package would bypass both
+    call = re.compile(r"\bjson\.loads?\(")
+    offenders = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.name != "jsonio.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if call.search(line)
+    ]
+    assert offenders == []
+
+
 def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypatch, torus_cover):
     # a per-star subcomplex copy or an unmemoised compatibility test would
     # only show as a slower certify op in the benchmark
