@@ -9,7 +9,8 @@ Every bundle passes one gate, the stage list ``strabundle.bundle_stages``:
 ``_valid_bundle`` raises its first failing stage, for every bundle that
 ``_load_bundle`` reads and for the one ``coend`` builds from its diagram
 and ``--category``, and ``validate`` and ``reconstruct`` merge every stage
-into the report they write.  No command calls a validator of its own
+into the report that ``_report`` writes; a diagram's stage list is
+``funcspace.diagram_stages``.  No command calls a validator of its own
 beside it.
 """
 from __future__ import annotations
@@ -22,7 +23,9 @@ import time
 from pathlib import Path
 
 from . import cellbase, corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
-from .validation import DocumentError, PreconditionError, StructureError, ValidationReport
+from .validation import (
+    DocumentError, PreconditionError, StructureError, ValidationReport, first_failure,
+)
 
 OK, INVALID, REFUSED, UNREADABLE = 0, 1, 2, 3
 
@@ -38,10 +41,17 @@ def _say(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+def _report(rep: ValidationReport, out: str | None, summary: str = "") -> int:
+    """Write ``rep`` and summarise it on stderr; exit 0 if it is ok and 1 otherwise."""
+    _emit(rep.to_doc(), out)
+    _say(summary or str(rep))
+    return OK if rep.ok else INVALID
+
+
 def _valid_bundle(x: strabundle.StratBundle) -> strabundle.StratBundle:
     """Raise the first failing stage of ``strabundle.bundle_stages``; the one bundle gate."""
-    for rep in strabundle.bundle_stages(x):
-        rep.raise_if_invalid()
+    if (failed := first_failure(strabundle.bundle_stages(x))) is not None:
+        failed.raise_if_invalid()
     return x
 
 
@@ -50,24 +60,19 @@ def _load_bundle(path: str) -> strabundle.StratBundle:
 
 
 def cmd_validate(args) -> int:
-    doc = jsonio.read_doc(args.document)
+    doc = jsonio.read_shared(args.document)
     kind = args.kind or jsonio.detect_kind(doc)
     if kind == "category":
         stages = fincat.functor_stages(*jsonio.category_from_doc(doc))
-        rep = ValidationReport.merged("category", stages)
     elif kind == "complex":
-        b, s = jsonio.complex_from_doc(doc)
-        rep = cellbase.validate_complex(b, s)
+        stages = [cellbase.validate_complex(*jsonio.complex_from_doc(doc))]
     elif kind == "bundle":
         stages = strabundle.bundle_stages(jsonio.bundle_from_doc(doc))
-        rep = ValidationReport.merged("bundle", stages)
     elif kind == "diagram":
-        rep = funcspace.validate_diagram(jsonio.diagram_from_doc(doc))
+        stages = funcspace.diagram_stages(jsonio.diagram_from_doc(doc))
     else:
         raise DocumentError(f"cannot validate a document of kind {kind!r}")
-    _emit(rep.to_doc(), args.out)
-    _say(str(rep))
-    return OK if rep.ok else INVALID
+    return _report(ValidationReport.merged(kind, stages), args.out)
 
 
 def cmd_attach(args) -> int:
@@ -133,9 +138,7 @@ def cmd_coend(args) -> int:
     d, first = jsonio.read_diagram(args.diagram)
     rep = funcspace.validate_diagram(d)
     if not rep.ok:
-        _emit(rep.to_doc(), args.out)
-        _say(str(rep))
-        return INVALID
+        return _report(rep, args.out)
     if not args.category:
         raise PreconditionError(
             "coend needs a fibre functor: pass a category document with --category"
@@ -144,15 +147,11 @@ def cmd_coend(args) -> int:
     if cat != d.cat:
         rep = ValidationReport("coend")
         rep.add("category-mismatch", "the --category document's category is not the diagram's")
-        _emit(rep.to_doc(), args.out)
-        _say(str(rep))
-        return INVALID
+        return _report(rep, args.out)
     y = strabundle.StratBundle(d.base, d.strat, d.cat, ff, d.fibre_obj, d.transitions)
     res = funcspace.coend(_valid_bundle(y))
     if not res.report.ok:
-        _emit(res.report.to_doc(), args.out)
-        _say(str(res.report))
-        return INVALID
+        return _report(res.report, args.out)
     _emit(jsonio.bundle_to_doc(y), args.out)
     _say("coend computed")
     return OK
@@ -162,14 +161,10 @@ def cmd_reconstruct(args) -> int:
     x = jsonio.bundle_from_doc(jsonio.read_doc(args.bundle))
     rep = ValidationReport.merged("bundle", strabundle.bundle_stages(x))
     if not rep.ok:
-        _emit(rep.to_doc(), args.out)
-        _say(str(rep))
-        return INVALID
+        return _report(rep, args.out)
     res = funcspace.reconstruct_check(x)
     if not res.ok:
-        _emit(res.coend.report.to_doc(), args.out)
-        _say("reconstruction failed")
-        return INVALID
+        return _report(res.coend.report, args.out, "reconstruction failed")
     _emit(res.iso_doc(), args.out)
     _say("reconstruction verified; iso written")
     return OK

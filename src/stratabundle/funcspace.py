@@ -27,7 +27,7 @@ from . import cellbase, fincat, strabundle
 from .cellbase import BaseComplex, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
 from .strabundle import StratBundle
-from .validation import StructureError, ValidationReport
+from .validation import StructureError, ValidationReport, first_failure
 
 
 @dataclass
@@ -97,59 +97,64 @@ def _precomposition_tables(
     return tables
 
 
-def validate_diagram(d: DiagramBundle) -> ValidationReport:
-    """Check component consistency, action tables and the category's laws.
+def diagram_stages(d: DiagramBundle):
+    """Every stage of a diagram's validation, one report each, in order.
 
-    Once every action table equals pre-composition and the components
-    carry the hom functors, the actions' identity law and contravariance,
-    alpha.(g2.g1) = (alpha.g2).g1, restate the category's right identity
-    law and associativity on the maps into fibre objects.  So the actions
-    are lawful when the category is, and the category's own violations,
-    ``d.cat.laws``, complete the report; a law can fail away from the
-    fibre objects and leave every action lawful.
+    References (a component per object over the diagram's base data and
+    category, an action per morphism), the category's laws, the hom functor
+    on each component, bundle stages 6-8 on each component
+    (``strabundle.validate_bundle``), and action tables equal to
+    pre-composition; a stage runs only if all before it passed.  A lawful
+    category records every composite, so ``hom_fibre_functor`` cannot
+    raise, and post-composition in it is lawful (Yoneda): the components
+    pass bundle stages 1-5.  The tables restate the category's laws only on
+    the maps into fibre objects; the laws stage decides them on every map.
     """
     rep = ValidationReport("diagram")
     if set(d.components) != set(d.cat.objects):
         rep.add("components", "one component per object is required")
-        return rep
     for v, b in d.components.items():
         if b.base.cells != d.base.cells or b.strat.strata != d.strat.strata:
             rep.add("component-base", v)
         if b.fibre_obj != d.fibre_obj or b.transition != d.transitions:
             rep.add("component-data", v)
-        try:
-            hom_v = fincat.hom_fibre_functor(d.cat, v)
-        except StructureError as exc:
-            rep.add("component-functor", f"{v}: {exc}")
-            return rep
-        functor_ok = b.ff == hom_v
-        if not functor_ok:
-            rep.add("component-functor", v)
         # a diagram read from a document shares one category object wherever
         # the components' categories agree, so this is mostly an identity test
-        category_ok = b.cat is d.cat or b.cat == d.cat
-        if not category_ok:
+        if b.cat is not d.cat and b.cat != d.cat:
             rep.add("component-category", v)
-        # stages 6-8 look up action and composition entries that a component
-        # failing either check above may lack
-        if functor_ok and category_ok:
-            sub = strabundle.validate_bundle(b)
-            if not sub.ok:
-                rep.add("component-invalid", f"{v}: {sub.violations[0].code}")
-    if not rep.ok:
-        return rep
     if set(d.actions) != set(d.cat.morphisms):
         rep.add("actions", "one action per morphism is required")
-        return rep
+    yield rep
+    if rep.ok:
+        yield from d.cat.laws.stages
+    if not rep.ok or not d.cat.laws.ok:
+        return
+    rep = ValidationReport("diagram")
+    for v, b in d.components.items():
+        if b.ff != fincat.hom_fibre_functor(d.cat, v):
+            rep.add("component-functor", v)
+    yield rep
+    if not rep.ok:
+        return
+    rep = ValidationReport("diagram")
+    for v, b in d.components.items():
+        if not (sub := strabundle.validate_bundle(b)).ok:
+            rep.add("component-invalid", f"{v}: {sub.violations[0].code}")
+    yield rep
+    if not rep.ok:
+        return
+    rep = ValidationReport("diagram")
     cells = d.base.sorted_cells()
-    expected = _precomposition_tables(d.cat, d.fibre_obj, cells)
-    for g, per_cell in expected.items():
+    for g, per_cell in _precomposition_tables(d.cat, d.fibre_obj, cells).items():
         for c in cells:
             if d.actions[g].get(c) != per_cell[c]:
                 rep.add("action-table", f"{g} over {c}")
-    if rep.ok:
-        rep.merge(d.cat.laws)
-    return rep
+    yield rep
+
+
+def validate_diagram(d: DiagramBundle) -> ValidationReport:
+    """Every stage of ``diagram_stages``, merged."""
+    return ValidationReport.merged("diagram", diagram_stages(d))
 
 
 @dataclass
@@ -328,8 +333,8 @@ def associated_bundle(x: StratBundle, phi: CatFunctor, gg: FibreFunctor) -> Stra
     x = _faithful_input(x)
     if phi.source != x.cat:
         raise StructureError("functor source must be the bundle's structure category")
-    for rep in fincat.functor_stages(phi.target, gg):
-        rep.raise_if_invalid()
+    if (failed := first_failure(fincat.functor_stages(phi.target, gg))) is not None:
+        failed.raise_if_invalid()
     fincat.validate_cat_functor(phi).raise_if_invalid()
     ff2 = fincat.precompose_fibre_functor(gg, phi)
     pulled = StratBundle(x.base, x.strat, x.cat, ff2, x.fibre_obj, x.transition)

@@ -74,10 +74,10 @@ for every component whose core is the first component's (an identity test
 on a shared core) and converts each parsed table once, so ``d.actions``
 shares its tables as ``principal_diagram`` builds them.  On a diagram of
 ``perm_category(5)`` (10.6 MB) the scanner parses 2.5 MB of the text.  The
-shared tree does not leave ``read_diagram``, which returns the diagram and
-the first component's category document.  ``read_doc`` returns a plain
-tree, since its callers edit documents, and an edit of a shared core would
-reach every component.
+shared tree, ``read_shared`` (that of ``json.loads`` for other kinds), is
+read by ``read_diagram`` and ``validate``, which edit nothing.  ``read_doc``
+returns a plain tree, since its callers edit documents, and an edit of a
+shared core would reach every component.
 """
 from __future__ import annotations
 
@@ -465,17 +465,13 @@ def read_doc(path) -> dict:
 
 
 def read_diagram(path) -> tuple[DiagramBundle, dict]:
-    """The diagram at ``path`` and its first component's category document.
-
-    The text is parsed by ``_diagram_tree`` when it has the expected shape
-    and by ``json.loads`` otherwise; see the module docstring.
-    """
-    doc = _diagram_doc(path)
+    """The diagram at ``path``, read by ``read_shared``, and its first component's category doc."""
+    doc = read_shared(path)
     return diagram_from_doc(doc), next(iter(doc["components"].values()))["category"]
 
 
-def _diagram_doc(path) -> dict:
-    """The parsed diagram; the text is freed on return, before the diagram is converted."""
+def read_shared(path) -> dict:
+    """``read_doc``'s tree, a diagram's recurring containers shared; read-only, text freed on return."""
     text = _read_text(path)
     try:
         return _diagram_tree(text)
@@ -895,7 +891,9 @@ def attachment_from_doc(
         )
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed attachment document: {exc!r}") from exc
-    return m, a_cells, smap, dict(doc["fibre_morphisms"])
+    fibre_morphisms = _object(doc["fibre_morphisms"], "fibre morphisms")
+    _strings(fibre_morphisms.values(), "fibre morphism")
+    return m, a_cells, smap, fibre_morphisms
 
 
 def strat_from_doc(doc: dict) -> Stratification:

@@ -5,9 +5,11 @@ categories are built from function tables closed under composition (the
 axioms are inherited from function composition), and bundles are built by
 iterated attachment of twisted product pieces whose boundary data is
 transported from a single morphism, which forces naturality.  The suites
-still validate everything and classify defects as ``invalid-input``
-(generator bug) separately from ``theorem-violation`` (which must never
-occur).
+still pass every generated input through the bundle gate,
+``strabundle.bundle_stages``, and check what they build from it with its
+stages 6-8, ``validate_bundle`` (which trusts the fiberwise product's new
+category); defects are ``invalid-input`` (generator bug), kept apart from
+``theorem-violation`` (which must never occur).
 
 ``run_suite(name, spec, seeds)`` is the one driver.  It rejects unknown
 names and seed counts below one, forces ``groupoid_only`` for the bundle
@@ -32,7 +34,7 @@ from . import cellbase, fincat, funcspace, strabundle, triviality
 from .cellbase import BaseComplex, SimplicialMap, Stratification
 from .fincat import FibreFunctor, FiniteCategory
 from .strabundle import StratBundle
-from .validation import StructureError
+from .validation import StructureError, first_failure
 
 RNG_NAME = "splitmix64"
 _MORPHISM_CAP = 28
@@ -388,7 +390,7 @@ def _valid_instance(spec: InstanceSpec):
         rng, cat, ff, gen = _gen_instance(spec)
     except Exception as exc:  # generator defect, not a theorem statement
         return None, ("invalid-input", "generate", repr(exc))
-    if not strabundle.validate_bundle(gen.bundle).ok:
+    if first_failure(strabundle.bundle_stages(gen.bundle)) is not None:
         return None, ("invalid-input", "generate", "generated bundle invalid")
     return (rng, cat, ff, gen), None
 
@@ -586,9 +588,8 @@ def classify_principal_instance(x: StratBundle) -> tuple[str, str]:
     mutated negative controls are reported without polluting the theorem
     count; a defective input fails a stage of the bundle gate.
     """
-    for rep in strabundle.bundle_stages(x):
-        if not rep.ok:
-            return "invalid-input", str(rep.violations[0])
+    if (failed := first_failure(strabundle.bundle_stages(x))) is not None:
+        return "invalid-input", str(failed.violations[0])
     res = funcspace.reconstruct_check(x)
     if not res.ok:
         return "theorem-violation", str(res.coend.report.violations[:1])
@@ -646,7 +647,7 @@ def _check_fiberwise(spec: InstanceSpec):
         xa, xb = _gen_pair(spec)
     except Exception as exc:
         return "invalid-input", "generate", repr(exc)
-    if not (strabundle.validate_bundle(xa).ok and strabundle.validate_bundle(xb).ok):
+    if any(first_failure(strabundle.bundle_stages(x)) for x in (xa, xb)):
         return "invalid-input", "generate", "factor invalid"
     try:
         prod = strabundle.fiberwise_product(xa, xb)

@@ -142,7 +142,9 @@ def _bundle_law_stages(x: StratBundle):
 
 
 def validate_bundle(x: StratBundle) -> ValidationReport:
-    """``check_bundle_references``, then stratum-wise invertibility and coherence."""
+    """Stages 6-8 of ``bundle_stages``, for a bundle whose category and functor are gated:
+    diagram components, the results of ``attach_bundle``, ``stratify_bundle`` and
+    ``associated_bundle``, and the bundles the suites build from gated ones."""
     return ValidationReport.merged("bundle", _bundle_law_stages(x))
 
 

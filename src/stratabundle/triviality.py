@@ -154,20 +154,13 @@ def _loop_through(parent, f: str, c: str) -> tuple[str, ...]:
             out.append(parent[out[-1]][0])
         return out
 
-    up_f = path_to_root(f)
-    up_c = path_to_root(c)
+    up_f, up_c = path_to_root(f), path_to_root(c)
     common = set(up_f) & set(up_c)
-    trim_f = []
-    for cell in up_f:
-        trim_f.append(cell)
-        if cell in common:
-            break
-    trim_c = []
-    for cell in up_c:
-        trim_c.append(cell)
-        if cell in common:
-            break
-    return tuple(trim_c + list(reversed(trim_f[:-1])))
+
+    def to_meet(path):
+        return path[: next(i for i, cell in enumerate(path) if cell in common) + 1]
+
+    return tuple(to_meet(up_c) + to_meet(up_f)[-2::-1])
 
 
 def validate_trivialization(x: StratBundle, t: Trivialization) -> ValidationReport:

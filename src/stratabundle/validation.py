@@ -66,3 +66,8 @@ class ValidationReport:
             return f"{self.subject}: ok"
         body = "\n".join(f"  {v.code}: {v.detail}" for v in self.violations)
         return f"{self.subject}: {len(self.violations)} violation(s)\n{body}"
+
+
+def first_failure(reports) -> ValidationReport | None:
+    """The first report of a stage list that is not ok, or None; no later stage runs."""
+    return next((rep for rep in reports if not rep.ok), None)

@@ -450,13 +450,31 @@ def test_diagram_with_a_missing_composite_is_a_report(tmp_path):
     proc = run_module("validate", str(diagram), "-o", str(report))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    # the diagram's category is its first component's, so set2's differs;
+    # the references come before the category's laws
     assert jsonio.read_doc(report) == {
         "subject": "diagram",
         "ok": False,
-        "violations": [{
-            "code": "component-functor",
-            "detail": "set2: no composite recorded for (p2:10, p2:10)",
-        }],
+        "violations": [{"code": "component-category", "detail": "set2"}],
+    }
+
+
+def test_a_diagram_category_without_a_composite_names_the_law(tmp_path):
+    # every component misses the composite, so the category's laws are the first failing stage
+    diagram, report = tmp_path / "diagram.json", tmp_path / "report.json"
+    assert run(["principal", str(GOLDEN / "double_cover_c3.json"), "-o", str(diagram)]) == 0
+    doc = jsonio.read_doc(diagram)
+    for sub in doc["components"].values():
+        sub["category"]["compose"].pop()
+    jsonio.write_doc(diagram, doc)
+    assert run(["validate", str(diagram), "-o", str(report)]) == 1
+    assert jsonio.read_doc(report) == {
+        "subject": "diagram",
+        "ok": False,
+        "violations": [
+            {"code": "compose-missing", "detail": "(p2:10, p2:10)"},
+            {"code": "associativity", "detail": "(p2:10, p2:01, p2:10)"},
+        ],
     }
 
 
@@ -905,7 +923,7 @@ def test_an_unexpected_exception_leaves_the_collector_as_it_found_it(collector, 
         paused.append(not gc.isenabled())
         raise RuntimeError("unexpected")
 
-    monkeypatch.setattr(jsonio, "read_doc", failing_read)
+    monkeypatch.setattr(jsonio, "read_shared", failing_read)
     with pytest.raises(RuntimeError, match="unexpected"):
         run(["validate", str(GOLDEN / "double_cover_c3.json")])
     assert paused == [True]
@@ -1079,6 +1097,29 @@ def test_a_diagram_component_with_a_missing_action_is_a_named_violation(tmp_path
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "  component-functor: set2" in proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("fibre_morphisms, message", [
+    (3, "fibre morphisms must be an object, not 3"),
+    (None, "fibre morphisms must be an object, not None"),
+    (True, "fibre morphisms must be an object, not True"),
+    ("e", "fibre morphisms must be an object, not 'e'"),
+    (["e"], "fibre morphisms must be an object, not ['e']"),
+    ({"u0": ["e"]}, "fibre morphism must be a string, not ['e']"),
+    ({"u0": {"e": "e"}}, "fibre morphism must be a string, not {'e': 'e'}"),
+], ids=["number", "null", "bool", "string", "list", "list-value", "object-value"])
+def test_attachment_fibre_morphisms_of_another_type_are_a_document_error(
+    tmp_path, fibre_morphisms, message
+):
+    # dict() of them raised TypeError or ValueError, and an unhashable value a TypeError later
+    doc = _attachment_doc()
+    doc["fibre_morphisms"] = fibre_morphisms
+    path = tmp_path / "attachment.json"
+    jsonio.write_doc(path, doc)
+    proc = run_module("attach", _golden("trivial_two_sheets_c3"), str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"document error: {message}" in proc.stderr.splitlines()
 
 
 def test_a_vertex_map_that_is_no_object_is_a_document_error(tmp_path):

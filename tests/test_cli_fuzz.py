@@ -1,5 +1,7 @@
-"""Every bundle command on mutated golden bundles, and ``coend`` on mutated
-principal diagrams, ends in a documented exit.
+"""Every bundle command on mutated golden bundles, ``coend`` on mutated
+principal diagrams, and a command on each other mutated document slot
+(attachment, functor, map, stratification, ``--category``, and the
+complex and category that ``validate`` reads) ends in a documented exit.
 
 Each command reads its bundle through the stage list that ``validate``
 merges, and ``coend`` validates its diagram as ``validate`` does, so a
@@ -90,13 +92,19 @@ def rename_id(doc, draw):
 
 
 def list_for_string(doc, draw):
-    node, key, _ = draw(st.sampled_from([p for p in _places(doc, []) if not p[2]]))
-    node[key] = [node[key]]
+    strings = [p for p in _places(doc, []) if not p[2]]
+    if strings:  # a stratification document holds none
+        node, key, _ = draw(st.sampled_from(strings))
+        node[key] = [node[key]]
+
+
+def _entry(doc, draw):
+    node = draw(st.sampled_from(_containers(doc, [])))
+    return node, draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
 
 
 def drop_entry(doc, draw):
-    node = draw(st.sampled_from(_containers(doc, [])))
-    key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    node, key = _entry(doc, draw)
     del node[key]
 
 
@@ -125,6 +133,11 @@ def other_transition(doc, draw):
     others = _parallel(doc["category"], transition["mor"])
     if others:
         transition["mor"] = draw(st.sampled_from(others))
+
+
+def other_type(doc, draw):
+    node, key = _entry(doc, draw)
+    node[key] = draw(st.sampled_from([3, None, True, "x", [node[key]], {"x": node[key]}]))
 
 
 MUTATIONS = {
@@ -191,6 +204,58 @@ def test_coend_accepts_no_diagram_that_validate_refuses(work, case):
     code = cli.main(["coend", str(path), "--category", str(category), "-o", out])
     assert code in EXITS, (name, kind)
     assert code != 0 or valid == 0, (name, kind)
+
+
+def _strata(name):
+    return {"strata": {c["id"]: c["stratum"] for c in _golden(name)["base"]["cells"]}}
+
+
+def _path(name):
+    return str(GOLDEN / f"{name}.json")
+
+
+# every other document slot: the document to mutate, and a command that reads it at "@"
+SLOTS = {
+    "attachment": (_attachment_doc, ["attach", _path("trivial_two_sheets_c3"), "@"]),
+    "functor": (
+        lambda: _golden("bz2_trivializer_functor"),
+        ["associate", _path("bz2_double_cover_c3"), "@"],
+    ),
+    "map": (lambda: _golden("c6_fold_map"), ["pullback", _path("double_cover_c3"), "@"]),
+    "stratification": (
+        lambda: _strata("disk_trivial_two_strata"),
+        ["stratify", _path("disk_trivial_two_strata"), "@"],
+    ),
+    "category": (lambda: _golden("perm2_category"), ["coend", "@diagram", "--category", "@"]),
+    "complex": (lambda: _golden("c3_complex"), ["validate", "@"]),
+    "validated-category": (lambda: _golden("perm2_category"), ["validate", "@"]),
+}
+# the mutations that need no bundle document, and one that puts a value of another type anywhere
+SLOT_MUTATIONS = {f.__name__: f for f in (drop_entry, list_for_string, other_type, rename_id)}
+
+
+@st.composite
+def slot_mutants(draw):
+    slot = draw(st.sampled_from(sorted(SLOTS)))
+    kind = draw(st.sampled_from(sorted(SLOT_MUTATIONS)))
+    doc = SLOTS[slot][0]()
+    SLOT_MUTATIONS[kind](doc, draw)
+    return slot, kind, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(slot_mutants())
+def test_no_document_slot_lets_an_error_escape(work, case):
+    slot, kind, doc = case
+    path = work / "slot.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    diagram = work / "double_cover_c3.principal.json"
+    if not diagram.exists():
+        diagram.write_text(principal_text("double_cover_c3"), encoding="utf-8")
+    names = {"@": str(path), "@diagram": str(diagram)}
+    argv = [names.get(a, a) for a in SLOTS[slot][1]]
+    # in process: an uncaught error fails the test as a traceback would
+    assert cli.main([*argv, "-o", str(work / "out")]) in EXITS, (slot, kind)
 
 
 def _give_p3_021_the_table_of_p3_102(doc):

@@ -680,6 +680,21 @@ class TestDiagramReader:
         tables = [t for per_cell in d.actions.values() for t in per_cell.values()]
         assert len({id(t) for t in tables}) == len(distinct)
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PRINCIPAL_COEND))
+    def test_validate_reads_the_written_diagram_without_json_loads(self, monkeypatch, tmp_path, name):
+        diagram, report = tmp_path / "d.json", tmp_path / "report.json"
+        assert cli.main(["principal", str(GOLDEN / f"{name}.json"), "-o", str(diagram)]) == 0
+        text = diagram.read_text(encoding="utf-8")
+        loads = json.loads
+
+        def no_diagram_loads(s, *args, **kwargs):
+            assert s != text, "the diagram fell back to json.loads"
+            return loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(jsonio.json, "loads", no_diagram_loads)
+        assert cli.main(["validate", str(diagram), "-o", str(report)]) == 0
+        assert report.read_bytes() == b'{\n  "ok": true,\n  "subject": "diagram",\n  "violations": []\n}\n'
+
     def test_read_doc_gives_every_component_its_own_core(self, tmp_path):
         # callers edit what read_doc gives them, one component at a time
         diagram = tmp_path / "d.json"

@@ -226,8 +226,8 @@ FAILURE_PATHS = {
 class TestFailurePaths:
     """Generated instances never fail, so each failure path is forced.
 
-    Depth 1 keeps generation clear of ``attach_bundle``, which would
-    otherwise meet the patched ``validate_bundle`` before the suite does.
+    Depth 1 keeps generation clear of ``attach_bundle``; the outcomes
+    were recorded on those instances.
     """
 
     SPEC = oracle.InstanceSpec(seed=1, strata_depth=1)
@@ -243,16 +243,49 @@ class TestFailurePaths:
                 return real(spec, rng)
 
             monkeypatch.setattr(oracle, "gen_category", gen_category)
-        elif path == "validate" and name == "principal":
-            # the principal classifier reads the whole gate, not validate_bundle
-            monkeypatch.setattr(strabundle, "bundle_stages", lambda x: [_failing_report()])
         elif path == "validate":
-            monkeypatch.setattr(strabundle, "validate_bundle", _failing_report)
+            # every suite filters its inputs through the whole gate
+            monkeypatch.setattr(strabundle, "bundle_stages", lambda x: [_failing_report()])
         else:
             monkeypatch.setattr(*THEOREM_STAGE[name], _raise)
         expected = FAILURE_PATHS[(name, path)]
         rep = oracle.run_suite(name, self.SPEC, 3)
         assert (rep.instances, rep.passes, rep.failures, rep.invalid_inputs) == expected
+
+
+def _rerecord_one_composite(cat: fincat.FiniteCategory) -> bool:
+    """Record another parallel morphism as the first composite of two non-identities.
+
+    True if the category changed.  The fibre functor still acts by the old
+    composite's table, so the category or the functor breaks a law.
+    """
+    identities = set(cat.identities.values())
+    for (g, f), gf in sorted(cat.compose_table.items()):
+        m = cat.morphisms[gf]
+        others = [h for h in cat.hom(m.src, m.tgt) if h != gf]
+        if g not in identities and f not in identities and others:
+            cat.compose_table[(g, f)] = others[0]
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(oracle.SUITES))
+def test_an_unlawful_generated_category_is_an_invalid_input(monkeypatch, name):
+    # stages 6-8 alone would file such a category as a theorem violation,
+    # or pass it
+    real, changed = oracle.gen_category, set()
+
+    def gen_category(spec, rng=None):
+        cat, ff = real(spec, rng)
+        if _rerecord_one_composite(cat):
+            changed.add(spec.seed)
+        return cat, ff
+
+    monkeypatch.setattr(oracle, "gen_category", gen_category)
+    rep = oracle.run_suite(name, oracle.InstanceSpec(seed=1), 5)
+    assert changed
+    assert rep.failures == []
+    assert changed <= {entry["seed"] for entry in rep.invalid_inputs}
 
 
 class TestCoendPartitionCheck:

@@ -141,6 +141,53 @@ def test_the_coend_command_gates_its_bundle_first():
     assert bundle.func.id == "_valid_bundle"
 
 
+def _stage_list(node) -> bool:
+    """Whether ``node`` is a call of a ``*_stages`` function."""
+    func = getattr(node, "func", None)
+    return getattr(func, "attr", getattr(func, "id", "")).endswith("_stages")
+
+
+def test_only_validation_reads_a_stage_list_for_its_first_failure():
+    # validation.first_failure is the one walk that stops at the first
+    # failing stage; a loop of one's own is a second copy of it.  A loop
+    # that yields every stage on builds a longer stage list.
+    offenders = []
+    for path in sorted((ROOT / "src" / "stratabundle").glob("*.py")):
+        if path.name == "validation.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.For) and _stage_list(node.iter):
+                body = ast.Module(body=node.body, type_ignores=[])
+                if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(body)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.comprehension) and _stage_list(node.iter):
+                offenders.append(f"{path.name}:{node.iter.lineno}")
+    assert offenders == []
+
+
+def _names(function: ast.FunctionDef) -> list[str]:
+    return [
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    ]
+
+
+def test_the_suites_filter_their_inputs_through_the_gate():
+    # stages 6-8 alone would file an unlawful generated category as a
+    # theorem violation, or pass it
+    instance = _names(_function("oracle", "_valid_instance"))
+    assert "bundle_stages" in instance and "validate_bundle" not in instance
+    fiberwise = _function("oracle", "_check_fiberwise")
+    assert "bundle_stages" in _names(fiberwise)
+    checked = [
+        ast.unparse(node.args[0])
+        for node in ast.walk(fiberwise)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "validate_bundle"
+    ]
+    assert checked == ["prod"]  # the product, built from gated factors
+
+
 def test_loading_a_bundle_runs_no_exhaustive_loop(exhaustive_calls, tmp_path):
     # Light's generators decide associativity and the functor laws of a valid
     # bundle; a cubic or all-pairs loop would only show as slower commands
