@@ -78,6 +78,12 @@ shared tree, ``read_shared`` (that of ``json.loads`` for other kinds), is
 read by ``read_diagram`` and ``validate``, which edit nothing.  ``read_doc``
 returns a plain tree, since its callers edit documents, and an edit of a
 shared core would reach every component.
+
+The readers give each id one string object (``_own_strings``): a
+complex's faces and a bundle's transitions and fibres name each cell by
+the cell's own id string, and a category's ``compose`` table and
+``identities`` name each morphism by the morphism's own id string.  A
+lookup by the key's own string compares identity, not characters.
 """
 from __future__ import annotations
 
@@ -671,15 +677,15 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
             if set(map(type, rows)) - {list}:  # one C-level pass; then find the culprit
                 for row in rows:
                     _list(row, "compose entry")
-            compose = {(g, f): gf for g, f, gf in rows}  # a list of another length raises
-            _strings([*_flatten(compose), *compose.values()], "morphism in compose")
-            _strings(_object(doc["identities"], "category identities").values(), "identity")
-            cat = fincat.category(
-                doc["objects"],
-                [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]],
-                compose,
-                doc["identities"],
-            )
+            _strings(list(_flatten(rows)), "morphism in compose")
+            identities = _object(doc["identities"], "category identities")
+            _strings(identities.values(), "identity")
+            morphisms = [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]]
+            get = _own_strings(mid for mid, _, _ in morphisms).get
+            # a list of another length raises; an unknown id keeps its own text
+            compose = {(get(g, g), get(f, f)): get(gf, gf) for g, f, gf in rows}
+            identities = {v: get(i, i) for v, i in identities.items()}
+            cat = fincat.category(doc["objects"], morphisms, compose, identities)
         ff = fincat.fibre_functor(fibres, actions)
     except DocumentError:
         raise
@@ -708,7 +714,11 @@ def _own_strings(keys) -> dict[str, str]:
     The JSON reader makes a new string for every occurrence of an id, and a
     lookup by an equal but distinct string compares the characters; by one
     string it compares identity.  On a complex of thousands of cells every
-    transition and face lookup of a command pays that difference.
+    transition and face lookup of a command pays that difference, and on a
+    category of hundreds of morphisms every composition lookup of its laws,
+    hom functors and coend.  So cell ids in faces and transitions, and
+    morphism ids in ``compose`` and ``identities``, are the id strings of
+    their cells and morphisms.
     """
     return {k: k for k in keys}
 

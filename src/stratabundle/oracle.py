@@ -390,8 +390,8 @@ def _valid_instance(spec: InstanceSpec):
         rng, cat, ff, gen = _gen_instance(spec)
     except Exception as exc:  # generator defect, not a theorem statement
         return None, ("invalid-input", "generate", repr(exc))
-    if first_failure(strabundle.bundle_stages(gen.bundle)) is not None:
-        return None, ("invalid-input", "generate", "generated bundle invalid")
+    if (failed := first_failure(strabundle.bundle_stages(gen.bundle))) is not None:
+        return None, ("invalid-input", "generate", str(failed.violations[0]))
     return (rng, cat, ff, gen), None
 
 
@@ -647,8 +647,9 @@ def _check_fiberwise(spec: InstanceSpec):
         xa, xb = _gen_pair(spec)
     except Exception as exc:
         return "invalid-input", "generate", repr(exc)
-    if any(first_failure(strabundle.bundle_stages(x)) for x in (xa, xb)):
-        return "invalid-input", "generate", "factor invalid"
+    for x in (xa, xb):
+        if (failed := first_failure(strabundle.bundle_stages(x))) is not None:
+            return "invalid-input", "generate", str(failed.violations[0])
     try:
         prod = strabundle.fiberwise_product(xa, xb)
     except Exception as exc:

@@ -291,6 +291,40 @@ def test_spurious_identity_entry_is_a_violation(tmp_path):
     ]
 
 
+# a compose row naming an id that no morphism has, and the violations of
+# perm2_category it gives; the reader maps known ids to the morphisms' own
+# strings and keeps an unknown id's text
+UNKNOWN_COMPOSE_IDS = {
+    "g": (
+        lambda doc: doc["compose"].append(["ghost", "p2:10", "p2:10"]),
+        [("compose-spurious", "(ghost, p2:10) -> p2:10")],
+    ),
+    "composite": (
+        lambda doc: doc["compose"][4].__setitem__(2, "ghost"),
+        [
+            ("compose-typing", "(p2:10, p2:10) -> ghost"),
+            ("associativity", "(p2:10, p2:10, p2:01)"),
+            ("associativity", "(p2:01, p2:10, p2:10)"),
+            ("associativity", "(p2:10, p2:10, p2:10)"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", UNKNOWN_COMPOSE_IDS)
+def test_unknown_id_in_compose_is_a_violation(tmp_path, damage):
+    mutate, expected = UNKNOWN_COMPOSE_IDS[damage]
+    doc = jsonio.read_doc(GOLDEN / "perm2_category.json")
+    mutate(doc)
+    path = tmp_path / "ghost.json"
+    jsonio.write_doc(path, doc)
+    out = tmp_path / "report.json"
+    assert run(["validate", str(path), "-o", str(out)]) == 1
+    assert json.loads(out.read_text())["violations"] == [
+        {"code": code, "detail": detail} for code, detail in expected
+    ]
+
+
 
 def test_product_with_colliding_pair_ids_is_refused(tmp_path):
     # ("i", "s,j") and ("i,s", "j") both format as "(i,s,j)"; so do the
@@ -781,6 +815,16 @@ NON_STRING_IDS = {
     "composite": (
         lambda doc: doc["category"]["compose"][0].__setitem__(2, ["x"]),
         "morphism in compose must be a string, not ['x']",
+    ),
+    # leaves are checked before any row is read as a pair: a list used to
+    # die hashing it, and a row whose pair a later row repeats went unread
+    "composed-list": (
+        lambda doc: doc["category"]["compose"][0].__setitem__(0, ["x"]),
+        "morphism in compose must be a string, not ['x']",
+    ),
+    "overridden-composite": (
+        lambda doc: doc["category"]["compose"].insert(0, [*doc["category"]["compose"][0][:2], 5]),
+        "morphism in compose must be a string, not 5",
     ),
     "compose-pair": (
         lambda doc: doc["category"]["compose"].__setitem__(0, ["p1:0", "p1:0"]),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratabundle import cli, corpus, fincat, funcspace, jsonio, strabundle, triviality
+from stratabundle import cli, corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
 from stratabundle.validation import DocumentError
 
 from conftest import build_torus_cover, principal_text
@@ -56,6 +56,38 @@ def test_diagram_document_round_trip():
     again = jsonio.diagram_from_doc(json.loads(jsonio.canon_dumps(doc)))
     assert funcspace.validate_diagram(again).ok
     assert again.actions == d.actions
+
+
+def _names_each_morphism_by_its_own_id(cat: fincat.FiniteCategory) -> bool:
+    own = {m: m for m in cat.morphisms}
+    return all(
+        g is own[g] and f is own[f] and gf is own[gf] for (g, f), gf in cat.compose_table.items()
+    ) and all(i is own[i] for i in cat.identities.values())
+
+
+def test_a_category_read_names_each_morphism_by_its_own_id_string(tmp_path):
+    # json gives every occurrence of an id its own string, and a composition
+    # lookup by an equal but distinct string compares characters
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))["documents"]
+    read = []
+    for name, entry in sorted(manifest.items()):
+        doc = jsonio.read_doc(GOLDEN / name)
+        if entry["kind"] == "category":
+            read.append(jsonio.category_from_doc(doc)[0])
+        elif entry["kind"] == "bundle":
+            read.append(jsonio.bundle_from_doc(doc).cat)
+            path = tmp_path / name
+            path.write_text(principal_text(name.removesuffix(".json")), encoding="utf-8")
+            d, _ = jsonio.read_diagram(path)
+            read += [d.cat, *(c.cat for c in d.components.values())]
+    assert len(read) > 20
+    assert all(map(_names_each_morphism_by_its_own_id, read))
+    seeds = [oracle.gen_category(oracle.InstanceSpec(seed=seed)) for seed in range(1, 51)]
+    for cat, ff in [corpus.perm_category(4), *seeds]:
+        doc = json.loads(jsonio.canon_dumps(jsonio.category_to_doc(cat, ff)))
+        again = jsonio.category_from_doc(doc)[0]
+        assert _names_each_morphism_by_its_own_id(again)
+        assert again == cat
 
 
 def test_unreadable_document_raises_document_error(tmp_path):

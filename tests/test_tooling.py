@@ -141,6 +141,25 @@ def test_the_coend_command_gates_its_bundle_first():
     assert bundle.func.id == "_valid_bundle"
 
 
+def test_string_checks_read_a_container_not_an_iterator():
+    # _strings reads its argument twice: one C-level pass, then a loop that
+    # names the culprit.  On a one-shot iterator the loop finds nothing left,
+    # and a value that is no string passes the check
+    one_shot = {"_flatten", "map", "filter", "zip", "iter"}
+    source = (ROOT / "src" / "stratabundle" / "jsonio.py").read_text(encoding="utf-8")
+    offenders = [
+        f"jsonio.py:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "_strings"
+        and (
+            isinstance(node.args[0], ast.GeneratorExp)
+            or getattr(getattr(node.args[0], "func", None), "id", "") in one_shot
+        )
+    ]
+    assert offenders == []
+
+
 def _stage_list(node) -> bool:
     """Whether ``node`` is a call of a ``*_stages`` function."""
     func = getattr(node, "func", None)
