@@ -266,10 +266,7 @@ def star_cells(b: BaseComplex, c: str) -> frozenset[str]:
     ``d`` above it, and so closed under faces by construction."""
     if c not in b.cells:
         raise StructureError(f"unknown cell {c}")
-    out: set[str] = set()
-    for d in b.above[c]:
-        out |= b.below[d]
-    return frozenset(out)
+    return frozenset().union(*map(b.below.__getitem__, b.above[c]))
 
 
 class UnionFind:
@@ -310,7 +307,7 @@ def connected_components(nodes, edges) -> list[set]:
 
 
 def region_walk(
-    b: BaseComplex, region=None
+    b: BaseComplex, region=None, root=None
 ) -> tuple[list[str], dict[str, tuple[str, tuple[str, str]] | None], list[tuple[str, str]]]:
     """Breadth-first walk of the cell-incidence graph from the least cell.
 
@@ -319,6 +316,7 @@ def region_walk(
     order.  Given a face-closed ``region`` (a set of cells of ``b``), the
     walk keeps to it: filtering each sorted neighbour list to the region
     gives exactly the walk of ``subcomplex(b, region)``, without the copy.
+    A caller that has sorted the region passes its least cell as ``root``.
 
     Returns the cells reached in discovery order; each one's tree parent
     with the connecting incidence as ``(prev, (face, cell))``, or None at
@@ -337,7 +335,8 @@ def region_walk(
     if not region:
         return [], {}, []
     adj = b.adjacency
-    root = min(region)
+    if root is None:
+        root = min(region)
     order = [root]
     parent: dict[str, tuple[str, tuple[str, str]] | None] = {root: None}
     closing = []

@@ -212,7 +212,7 @@ def cmd_trivialize(args) -> int:
 def cmd_certify(args) -> int:
     x = _load_bundle(args.bundle)
     cert = triviality.local_triviality_certificate(x)
-    _emit(cert.to_doc(), args.out)
+    _emit(jsonio.certificate_to_doc(cert), args.out)
     _say(f"atlas with {len(cert.stars)} star trivialization(s)")
     return OK
 
@@ -220,11 +220,9 @@ def cmd_certify(args) -> int:
 def cmd_cover(args) -> int:
     x = _load_bundle(args.bundle)
     cert = triviality.covering_space(x)
-    doc = cert.to_doc()
     if args.dot:
         Path(args.dot).write_text(jsonio.total_to_dot(cert.total), encoding="utf-8")
-    doc["total"] = jsonio.total_to_doc(cert.total)
-    _emit(doc, args.out)
+    _emit(jsonio.covering_to_doc(cert), args.out)
     sheets = ", ".join(f"{c}: {n}" for c, n in sorted(cert.sheets.items()))
     _say(f"covering with {cert.components} component(s); sheets {{{sheets}}}")
     return OK

@@ -28,21 +28,29 @@ container or is itself large, and writes the rest whole.  So what a
 write holds beyond the document is bounded by a block, except where a
 table's row is itself large.
 
-The largest tables are rows of strings with one shape: ``compose``
-triples ``[g, f, gf]``, morphisms ``{id, src, tgt}``, bundle
-``transitions`` ``{cell, face, mor}``, and the total complex's
-``elements`` ``[cell, point]`` and ``relations`` ``[[face, point], [cell,
-point]]``.  The writers build each such table as the private marker
-``_Rows``, a list with a ``shape``: a row width, a tuple of widths for
-rows of flat rows, or a tuple of keys.  ``_row_chunks`` writes a marked
-table from one ``%``-format of its row per indent, one piece per block of
-``_BLOCK`` rows with the leaves escaped in one pass; no generator step or
-join per row.  When a row does not fit the shape (a row that is no list
-or dict, another length or another key set), the table is streamed as a
-plain list, and a block with a leaf that is no string is written by the
-generic encoder, so the bytes never change.  Tables that stay with the
-generic encoder: base ``cells`` (integer members, faces of varying
-length), ``monodromy`` and the ``certify`` stars.
+The largest tables are rows of one shape: ``compose`` triples ``[g, f,
+gf]``, morphisms ``{id, src, tgt}``, bundle ``transitions`` ``{cell, face,
+mor}``, the total complex's ``elements`` ``[cell, point]`` and
+``relations`` ``[[face, point], [cell, point]]``, and the rows whose
+members vary in length: a complex's ``cells`` ``{dim, faces, id,
+stratum}``, the ``monodromy`` of a covering ``{closes, cycle_type,
+permutation}`` and the ``stars`` of a triviality certificate, a dict from
+each cell to ``{charts, object, region}``.  The writers build each such
+table as the private marker ``_Rows``, a list with a ``shape``: a row
+width, a tuple of widths for rows of flat rows, or a dict from each key of
+a dict row to its member's kind (``str``, ``int``, ``[str]``, ``[int]`` or
+``{str: str}``); the stars are the keyed marker ``_RowsByKey``.
+``_row_chunks`` writes a marked table from ``%``-formats of its rows, one
+piece per block of rows with the leaves escaped in one pass; no generator
+step or join per row.  A row's format depends on its indent and on its
+signature, the lengths of its variable members and the integers it holds,
+which the format spells out; each distinct signature's format is made
+once per table written.  When a row does not fit the shape (a row that is
+no list or dict, another length or key set, a member of another type, a
+``bool`` where an integer is due, or a key of the keyed table that is no
+string), the table is streamed as a plain list or dict, and a block with a
+leaf that is no string is written by the generic encoder, so the bytes
+never change.
 
 A diagram document holds the same containers at many places: every
 component carries the one structure category, and the ``actions`` block
@@ -91,6 +99,7 @@ import hashlib
 import json
 import os
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import cellbase, fincat
@@ -98,6 +107,7 @@ from .cellbase import BaseComplex, Cell, SimplicialMap, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
 from .funcspace import DiagramBundle
 from .strabundle import StratBundle, TotalComplex
+from .triviality import CoveringCertificate, TrivialityCertificate
 from .validation import DocumentError
 
 
@@ -132,13 +142,14 @@ class _SharedDict(dict):
 
 
 class _Rows(list):
-    """A table of string rows of one shape; see the module docstring.
+    """A table of rows of one shape; see the module docstring.
 
     ``shape`` is a width k for rows ``[s1, ..., sk]``, a tuple of widths
     for rows of flat rows, such as ``(2, 2)`` for ``[[a, b], [c, d]]``, or
-    a tuple of keys for rows ``{key: s, ...}`` built in sorted key order.
-    Widths and key tuples are not empty.  ``shared`` tables cache their
-    text per indent, as ``_SharedList`` does.
+    a dict from each key of rows ``{key: member, ...}``, built in sorted
+    key order, to the kind of that member: ``str``, ``int``, ``[str]``,
+    ``[int]`` or ``{str: str}``.  Widths and shapes are not empty.
+    ``shared`` tables cache their text per indent, as ``_SharedList`` does.
     """
 
     __slots__ = ("shape", "encoded")
@@ -147,6 +158,17 @@ class _Rows(list):
         super().__init__(rows)
         self.shape = shape
         self.encoded: dict[str, str] | None = {} if shared else None
+
+
+class _RowsByKey(dict):
+    """A dict from string keys to the rows of a dict ``shape``, as in ``_Rows``; never shared."""
+
+    __slots__ = ("shape", "encoded")
+
+    def __init__(self, items, shape):
+        super().__init__(items)
+        self.shape = shape
+        self.encoded = None
 
 
 def canon_chunks(doc):
@@ -170,7 +192,7 @@ def _value_chunks(o, nl: str):
     t = type(o)
     if t is dict or t is list or t is tuple:
         return _member_chunks(o, nl)
-    if t is _Rows and o.encoded is None:
+    if (t is _Rows or t is _RowsByKey) and o.encoded is None:
         return _row_chunks(o, nl)
     return (_encode(o, nl),)
 
@@ -185,7 +207,7 @@ def _streams(v) -> bool:
     t = type(v)
     if t is dict or t is list or t is tuple:
         return len(v) >= _SMALL or not set(map(type, v.values() if t is dict else v)) <= _SCALARS
-    return t is _Rows or t is _SharedList or t is _SharedDict
+    return t is _Rows or t is _RowsByKey or t is _SharedList or t is _SharedDict
 
 
 def _is_table(values) -> bool:
@@ -210,11 +232,11 @@ def _member_chunks(o, nl: str):
     ``_FLUSH`` characters.
     """
     if not o:
-        yield "{}" if type(o) is dict else "[]"
+        yield "{}" if isinstance(o, dict) else "[]"
         return
     inner = nl + "  "
     sep = "," + inner
-    if type(o) is dict:
+    if isinstance(o, dict):
         # json sorts the items, not the keys, and converts keys after sorting
         items = sorted(o.items())
         heads = [_encode_str(k if type(k) is str else _key_str(k)) + ": " for k, _ in items]
@@ -266,7 +288,7 @@ def _encode(o, nl: str) -> str:
         return _encode_list(o, nl)
     if t is int:
         return _int_repr(o)
-    if t is _Rows:
+    if t is _Rows or t is _RowsByKey:
         return _encode_rows(o, nl) if o.encoded is None else _cached(o, nl, _encode_rows)
     if t is _SharedList:
         return _cached(o, nl, _encode_list)
@@ -332,72 +354,176 @@ def _encode_dict(dct, nl: str) -> str:
     return _join("{" + inner, parts, "," + inner, nl + "}")
 
 
-def _encode_rows(rows: _Rows, nl: str) -> str:
+def _encode_rows(rows, nl: str) -> str:
     return "".join(_row_chunks(rows, nl))
 
 
-def _row_chunks(rows: _Rows, nl: str):
-    """A marked table from its row template, one piece per block of ``_BLOCK`` rows.
+def _row_chunks(rows, nl: str):
+    """A marked table from its row templates, one piece per block of whole rows.
 
-    A table whose rows do not all have its shape is streamed as a list; a
-    block with a leaf that is no string is written by ``_encode``, which
-    gives the template's text for every row that fits it.
+    Blocks are sized as ``_member_chunks`` sizes a table's.  A table with a
+    row that does not fit its shape, or a key that is no string, is
+    streamed as a plain list or dict; a block with a leaf that is no
+    string is written by ``_encode``, which gives the template's text for
+    every row that fits it.
     """
-    leaves = _row_leaves(rows)
-    if leaves is None:
+    keys, values, plan = None, rows, None
+    if type(rows) is _Rows:
+        plan = _row_plan(rows.shape, rows)
+    elif set(map(type, rows)) == {str}:
+        keys = sorted(rows)  # json sorts the items; the keys are distinct
+        values = list(map(rows.__getitem__, keys))
+        plan = _row_plan(rows.shape, values)
+    if plan is None:
         yield from _member_chunks(rows, nl)
         return
+    signatures, leaves, template = plan
     inner = nl + "  "
     sep = "," + inner
-    row = _row_template(rows.shape, inner)
-    size = min(len(rows), _BLOCK)
-    block = sep.join([row] * size)
-    text = "[" + inner
-    for i in range(0, len(rows), size):
-        part = rows[i : i + size]
+    head = "" if keys is None else "%s: "
+    forms = {}  # signature -> row template, made on its first row
+    if signatures is None:
+        row, blocks = head + template((), inner), {}
+    text = ("[" if keys is None else "{") + inner
+    start, step = 0, _SMALL
+    while start < len(values):
+        stop = start + step
+        part = values[start:stop]
+        if signatures is None:  # one row format: one block format per block length
+            form = blocks.get(len(part))
+            if form is None:
+                form = blocks[len(part)] = sep.join([row] * len(part))
+        else:
+            sigs = list(signatures(part))
+            for sig in set(sigs).difference(forms):
+                forms[sig] = head + template(sig, inner)
+            form = sep.join(map(forms.__getitem__, sigs))
+        if keys is None:
+            flat = _flatten(leaves(part))
+        else:
+            flat = _flatten(map(chain, zip(keys[start:stop]), leaves(part)))
         try:
-            body = (block if len(part) == size else sep.join([row] * len(part))) % tuple(
-                map(_encode_str, leaves(part))
-            )
+            body = form % tuple(map(_encode_str, flat))
         except TypeError:  # a leaf that is no string
-            body = sep.join([_encode(r, inner) for r in part])
+            texts = [_encode(r, inner) for r in part]
+            if keys is not None:
+                texts = [_encode_str(k) + ": " + t for k, t in zip(keys[start:stop], texts)]
+            body = sep.join(texts)
         yield text + body
         text = sep
-    yield nl + "]"
+        step = min(_BLOCK, 2 * step, step * _FLUSH // len(body)) or 1
+        start = stop
+    yield nl + ("]" if keys is None else "}")
 
 
-def _row_leaves(rows: _Rows):
-    """The function from a slice of ``rows`` to its leaves in template order.
+def _row_plan(shape, rows):
+    """How to write ``rows`` by template, or None when some row does not fit ``shape``.
 
-    None when some row does not have the table's shape; the leaves are
-    typed as they are escaped, since ``encode_basestring`` refuses
-    anything but a string.
+    Returns ``(signatures, leaves, template)``.  ``leaves(part)`` gives
+    iterables that chain to a slice's string leaves in template order, one
+    per row for a dict shape; the leaves are typed as they are escaped,
+    since ``encode_basestring`` refuses anything but a string.
+    ``template(sig, nl)`` is the ``%``-format of a row with signature
+    ``sig`` that starts on the line ``nl``.  ``signatures(part)`` gives each row's signature: the lengths
+    of its ``[str]`` and ``{str: str}`` members and the values of its
+    ``int`` and ``[int]`` members, which the template spells out.  It is
+    None when every row has the signature ``()``, as rows of strings do.
     """
-    shape = rows.shape
     if type(shape) is int:
         if set(map(type, rows)) == {list} and set(map(len, rows)) == {shape}:
-            return _flatten
-    elif type(shape[0]) is int:
+            return None, iter, lambda sig, nl: _list_template(["%s"] * shape, nl)
+        return None
+    if type(shape) is tuple:
         n = len(shape)
         if set(map(type, rows)) == {list} and set(map(len, rows)) == {n}:
             members = list(_flatten(rows))
             if set(map(type, members)) == {list} and all(
                 set(map(len, members[j::n])) == {k} for j, k in enumerate(shape)
             ):
-                return lambda part: _flatten(_flatten(part))
-    elif set(map(type, rows)) == {dict} and set(map(tuple, rows)) == {tuple(sorted(shape))}:
-        return lambda part: _flatten(map(dict.values, part))
-    return None
+                return None, _flatten, lambda sig, nl: _list_template(
+                    [_list_template(["%s"] * k, nl + "  ") for k in shape], nl
+                )
+        return None
+    kinds = sorted(shape.items())
+    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {tuple(k for k, _ in kinds)}:
+        return None
+    for key, kind in kinds:
+        if kind is not str:
+            column = list(map(itemgetter(key), rows))
+            types = set(map(type, column))
+            if kind is int:
+                fits = types == {int}  # not bool, which json spells otherwise
+            elif kind == [int]:
+                fits = types == {list} and set(map(type, _flatten(column))) <= {int}
+            else:
+                fits = types == {type(kind)}
+            if not fits:
+                return None
+    spelled = [(itemgetter(k), kind) for k, kind in kinds if kind is not str]
+    slotted = [(itemgetter(k), kind) for k, kind in kinds if kind is not int and kind != [int]]
+    if not spelled:
+        return None, _each_values, lambda sig, nl: _dict_row_template(kinds, sig, nl)
+    if not slotted:  # no string leaves: the generic encoder writes it
+        return None
+
+    def signatures(part):
+        return zip(*[_signature_column(kind, map(get, part)) for get, kind in spelled])
+
+    def leaves(part):
+        return map(chain, *[_leaf_column(kind, map(get, part)) for get, kind in slotted])
+
+    return signatures, leaves, lambda sig, nl: _dict_row_template(kinds, sig, nl)
 
 
-def _row_template(shape, nl: str) -> str:
-    """The ``%``-format of one row of ``shape`` that starts on the line ``nl``."""
+def _each_values(part):
+    return map(dict.values, part)
+
+
+def _signature_column(kind, column):
+    """Each member's part of its row's signature, for a member of ``kind`` other than ``str``."""
+    if kind is int:
+        return column
+    if kind == [int]:
+        return map(tuple, column)
+    return map(len, column)
+
+
+def _leaf_column(kind, column):
+    """Each member's leaves in template order, for members of kind ``str``, ``[str]``, ``{str: str}``."""
+    if kind is str:
+        return zip(column)
+    if kind == [str]:
+        return column
+    return map(_flatten, map(sorted, map(dict.items, column)))  # json writes the items sorted
+
+
+def _list_template(slots: list[str], nl: str) -> str:
+    """The ``%``-format of a list of ``slots`` that starts on the line ``nl``."""
+    if not slots:
+        return "[]"
     inner = nl + "  "
-    if type(shape) is int:
-        return _join("[" + inner, ["%s"] * shape, "," + inner, nl + "]")
-    if type(shape[0]) is int:
-        return _join("[" + inner, [_row_template(k, inner) for k in shape], "," + inner, nl + "]")
-    slots = [_encode_str(k).replace("%", "%%") + ": %s" for k in sorted(shape)]
+    return _join("[" + inner, slots, "," + inner, nl + "]")
+
+
+def _dict_row_template(kinds, sig, nl: str) -> str:
+    """The ``%``-format of a row of the sorted ``kinds`` with signature ``sig``; see ``_row_plan``."""
+    inner = nl + "  "
+    spelled = iter(sig)
+    slots = []
+    for key, kind in kinds:
+        name = _encode_str(key).replace("%", "%%") + ": "
+        if kind is str:
+            slots.append(name + "%s")
+        elif kind is int:
+            slots.append(name + _int_repr(next(spelled)))
+        elif kind == [int]:
+            slots.append(name + _list_template(list(map(_int_repr, next(spelled))), inner))
+        elif kind == [str]:
+            slots.append(name + _list_template(["%s"] * next(spelled), inner))
+        else:
+            n, deeper = next(spelled), inner + "  "
+            items = _join("{" + deeper, ["%s: %s"] * n, "," + deeper, inner + "}") if n else "{}"
+            slots.append(name + items)
     return _join("{" + inner, slots, "," + inner, nl + "}")
 
 
@@ -634,7 +760,7 @@ def _category_core(cat: FiniteCategory, shared: bool = False) -> dict:
                 {"id": m.id, "src": m.src, "tgt": m.tgt}
                 for m in sorted(cat.morphisms.values(), key=lambda m: m.id)
             ),
-            ("id", "src", "tgt"),
+            {"id": str, "src": str, "tgt": str},
             shared,
         ),
         "compose": compose,
@@ -656,7 +782,8 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
 
     ``known`` is an earlier ``(document, category)`` pair: when this
     document's category core equals that document's, its category object
-    is reused instead of built again.
+    is reused instead of built again.  A pair listed twice in ``compose``
+    is refused, since a table keyed by pairs would keep only its last row.
     """
     _need(doc, [*_CATEGORY_CORE, "fibres", "actions"], "category")
     fibres = _object(doc["fibres"], "category fibres")
@@ -684,6 +811,14 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
             get = _own_strings(mid for mid, _, _ in morphisms).get
             # a list of another length raises; an unknown id keeps its own text
             compose = {(get(g, g), get(f, f)): get(gf, gf) for g, f, gf in rows}
+            if len(compose) != len(rows):  # a later row would overwrite an earlier one
+                seen = set()
+                for g, f, _ in rows:
+                    if (g, f) in seen:
+                        raise DocumentError(
+                            f"category compose lists the pair ({g}, {f}) more than once"
+                        )
+                    seen.add((g, f))
             identities = {v: get(i, i) for v, i in identities.items()}
             cat = fincat.category(doc["objects"], morphisms, compose, identities)
         ff = fincat.fibre_functor(fibres, actions)
@@ -696,15 +831,13 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
 
 def complex_to_doc(b: BaseComplex, s: Stratification) -> dict:
     return {
-        "cells": [
-            {
-                "id": c.id,
-                "dim": c.dim,
-                "faces": list(c.faces),
-                "stratum": s.strata[c.id],
-            }
-            for c in sorted(b.cells.values(), key=lambda c: c.id)
-        ]
+        "cells": _Rows(
+            (
+                {"dim": c.dim, "faces": list(c.faces), "id": c.id, "stratum": s.strata[c.id]}
+                for c in sorted(b.cells.values(), key=lambda c: c.id)
+            ),
+            {"dim": int, "faces": [str], "id": str, "stratum": int},
+        )
     }
 
 
@@ -786,7 +919,7 @@ def bundle_to_doc(x: StratBundle, core: dict | None = None) -> dict:
                 {"cell": c, "face": f, "mor": m}
                 for (f, c), m in sorted(x.transition.items(), key=lambda kv: (kv[0][1], kv[0][0]))
             ),
-            ("cell", "face", "mor"),
+            {"cell": str, "face": str, "mor": str},
         ),
     }
 
@@ -925,6 +1058,43 @@ def total_to_doc(t: TotalComplex) -> dict:
     return {
         "elements": _Rows(map(list, t.elements), 2),
         "relations": _Rows([[[f, u], [c, v]] for (f, u), (c, v) in t.relations], (2, 2)),
+    }
+
+
+def certificate_to_doc(cert: TrivialityCertificate) -> dict:
+    """The atlas of a local triviality certificate: a chart set per closed star."""
+    return {
+        "kind": "triviality-certificate",
+        "stars": _RowsByKey(
+            (
+                (c, {"charts": t.charts, "object": t.object, "region": list(t.region)})
+                for c, t in cert.stars.items()
+            ),
+            {"charts": {str: str}, "object": str, "region": [str]},
+        ),
+    }
+
+
+def covering_to_doc(cert: CoveringCertificate) -> dict:
+    """A covering certificate with its monodromy and its total complex."""
+    return {
+        "kind": "covering-certificate",
+        "components": cert.components,
+        "sheets": dict(cert.sheets),
+        "even_cover": cert.even_cover,
+        "basepoint": cert.basepoint,
+        "monodromy": _Rows(
+            (
+                {
+                    "closes": list(e.closing_incidence),
+                    "cycle_type": list(e.cycle_type),
+                    "permutation": e.permutation,
+                }
+                for e in cert.monodromy
+            ),
+            {"closes": [str], "cycle_type": [int], "permutation": {str: str}},
+        ),
+        "total": total_to_doc(cert.total),
     }
 
 

@@ -12,18 +12,25 @@ its output is a complete locally-trivial atlas.
 
 Every region is walked in place by ``cellbase.region_walk``, restricted to
 the region, so no star is copied into a subcomplex and no star's
-incidences are sorted.  ``trivialize_over`` first checks that every
-transition of its region has an image inverse.  The certificate needs no
-such scan: its groupoid check on the faithful image already gives every
-morphism an inverse in the image, so each transition's inverse is looked
-up once, on first use, and shared by all the stars of the sweep, as is
-every chart compatibility.
+incidences are sorted.  Each region's cells are sorted once: the least is
+the walk's root and the sorted tuple is the trivialization's region.
+Charts are composed by lookups in the category's ``compose_table``.
+``trivialize_over`` first checks that every transition of its region has
+an image inverse.  The certificate needs no such scan: its groupoid check
+on the faithful image already gives every morphism an inverse in the
+image, so each transition's inverse is looked up once, on first use, and
+shared by all the stars of the sweep, as is every chart compatibility.
+The sweep builds each closed star with ``cellbase.star_cells``.
 
 ``covering_space`` counts the components of the total space as the orbits
 of its monodromy permutations on the basepoint fibre when the base is
 connected, the classical correspondence for coverings of a connected
 base.  Over a disconnected base it has no monodromy and falls back to
-union-find over the total space.
+union-find over the total space.  Equal transports along the spanning
+tree are one table, so each distinct pair of step and transport is
+composed once, and each distinct monodromy triple (transport at the face,
+transition, transport at the cell) is worked out once; every monodromy
+entry still holds its own permutation dict.
 """
 from __future__ import annotations
 
@@ -77,7 +84,7 @@ def trivialize_over(x: StratBundle, region) -> TrivializeResult:
         raise PreconditionError(
             f"transition ({f}, {c}) -> {transition[(f, c)]} is not invertible over the region"
         )
-    return _trivialize(x, cells, memo)
+    return _trivialize(x, cells, tuple(sorted(cells)), memo)
 
 
 class _Lazy(dict):
@@ -106,23 +113,29 @@ class _Memo:
         )
 
 
-def _trivialize(x: StratBundle, region, memo: _Memo) -> TrivializeResult:
+def _trivialize(x: StratBundle, region, cells: tuple[str, ...], memo: _Memo) -> TrivializeResult:
     """``trivialize_over`` on a known, face-closed, non-empty ``region`` of ``x.base``
-    whose transitions all have image inverses."""
-    order, parent, closing = cellbase.region_walk(x.base, region)
+    whose transitions all have image inverses; ``cells`` is the region sorted."""
+    root = cells[0]
+    order, parent, closing = cellbase.region_walk(x.base, region, root)
     if len(order) != len(region):
         raise StructureError("incidence graph is disconnected")
-    root = order[0]
     obj = x.fibre_obj[root]
     charts = {root: x.cat.identities[obj]}
-    compose, transition, inverses = x.cat.compose, x.transition, memo.inverses
-    for nxt in order[1:]:
-        cur, edge = parent[nxt]
-        mid = transition[edge]
-        if nxt == edge[0]:  # stepping down to the face: invert the transition afterwards
-            charts[nxt] = compose(charts[cur], inverses[mid])
-        else:  # stepping up from the face ``cur``
-            charts[nxt] = compose(charts[cur], mid)
+    compose, transition, inverses = x.cat.compose_table, x.transition, memo.inverses
+    pair = None
+    try:
+        for nxt in order[1:]:
+            cur, edge = parent[nxt]
+            mid = transition[edge]
+            # stepping down to the face inverts the transition afterwards;
+            # stepping up from the face ``cur`` applies it
+            pair = (charts[cur], inverses[mid]) if nxt == edge[0] else (charts[cur], mid)
+            charts[nxt] = compose[pair]
+    except KeyError:
+        if pair is None or pair in compose:
+            raise
+        x.cat.compose(*pair)  # raises the StructureError that names the missing composite
 
     # tree incidences are compatible by construction, so only the closing
     # ones are tested; a failure names the first in sorted order
@@ -132,6 +145,7 @@ def _trivialize(x: StratBundle, region, memo: _Memo) -> TrivializeResult:
     ]
     if bad:
         f, c = min(bad)
+        compose = x.cat.compose
         holonomy = compose(compose(charts[f], transition[(f, c)]), inverses[charts[c]])
         return TrivializeResult(
             None,
@@ -142,7 +156,7 @@ def _trivialize(x: StratBundle, region, memo: _Memo) -> TrivializeResult:
             ),
         )
     # chart compatibility now holds on every incidence, tree or not
-    return TrivializeResult(Trivialization(tuple(sorted(region)), obj, charts), None)
+    return TrivializeResult(Trivialization(cells, obj, charts), None)
 
 
 def _loop_through(parent, f: str, c: str) -> tuple[str, ...]:
@@ -192,15 +206,6 @@ def validate_trivialization(x: StratBundle, t: Trivialization) -> ValidationRepo
 class TrivialityCertificate:
     stars: dict[str, Trivialization]
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "triviality-certificate",
-            "stars": {
-                c: {"region": list(t.region), "object": t.object, "charts": dict(t.charts)}
-                for c, t in self.stars.items()
-            },
-        }
-
 
 def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
     """Trivialize over the closed star of every cell.
@@ -223,7 +228,8 @@ def local_triviality_certificate(x: StratBundle) -> TrivialityCertificate:
     for c in x.base.sorted_cells():
         # a closed star is a union of face closures, so it needs none of
         # the region checks of ``trivialize_over`` either
-        res = _trivialize(x, cellbase.star_cells(x.base, c), memo)
+        star = cellbase.star_cells(x.base, c)
+        res = _trivialize(x, star, tuple(sorted(star)), memo)
         if not res.ok:
             raise StructureError(
                 f"closed star of {c} failed to trivialize: {res.obstruction.detail}; "
@@ -265,23 +271,6 @@ class CoveringCertificate:
     basepoint: str
     monodromy: list[MonodromyEntry]
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "covering-certificate",
-            "components": self.components,
-            "sheets": dict(self.sheets),
-            "even_cover": self.even_cover,
-            "basepoint": self.basepoint,
-            "monodromy": [
-                {
-                    "closes": list(e.closing_incidence),
-                    "permutation": dict(e.permutation),
-                    "cycle_type": list(e.cycle_type),
-                }
-                for e in self.monodromy
-            ],
-        }
-
 
 def covering_space(x: StratBundle) -> CoveringCertificate:
     """Realize the bundle as a covering of the base poset.
@@ -317,31 +306,45 @@ def covering_space(x: StratBundle) -> CoveringCertificate:
         return CoveringCertificate(total, components, sheets, True, basepoint, [])
 
     sheets = {basepoint: _sheet_count(x, base_nodes)}
+    on, transition = x.ff.on_morphisms, x.transition
+    # by transition morphism: moving up applies the inverse bijection
+    inverse_steps = _Lazy(lambda mid: {w: v for v, w in on[mid].items()})
     # transport[cell]: the fibre bijection carrying the basepoint fibre
-    # out to ``cell`` along the tree path
+    # out to ``cell`` along the tree path.  Equal transports are one table
+    # object (``tables``, by content), so each distinct pair of step and
+    # transport, keyed by the tables' ids, is composed once
     transport = {basepoint: fincat.identity_table(x.fibre_set(basepoint))}
-    inverse_steps: dict[str, dict[str, str]] = {}  # by transition morphism
+    tables = {tuple(transport[basepoint].items()): transport[basepoint]}
+    composed: dict[tuple[int, int], dict[str, str]] = {}
     for nxt in order[1:]:
-        cur, (f, c) = parent[nxt]
-        mid = x.transition[(f, c)]
-        if nxt == f:  # moving down applies the transition
-            step = x.ff.on_morphisms[mid]
-        else:  # moving up applies the inverse bijection
-            if mid not in inverse_steps:
-                inverse_steps[mid] = {w: v for v, w in x.ff.on_morphisms[mid].items()}
-            step = inverse_steps[mid]
-        transport[nxt] = fincat.compose_tables(step, transport[cur])
+        cur, edge = parent[nxt]
+        mid = transition[edge]
+        step = on[mid] if nxt == edge[0] else inverse_steps[mid]  # moving down applies it
+        before = transport[cur]
+        key = (id(step), id(before))
+        table = composed.get(key)
+        if table is None:
+            table = fincat.compose_tables(step, before)
+            table = composed[key] = tables.setdefault(tuple(table.items()), table)
+        transport[nxt] = table
 
+    # each distinct (transport at the face, transition, transport at the
+    # cell) triple is worked out once; every entry gets its own copy
+    perms: dict[tuple[int, str, int], tuple[dict[str, str], tuple[int, ...]]] = {}
     monodromy = []
     for f, c in sorted(closing):
-        back = {w: v for v, w in transport[f].items()}
-        around = fincat.compose_tables(x.transition_table(f, c), transport[c])
-        perm = fincat.compose_tables(back, around)
-        monodromy.append(MonodromyEntry((f, c), perm, permutation_cycle_type(perm)))
+        mid = transition[(f, c)]
+        key = (id(transport[f]), mid, id(transport[c]))
+        found = perms.get(key)
+        if found is None:
+            back = {w: v for v, w in transport[f].items()}
+            perm = fincat.compose_tables(back, fincat.compose_tables(on[mid], transport[c]))
+            found = perms[key] = (perm, permutation_cycle_type(perm))
+        monodromy.append(MonodromyEntry((f, c), dict(found[0]), found[1]))
     # over a connected base the components of the total space are the
     # orbits of the monodromy group on the basepoint fibre
     orbits = cellbase.connected_components(
-        transport[basepoint], [pair for e in monodromy for pair in e.permutation.items()]
+        transport[basepoint], [pair for perm, _ in perms.values() for pair in perm.items()]
     )
     components = len(orbits)
     # every transition is a bijection onto its face fibre, so the cover is even

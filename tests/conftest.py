@@ -3,6 +3,7 @@ principal diagrams of the golden bundles, a groupoid reference, a paused
 collector and a count of the exhaustive law passes."""
 import functools
 import gc
+import random
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,14 @@ from stratabundle import cellbase, corpus, fincat, funcspace, jsonio, strabundle
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def build_torus(n: int):
-    """n x n triangulated torus (n >= 3): n^2 vertices t<i>_<j>, 6 n^2 cells."""
+def build_torus(n: int, labels=None):
+    """n x n triangulated torus (n >= 3): n^2 vertices t<i>_<j>, 6 n^2 cells.
+
+    ``labels``, when given, lists n^2 vertex names to use in grid order instead.
+    """
     def name(i, j):
+        if labels is not None:
+            return labels[(i % n) * n + j % n]
         return f"t{i % n}_{j % n}"
 
     entries = [(name(i, j), 0, []) for i in range(n) for j in range(n)]
@@ -37,11 +43,29 @@ def build_torus_cover(n: int) -> strabundle.StratBundle:
     around the circle, so the cover is connected when n / 3 is odd and
     splits into two sheets when it is even.
     """
-    b, s = build_torus(n)
+    return _torus_pullback(n, [f"t{i}_{j}" for i in range(n) for j in range(n)])[0]
+
+
+def build_shuffled_torus_cover(n: int, seed: int):
+    """``build_torus_cover(n)`` with its vertex names shuffled by ``random.Random(seed)``.
+
+    The names are ``t<k>`` with five digits, as the benchmark's torus has
+    them.  The shuffle changes the sorted cell order, hence every BFS tree
+    the engine builds over the complex.  Returns the bundle and the
+    simplicial map it is pulled back along.
+    """
+    labels = [f"t{k:05d}" for k in range(n * n)]
+    random.Random(seed).shuffle(labels)
+    return _torus_pullback(n, labels)
+
+
+def _torus_pullback(n: int, labels):
+    """Pull-back of ``corpus.double_cover_c3`` along (i, j) -> v_{i mod 3}, and the map."""
+    b, s = build_torus(n, labels)
     circle = corpus.double_cover_c3()
-    vertex_map = {f"t{i}_{j}": f"v{i % 3}" for i in range(n) for j in range(n)}
+    vertex_map = {labels[i * n + j]: f"v{i % 3}" for i in range(n) for j in range(n)}
     fbar = cellbase.SimplicialMap.from_vertex_map(b, circle.base, vertex_map)
-    return strabundle.pullback(circle, fbar, s).bundle
+    return strabundle.pullback(circle, fbar, s).bundle, fbar
 
 
 @functools.cache

@@ -1107,6 +1107,38 @@ def test_a_string_where_a_list_is_due_is_a_document_error(tmp_path, capsys, argv
     assert f"document error: {message}" in capsys.readouterr().err.splitlines()
 
 
+def _with_a_duplicate_compose_row(category, before):
+    """``category`` with ``[p2:10, p2:10, p2:10]`` put next to the true row of that pair."""
+    rows = category["compose"]
+    true = next(i for i, r in enumerate(rows) if r[:2] == ["p2:10", "p2:10"])
+    rows.insert(true if before else true + 1, ["p2:10", "p2:10", "p2:10"])
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("kind", ["category", "bundle", "coend-category"])
+def test_a_repeated_compose_pair_is_a_document_error(tmp_path, capsys, kind, before):
+    # read into a dict, the later row used to replace the earlier one without a
+    # word, so a duplicate before the true row passed validate with exit 0
+    if kind == "bundle":
+        doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+        _with_a_duplicate_compose_row(doc["category"], before)
+    else:
+        doc = jsonio.read_doc(GOLDEN / "perm2_category.json")
+        _with_a_duplicate_compose_row(doc, before)
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    if kind == "coend-category":
+        diagram = tmp_path / "diagram.json"
+        assert run(["principal", _golden("double_cover_c3"), "-o", str(diagram)]) == 0
+        argv = ["coend", str(diagram), "--category", str(path)]
+    else:
+        argv = ["validate", str(path)]
+    capsys.readouterr()
+    assert run(argv) == 3
+    message = "document error: category compose lists the pair (p2:10, p2:10) more than once"
+    assert message in capsys.readouterr().err.splitlines()
+
+
 @pytest.mark.parametrize("cells, message", [
     ("u0u1", "attached cells must be a list, not 'u0u1'"),
     ([["u0"]], "attached cell must be a string, not ['u0']"),

@@ -436,6 +436,24 @@ def test_certificate_finds_each_inverse_once_and_sorts_no_incidences(monkeypatch
     assert sorted_pairs == []
 
 
+def test_triviality_builds_stars_only_through_star_cells():
+    # the traced cellbase.star_cells span must see every closed star the
+    # sweep builds, so triviality reads no cofaces (``above``) to make one
+    tree = ast.parse((ROOT / "src" / "stratabundle" / "triviality.py").read_text(encoding="utf-8"))
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "above"
+    ]
+    assert offenders == []
+    sweep = next(
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "local_triviality_certificate"
+    )
+    calls = {ast.unparse(node.func) for node in ast.walk(sweep) if isinstance(node, ast.Call)}
+    assert "cellbase.star_cells" in calls
+
+
 def test_cover_builds_no_union_find_beyond_the_basepoint_fibre(monkeypatch, torus_cover):
     # over a connected base the components are monodromy orbits; a union-find
     # over the total space or the base would only show as a slower cover op
@@ -453,7 +471,7 @@ def test_cover_builds_no_union_find_beyond_the_basepoint_fibre(monkeypatch, toru
     assert 0 < max(sizes) <= len(x.fibre_set(cert.basepoint))
 
 
-SHARED_MARKERS = {"_SharedList", "_SharedDict", "_Rows"}
+SHARED_MARKERS = {"_SharedList", "_SharedDict", "_Rows", "_RowsByKey"}
 
 
 def test_only_jsonio_builds_shared_containers():

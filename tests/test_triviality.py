@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from stratabundle import cellbase, cli, corpus, fincat, jsonio, oracle, strabundle, triviality
 from stratabundle.validation import PreconditionError, StructureError
 
+from conftest import build_shuffled_torus_cover
+
 
 class TestTrivializeOver:
     def test_product_bundle_gets_identity_charts(self):
@@ -179,6 +181,20 @@ TORUS9_SHA256 = {
     "trivialize": "9dcd615057f421f46afecf31b49eca522fc693b1d0ad377eda9b699ec5412b4d",
 }
 
+# sha256 of the outputs on the n = 9 torus cover whose vertex names are
+# shuffled by random.Random(7), recorded before the star sweep, the
+# covering and the star and monodromy tables were rewritten; the shuffle
+# changes every BFS tree, which grid-order names leave in one shape.
+# The pullback runs along the torus's own map, so it writes the bundle.
+SHUFFLED_TORUS9_SEED = 7
+SHUFFLED_TORUS9_SHA256 = {
+    "cover": "9bcaf4459c80ec4422f81f7ed9830f8a5290560634fec1df79665c4cccfd609e",
+    "certify": "8ece42d5c9378be951d5b233d35895bda4cf17ffe64de49c1e2b2045f7bed648",
+    "trivialize": "d4ba032a27df6eedf6f33c8f70f5d6f8bd6b9bd376bbafcd3279df30dfdc004f",
+    "total": "37f774415832ee477302057b6b109f611b14f02d3f1cfbfdc397756508aa5984",
+    "pullback": "ca8098d096a44e980cd685cd0620a3445f63d3e7fd5d1d61ab29481857057229",
+}
+
 
 class TestTorusCrossChecks:
     """Trivialization, covering and monodromy agree on double covers of tori."""
@@ -231,6 +247,23 @@ class TestTorusCrossChecks:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main([command, str(bundle), "-o", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_shuffled_label_documents_are_unchanged(self, tmp_path):
+        x, fbar = build_shuffled_torus_cover(9, SHUFFLED_TORUS9_SEED)
+        docs = {
+            "bundle": jsonio.bundle_to_doc(x),
+            "circle": jsonio.bundle_to_doc(corpus.double_cover_c3()),
+            "map": jsonio.map_to_doc(fbar, x.strat),
+        }
+        for name, doc in docs.items():
+            jsonio.write_doc(tmp_path / f"{name}.json", doc)
+        for command, digest in SHUFFLED_TORUS9_SHA256.items():
+            names = ["circle", "map"] if command == "pullback" else ["bundle"]
+            out = tmp_path / f"{command}.json"
+            argv = [command, *(str(tmp_path / f"{n}.json") for n in names), "-o", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
 
 class TestImageInverseCalls:
