@@ -165,7 +165,7 @@ def cmd_reconstruct(args) -> int:
     res = funcspace.reconstruct_check(x)
     if not res.ok:
         return _report(res.coend.report, args.out, "reconstruction failed")
-    _emit(res.iso_doc(), args.out)
+    _emit(jsonio.iso_to_doc(res), args.out)
     _say("reconstruction verified; iso written")
     return OK
 
@@ -187,25 +187,8 @@ def cmd_trivialize(args) -> int:
     else:
         region = set(x.base.cells)
     res = triviality.trivialize_over(x, region)
-    if res.ok:
-        t = res.trivialization
-        doc = {
-            "kind": "trivialization",
-            "region": list(t.region),
-            "object": t.object,
-            "charts": dict(t.charts),
-        }
-        _say("trivialization found")
-    else:
-        o = res.obstruction
-        doc = {
-            "kind": "obstruction",
-            "loop": list(o.loop),
-            "holonomy": o.holonomy,
-            "detail": o.detail,
-        }
-        _say("obstructed: " + o.detail)
-    _emit(doc, args.out)
+    _say("trivialization found" if res.ok else "obstructed: " + res.obstruction.detail)
+    _emit(jsonio.trivialize_to_doc(res), args.out)
     return OK
 
 

@@ -289,9 +289,6 @@ class ReconstructResult:
     coend: CoendResult
     iso: dict[str, dict[str, str]] | None
 
-    def iso_doc(self) -> dict:
-        return {"cells": self.iso or {}}
-
 
 def reconstruct_check(x: StratBundle) -> ReconstructResult:
     """Rebuild a bundle as the coend of its own principal diagram.

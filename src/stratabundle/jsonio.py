@@ -14,57 +14,41 @@ characters at most, never one per leaf.  ``write_doc`` streams the pieces
 to its temp file and the CLI streams them to stdout, so a command holds
 its document's objects and one piece of text, not the whole text on top;
 ``canon_dumps`` joins them for the callers that need a string.  Small
-containers are written whole by ``_encode``, which joins each in one
-call, copying its text once; strings are escaped with the C-backed
-``json.encoder.encode_basestring``.
+containers are written whole by ``_encode``; strings are escaped with the
+C-backed ``json.encoder.encode_basestring``.
 
-A streamed dict or list (``_member_chunks``) is one of two kinds.  A
-table, with ``_SMALL`` members or more, all scalars or all small dicts or
-all small lists, is written in blocks of whole members: the first of
-``_SMALL`` members, each later one sized from the ones before it.
-Anything else, such as a document's top level, the ``components`` of a
-diagram or a category document, streams each member that holds a
-container or is itself large, and writes the rest whole.  So what a
-write holds beyond the document is bounded by a block, except where a
-table's row is itself large.
-
-The largest tables are rows of one shape: ``compose`` triples ``[g, f,
-gf]``, morphisms ``{id, src, tgt}``, bundle ``transitions`` ``{cell, face,
-mor}``, the total complex's ``elements`` ``[cell, point]`` and
-``relations`` ``[[face, point], [cell, point]]``, and the rows whose
-members vary in length: a complex's ``cells`` ``{dim, faces, id,
-stratum}``, the ``monodromy`` of a covering ``{closes, cycle_type,
-permutation}`` and the ``stars`` of a triviality certificate, a dict from
-each cell to ``{charts, object, region}``.  The writers build each such
-table as the private marker ``_Rows``, a list with a ``shape``: a row
+Every engine table is built by this module as one of two private markers:
+``_Rows``, a list, or ``_RowsByKey``, a dict from string keys, each with a
+``shape`` for its rows and a ``shared`` flag.  A shape is the kind of rows
+that are one member each (``str``, ``[str]`` or ``{str: str}``), a row
 width, a tuple of widths for rows of flat rows, or a dict from each key of
 a dict row to its member's kind (``str``, ``int``, ``[str]``, ``[int]`` or
-``{str: str}``); the stars are the keyed marker ``_RowsByKey``.
-``_row_chunks`` writes a marked table from ``%``-formats of its rows, one
-piece per block of rows with the leaves escaped in one pass; no generator
-step or join per row.  A row's format depends on its indent and on its
-signature, the lengths of its variable members and the integers it holds,
-which the format spells out; each distinct signature's format is made
-once per table written.  When a row does not fit the shape (a row that is
-no list or dict, another length or key set, a member of another type, a
-``bool`` where an integer is due, or a key of the keyed table that is no
-string), the table is streamed as a plain list or dict, and a block with a
-leaf that is no string is written by the generic encoder, so the bytes
-never change.
+``{str: str}``).  ``_row_chunks``, the one table writer, writes a table
+from ``%``-formats of its rows, one piece per block of rows with the leaves
+escaped in one pass; no generator step or join per row.  A row's format
+depends on its indent and on its signature, the lengths of its variable
+members and the integers it holds, which the format spells out; each
+distinct signature's format is made once per table written.  When a row
+does not fit the shape (another type, length or key set, a member of
+another type, a ``bool`` where an integer is due) or a key is no string,
+the table is streamed as a plain list or dict, and a block with a leaf
+that is no string is written by ``_encode``, so the bytes never change.
+Any other container, such as a document's top level, a report or a
+manifest, is streamed by ``_member_chunks``: each member that holds a
+container or is itself large on its own, the rest gathered into pieces.
 
-A diagram document holds the same containers at many places: every
-component carries the one structure category, and the ``actions`` block
-repeats each (g, W) table under every cell with fibre object W.
-``diagram_to_doc`` builds each such container once, as the private marker
-``_SharedList`` or ``_SharedDict`` or as a shared ``_Rows``, and puts that
-one object at every place it occurs.  The markers subclass ``list`` and
-``dict``, so ``json.dumps`` and ``==`` still see a plain tree, and
-the writer encodes each shared one at most once per indent and yields the
-cached text as one piece.  A table written once caches nothing: keeping
-its text would hold a second copy of it until the write ends.  Invariant: a
-shared container is not mutated after it is built, or its cached text
-would go stale; only this module builds markers, and the documents it
-returns are written, not edited.
+A diagram document holds the same tables at many places: every component
+carries the one structure category, and the ``actions`` block repeats each
+(g, W) table under every cell with fibre object W.  ``diagram_to_doc``
+builds each such table once, ``shared``, and puts that one object at every
+place it occurs.  The markers subclass ``list`` and ``dict``, so
+``json.dumps`` and ``==`` still see a plain tree; the writer encodes a
+shared table at most once per indent and yields the cached text as one
+piece.  A table written once caches nothing: keeping its text would hold a
+second copy of it until the write ends.  Invariant: a marked table is not
+mutated after it is built, or a cached text or a format would go stale;
+only this module builds markers, and the documents it returns are
+written, not edited.
 
 The read side mirrors this for a diagram.  ``read_diagram`` reads the
 text once and walks, in Python, only the objects on the paths to what the
@@ -91,13 +75,16 @@ The readers give each id one string object (``_own_strings``): a
 complex's faces and a bundle's transitions and fibres name each cell by
 the cell's own id string, and a category's ``compose`` table and
 ``identities`` name each morphism by the morphism's own id string.  A
-lookup by the key's own string compares identity, not characters.
+lookup by the key's own string compares identity, not characters.  They
+check each column of a large table in C-level passes and build a refusal's
+message only for the value refused.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -105,9 +92,9 @@ from pathlib import Path
 from . import cellbase, fincat
 from .cellbase import BaseComplex, Cell, SimplicialMap, Stratification
 from .fincat import CatFunctor, FibreFunctor, FiniteCategory
-from .funcspace import DiagramBundle
+from .funcspace import DiagramBundle, ReconstructResult
 from .strabundle import StratBundle, TotalComplex
-from .triviality import CoveringCertificate, TrivialityCertificate
+from .triviality import CoveringCertificate, TrivializeResult, TrivialityCertificate
 from .validation import DocumentError
 
 
@@ -121,35 +108,16 @@ _SMALL = 64  # members: fewer in a flat container or a table's row, and it is wr
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-class _SharedList(list):
-    """A list placed at several points of one document; see the module docstring."""
-
-    __slots__ = ("encoded",)
-
-    def __init__(self, items=()):
-        super().__init__(items)
-        self.encoded: dict[str, str] = {}  # newline-and-indent -> text
-
-
-class _SharedDict(dict):
-    """A dict placed at several points of one document; see the module docstring."""
-
-    __slots__ = ("encoded",)
-
-    def __init__(self, items=()):
-        super().__init__(items)
-        self.encoded: dict[str, str] = {}
-
-
 class _Rows(list):
     """A table of rows of one shape; see the module docstring.
 
-    ``shape`` is a width k for rows ``[s1, ..., sk]``, a tuple of widths
-    for rows of flat rows, such as ``(2, 2)`` for ``[[a, b], [c, d]]``, or
-    a dict from each key of rows ``{key: member, ...}``, built in sorted
-    key order, to the kind of that member: ``str``, ``int``, ``[str]``,
-    ``[int]`` or ``{str: str}``.  Widths and shapes are not empty.
-    ``shared`` tables cache their text per indent, as ``_SharedList`` does.
+    ``shape`` is the kind of rows that are one member each (``str``,
+    ``[str]`` or ``{str: str}``), a width k for rows ``[s1, ..., sk]``, a
+    tuple of widths for rows of flat rows, such as ``(2, 2)`` for ``[[a, b],
+    [c, d]]``, or a dict from each key of rows ``{key: member, ...}``, built
+    in sorted key order, to the kind of that member: ``str``, ``int``,
+    ``[str]``, ``[int]`` or ``{str: str}``.  Widths and shapes are not
+    empty.  A ``shared`` table caches its text per indent.
     """
 
     __slots__ = ("shape", "encoded")
@@ -157,18 +125,18 @@ class _Rows(list):
     def __init__(self, rows, shape, shared=False):
         super().__init__(rows)
         self.shape = shape
-        self.encoded: dict[str, str] | None = {} if shared else None
+        self.encoded: dict[str, str] | None = {} if shared else None  # newline-and-indent -> text
 
 
 class _RowsByKey(dict):
-    """A dict from string keys to the rows of a dict ``shape``, as in ``_Rows``; never shared."""
+    """A dict from string keys to rows of a ``shape``, as in ``_Rows``."""
 
     __slots__ = ("shape", "encoded")
 
-    def __init__(self, items, shape):
+    def __init__(self, items, shape, shared=False):
         super().__init__(items)
         self.shape = shape
-        self.encoded = None
+        self.encoded: dict[str, str] | None = {} if shared else None
 
 
 def canon_chunks(doc):
@@ -200,36 +168,21 @@ def _value_chunks(o, nl: str):
 def _streams(v) -> bool:
     """True when the member ``v`` of a streamed container is streamed itself.
 
-    Markers and unshared tables stream, and so do plain containers that
-    hold a container or ``_SMALL`` members or more; flat small containers
-    and scalars are written whole.
+    Tables stream, and so do plain containers that hold a container or
+    ``_SMALL`` members or more; flat small containers and scalars are
+    written whole.
     """
     t = type(v)
     if t is dict or t is list or t is tuple:
         return len(v) >= _SMALL or not set(map(type, v.values() if t is dict else v)) <= _SCALARS
-    return t is _Rows or t is _RowsByKey or t is _SharedList or t is _SharedDict
-
-
-def _is_table(values) -> bool:
-    """True for ``_SMALL`` members or more, all scalars, or all plain dicts
-    or all plain lists of fewer than ``_SMALL`` members each."""
-    if len(values) < _SMALL:
-        return False
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:
-        return True
-    return (kinds == {dict} or kinds == {list}) and max(map(len, values)) < _SMALL
+    return t is _Rows or t is _RowsByKey
 
 
 def _member_chunks(o, nl: str):
-    """The pieces of a dict, list or tuple.
+    """The pieces of a dict, list or tuple that is no table.
 
-    A table (``_is_table``) is written in blocks of whole members: the
-    first of ``_SMALL`` members, each later one sized from the blocks
-    before to about ``_FLUSH`` characters and at most ``_BLOCK`` members.
-    In any other container each member that ``_streams`` is streamed on
-    its own, and the text of the others is gathered and flushed at
-    ``_FLUSH`` characters.
+    Each member that ``_streams`` is streamed on its own, and the text of
+    the others is gathered and flushed at ``_FLUSH`` characters.
     """
     if not o:
         yield "{}" if isinstance(o, dict) else "[]"
@@ -244,22 +197,6 @@ def _member_chunks(o, nl: str):
         text, closing = "{" + inner, nl + "}"
     else:
         heads, values, text, closing = None, o, "[" + inner, nl + "]"
-    if _is_table(values):
-        start, step = 0, _SMALL
-        while start < len(values):
-            stop = start + step
-            texts = [
-                _encode_str(v) if type(v) is str else _encode(v, inner) for v in values[start:stop]
-            ]
-            if heads is not None:
-                texts = list(map(str.__add__, heads[start:stop], texts))
-            body = _join(text, texts, sep, "")
-            yield body
-            text = sep
-            step = min(_BLOCK, 2 * step, step * _FLUSH // len(body)) or 1
-            start = stop
-        yield closing
-        return
     for i, v in enumerate(values):
         if i:
             text += sep
@@ -289,11 +226,12 @@ def _encode(o, nl: str) -> str:
     if t is int:
         return _int_repr(o)
     if t is _Rows or t is _RowsByKey:
-        return _encode_rows(o, nl) if o.encoded is None else _cached(o, nl, _encode_rows)
-    if t is _SharedList:
-        return _cached(o, nl, _encode_list)
-    if t is _SharedDict:
-        return _cached(o, nl, _encode_dict)
+        if o.encoded is None:
+            return "".join(_row_chunks(o, nl))
+        text = o.encoded.get(nl)
+        if text is None:
+            text = o.encoded[nl] = "".join(_row_chunks(o, nl))
+        return text
     # json's own order of tests, so subclasses encode as json encodes them
     if isinstance(o, str):
         return _encode_str(o)
@@ -314,35 +252,34 @@ def _encode(o, nl: str) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _cached(o, nl: str, body) -> str:
-    text = o.encoded.get(nl)
-    if text is None:
-        text = o.encoded[nl] = body(o, nl)
-    return text
-
-
 def _join(opening: str, parts: list[str], sep: str, closing: str) -> str:
     """``opening + sep.join(parts) + closing`` for non-empty ``parts``, copying the body once.
 
-    The body is a container written whole or one block of a streamed
-    one; wrapping the joined body would copy it a second time.
+    The body is a container written whole or one block of a table; wrapping
+    the joined body would copy it a second time.
     """
     parts[0] = opening + parts[0]
     parts[-1] += closing
     return sep.join(parts)
 
 
-def _encode_list(lst, nl: str) -> str:
-    if not lst:
-        return "[]"
+def _container(parts: list[str], nl: str, brackets: str = "[]") -> str:
+    """A list, or with ``brackets`` ``{}`` a dict, of the member texts or formats ``parts``.
+
+    ``nl`` is a newline and the indent of the line the container starts on.
+    """
+    if not parts:
+        return brackets
     inner = nl + "  "
-    parts = [_encode_str(v) if type(v) is str else _encode(v, inner) for v in lst]
-    return _join("[" + inner, parts, "," + inner, nl + "]")
+    return _join(brackets[0] + inner, parts, "," + inner, nl + brackets[1])
+
+
+def _encode_list(lst, nl: str) -> str:
+    inner = nl + "  "
+    return _container([_encode_str(v) if type(v) is str else _encode(v, inner) for v in lst], nl)
 
 
 def _encode_dict(dct, nl: str) -> str:
-    if not dct:
-        return "{}"
     inner = nl + "  "
     # json sorts the items, not the keys, and converts keys after sorting
     parts = [
@@ -351,22 +288,22 @@ def _encode_dict(dct, nl: str) -> str:
         + (_encode_str(v) if type(v) is str else _encode(v, inner))
         for k, v in sorted(dct.items())
     ]
-    return _join("{" + inner, parts, "," + inner, nl + "}")
-
-
-def _encode_rows(rows, nl: str) -> str:
-    return "".join(_row_chunks(rows, nl))
+    return _container(parts, nl, "{}")
 
 
 def _row_chunks(rows, nl: str):
-    """A marked table from its row templates, one piece per block of whole rows.
+    """A table from its row templates, one piece per block of whole rows.
 
-    Blocks are sized as ``_member_chunks`` sizes a table's.  A table with a
-    row that does not fit its shape, or a key that is no string, is
-    streamed as a plain list or dict; a block with a leaf that is no
-    string is written by ``_encode``, which gives the template's text for
-    every row that fits it.
+    The first block holds ``_SMALL`` rows, and each later one is sized
+    from the blocks before to about ``_FLUSH`` characters and at most
+    ``_BLOCK`` rows.  A table with a row that does not fit its shape, or a
+    key that is no string, is streamed by ``_member_chunks``; a block with
+    a leaf that is no string is written by ``_encode``, which gives the
+    template's text for every row that fits it.
     """
+    if not rows:
+        yield "[]" if type(rows) is _Rows else "{}"
+        return
     keys, values, plan = None, rows, None
     if type(rows) is _Rows:
         plan = _row_plan(rows.shape, rows)
@@ -382,17 +319,14 @@ def _row_chunks(rows, nl: str):
     sep = "," + inner
     head = "" if keys is None else "%s: "
     forms = {}  # signature -> row template, made on its first row
-    if signatures is None:
-        row, blocks = head + template((), inner), {}
+    row = head + template((), inner) if signatures is None else None
     text = ("[" if keys is None else "{") + inner
     start, step = 0, _SMALL
     while start < len(values):
         stop = start + step
         part = values[start:stop]
-        if signatures is None:  # one row format: one block format per block length
-            form = blocks.get(len(part))
-            if form is None:
-                form = blocks[len(part)] = sep.join([row] * len(part))
+        if signatures is None:  # one row format
+            form = sep.join([row] * len(part))
         else:
             sigs = list(signatures(part))
             for sig in set(sigs).difference(forms):
@@ -419,19 +353,24 @@ def _row_chunks(rows, nl: str):
 def _row_plan(shape, rows):
     """How to write ``rows`` by template, or None when some row does not fit ``shape``.
 
-    Returns ``(signatures, leaves, template)``.  ``leaves(part)`` gives
-    iterables that chain to a slice's string leaves in template order, one
-    per row for a dict shape; the leaves are typed as they are escaped,
-    since ``encode_basestring`` refuses anything but a string.
-    ``template(sig, nl)`` is the ``%``-format of a row with signature
-    ``sig`` that starts on the line ``nl``.  ``signatures(part)`` gives each row's signature: the lengths
-    of its ``[str]`` and ``{str: str}`` members and the values of its
-    ``int`` and ``[int]`` members, which the template spells out.  It is
+    Returns ``(signatures, leaves, template)``.  ``leaves(part)`` gives one
+    iterable per row that chains to the row's string leaves in template
+    order; the leaves are typed as they are escaped, since
+    ``encode_basestring`` refuses anything but a string.  ``template(sig,
+    nl)`` is the ``%``-format of a row with signature ``sig`` that starts on
+    the line ``nl``.  ``signatures(part)`` gives each row's signature: the
+    lengths of its ``[str]`` and ``{str: str}`` members and the values of
+    its ``int`` and ``[int]`` members, which the template spells out.  It is
     None when every row has the signature ``()``, as rows of strings do.
     """
+    if shape in (str, [str], {str: str}):  # rows that are one member each
+        if shape is not str and set(map(type, rows)) != {type(shape)}:
+            return None
+        signatures = None if shape is str else partial(_signature_column, shape)
+        return signatures, partial(_leaf_column, shape), partial(_member_template, shape)
     if type(shape) is int:
         if set(map(type, rows)) == {list} and set(map(len, rows)) == {shape}:
-            return None, iter, lambda sig, nl: _list_template(["%s"] * shape, nl)
+            return None, iter, lambda sig, nl: _container(["%s"] * shape, nl)
         return None
     if type(shape) is tuple:
         n = len(shape)
@@ -440,8 +379,8 @@ def _row_plan(shape, rows):
             if set(map(type, members)) == {list} and all(
                 set(map(len, members[j::n])) == {k} for j, k in enumerate(shape)
             ):
-                return None, _flatten, lambda sig, nl: _list_template(
-                    [_list_template(["%s"] * k, nl + "  ") for k in shape], nl
+                return None, _flatten, lambda sig, nl: _container(
+                    [_container(["%s"] * k, nl + "  ") for k in shape], nl
                 )
         return None
     kinds = sorted(shape.items())
@@ -462,7 +401,7 @@ def _row_plan(shape, rows):
     spelled = [(itemgetter(k), kind) for k, kind in kinds if kind is not str]
     slotted = [(itemgetter(k), kind) for k, kind in kinds if kind is not int and kind != [int]]
     if not spelled:
-        return None, _each_values, lambda sig, nl: _dict_row_template(kinds, sig, nl)
+        return None, partial(map, dict.values), lambda sig, nl: _dict_row_template(kinds, sig, nl)
     if not slotted:  # no string leaves: the generic encoder writes it
         return None
 
@@ -473,10 +412,6 @@ def _row_plan(shape, rows):
         return map(chain, *[_leaf_column(kind, map(get, part)) for get, kind in slotted])
 
     return signatures, leaves, lambda sig, nl: _dict_row_template(kinds, sig, nl)
-
-
-def _each_values(part):
-    return map(dict.values, part)
 
 
 def _signature_column(kind, column):
@@ -497,34 +432,30 @@ def _leaf_column(kind, column):
     return map(_flatten, map(sorted, map(dict.items, column)))  # json writes the items sorted
 
 
-def _list_template(slots: list[str], nl: str) -> str:
-    """The ``%``-format of a list of ``slots`` that starts on the line ``nl``."""
-    if not slots:
-        return "[]"
-    inner = nl + "  "
-    return _join("[" + inner, slots, "," + inner, nl + "]")
+def _member_template(kind, sig, nl: str) -> str:
+    """The ``%``-format of a member of ``kind`` and signature ``sig`` starting on the line ``nl``."""
+    if kind is str:
+        return "%s"
+    if kind is int:
+        return _int_repr(sig)
+    if kind == [int]:
+        return _container(list(map(_int_repr, sig)), nl)
+    if kind == [str]:
+        return _container(["%s"] * sig, nl)
+    return _container(["%s: %s"] * sig, nl, "{}")
 
 
 def _dict_row_template(kinds, sig, nl: str) -> str:
     """The ``%``-format of a row of the sorted ``kinds`` with signature ``sig``; see ``_row_plan``."""
     inner = nl + "  "
     spelled = iter(sig)
-    slots = []
-    for key, kind in kinds:
-        name = _encode_str(key).replace("%", "%%") + ": "
-        if kind is str:
-            slots.append(name + "%s")
-        elif kind is int:
-            slots.append(name + _int_repr(next(spelled)))
-        elif kind == [int]:
-            slots.append(name + _list_template(list(map(_int_repr, next(spelled))), inner))
-        elif kind == [str]:
-            slots.append(name + _list_template(["%s"] * next(spelled), inner))
-        else:
-            n, deeper = next(spelled), inner + "  "
-            items = _join("{" + deeper, ["%s: %s"] * n, "," + deeper, inner + "}") if n else "{}"
-            slots.append(name + items)
-    return _join("{" + inner, slots, "," + inner, nl + "}")
+    slots = [
+        _encode_str(key).replace("%", "%%")
+        + ": "
+        + _member_template(kind, None if kind is str else next(spelled), inner)
+        for key, kind in kinds
+    ]
+    return _container(slots, nl, "{}")
 
 
 def _key_str(key) -> str:
@@ -754,7 +685,7 @@ def _category_core(cat: FiniteCategory, shared: bool = False) -> dict:
     compose = _Rows(([g, f, gf] for (g, f), gf in cat.compose_table.items()), 3, shared)
     compose.sort()
     return {
-        "objects": (_SharedList if shared else list)(sorted(cat.objects)),
+        "objects": _Rows(sorted(cat.objects), str, shared),
         "morphisms": _Rows(
             (
                 {"id": m.id, "src": m.src, "tgt": m.tgt}
@@ -764,7 +695,7 @@ def _category_core(cat: FiniteCategory, shared: bool = False) -> dict:
             shared,
         ),
         "compose": compose,
-        "identities": (_SharedDict if shared else dict)(cat.identities),
+        "identities": _RowsByKey(cat.identities, str, shared),
     }
 
 
@@ -772,8 +703,8 @@ def category_to_doc(cat: FiniteCategory, ff: FibreFunctor, core: dict | None = N
     """``core``, when given, is the ``_category_core`` of ``cat``, built once by the caller."""
     return {
         **(core or _category_core(cat)),
-        "fibres": {v: list(ff.on_objects[v]) for v in cat.objects},
-        "actions": {m: dict(t) for m, t in ff.on_morphisms.items()},
+        "fibres": _RowsByKey(((v, list(ff.on_objects[v])) for v in cat.objects), [str]),
+        "actions": _RowsByKey(((m, dict(t)) for m, t in ff.on_morphisms.items()), {str: str}),
     }
 
 
@@ -807,7 +738,12 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
             _strings(list(_flatten(rows)), "morphism in compose")
             identities = _object(doc["identities"], "category identities")
             _strings(identities.values(), "identity")
-            morphisms = [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]]
+            morphisms = _list(doc["morphisms"], "category morphisms")
+            for m in morphisms:
+                _object(m, "morphism")
+            morphisms = list(map(itemgetter("id", "src", "tgt"), morphisms))
+            for field, column in zip(("id", "src", "tgt"), zip(*morphisms)):
+                _strings(column, f"morphism {field}")
             get = _own_strings(mid for mid, _, _ in morphisms).get
             # a list of another length raises; an unknown id keeps its own text
             compose = {(get(g, g), get(f, f)): get(gf, gf) for g, f, gf in rows}
@@ -859,31 +795,52 @@ def _own_strings(keys) -> dict[str, str]:
 def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
     _need(doc, ["cells"], "complex")
     try:
-        raw = {}
-        strata = {}
-        for entry in doc["cells"]:
-            cid = _string(entry["id"], "cell id")
-            dim = _integer(entry["dim"], f"dim of cell {cid!r}")
-            faces = set(_list(entry["faces"], f"faces of cell {cid!r}"))
-            for f in faces:
-                if type(f) is not str:
-                    raise DocumentError(f"face {f!r} of cell {cid!r} must be a string")
-            raw[cid] = dim, faces
-            strata[cid] = _integer(entry["stratum"], f"stratum of cell {cid!r}")
-        ids = _own_strings(raw)
+        ids, dims, faces, strata = _cell_columns(doc["cells"])
+        own = _own_strings(ids)
         cells = {
-            cid: Cell(cid, dim, tuple(sorted([ids.get(f, f) for f in faces])))
-            for cid, (dim, faces) in raw.items()
+            cid: Cell(cid, dim, tuple(sorted({own.get(f, f) for f in fs})))
+            for cid, dim, fs in zip(ids, dims, faces)
         }
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed complex document: {exc!r}") from exc
-    return BaseComplex(cells), Stratification(strata)
+    return BaseComplex(cells), Stratification(dict(zip(ids, strata)))
+
+
+_CELL_MEMBERS = itemgetter("id", "dim", "faces", "stratum")
+
+
+def _cell_columns(entries) -> tuple:
+    """The ids, dims, faces and strata of a complex's cells, every member checked.
+
+    The columns are checked in C-level passes.  Only when one refuses a
+    value, or a cell is no object with the four keys, are the cells walked
+    in order to raise the first refusal with its message.
+    """
+    try:
+        ids, dims, faces, strata = columns = tuple(zip(*map(_CELL_MEMBERS, entries))) or ((),) * 4
+        fits = (
+            set(map(type, ids)) <= {str}
+            and set(map(type, dims)) | set(map(type, strata)) <= {int}
+            and set(map(type, faces)) <= {list}
+            and set(map(type, _flatten(faces))) <= {str}
+        )
+    except (KeyError, TypeError):  # a missing key or a cell that is no object: the walk meets it
+        fits = False
+    if not fits:
+        for entry in entries:
+            cid = _string(entry["id"], "cell id")
+            _integer(entry["dim"], f"dim of cell {cid!r}")
+            for f in set(_list(entry["faces"], f"faces of cell {cid!r}")):
+                if type(f) is not str:
+                    raise DocumentError(f"face {f!r} of cell {cid!r} must be a string")
+            _integer(entry["stratum"], f"stratum of cell {cid!r}")
+    return columns
 
 
 def map_to_doc(m: SimplicialMap, src_strat: Stratification | None = None) -> dict:
-    doc = {"vertex_map": dict(m.vertex_map)}
+    doc = {"vertex_map": _RowsByKey(m.vertex_map, str)}
     if src_strat is not None:
         doc["source"] = complex_to_doc(m.source, src_strat)
     return doc
@@ -913,7 +870,7 @@ def bundle_to_doc(x: StratBundle, core: dict | None = None) -> dict:
     return {
         "base": complex_to_doc(x.base, x.strat),
         "category": category_to_doc(x.cat, x.ff, core),
-        "fibres": dict(x.fibre_obj),
+        "fibres": _RowsByKey(x.fibre_obj, str),
         "transitions": _Rows(
             (
                 {"cell": c, "face": f, "mor": m}
@@ -949,21 +906,16 @@ def diagram_to_doc(d: DiagramBundle) -> dict:
     core = _category_core(d.cat, shared=True)
     # principal_diagram puts one table object under every cell with the same
     # (g, W); the tables stay alive in d.actions, so their ids are stable here
-    tables: dict[int, _SharedDict] = {}
-    actions = {}
-    for m, per_cell in d.actions.items():
-        actions[m] = row = {}
-        for c, t in per_cell.items():
-            shared = tables.get(id(t))
-            if shared is None:
-                shared = tables[id(t)] = _SharedDict(t)
-            row[c] = shared
+    distinct = {id(t): t for per_cell in d.actions.values() for t in per_cell.values()}
+    tables = {key: _RowsByKey(t, str, True) for key, t in distinct.items()}
     return {
         "components": {
             v: bundle_to_doc(b, core if b.cat is d.cat else None)
             for v, b in d.components.items()
         },
-        "actions": actions,
+        "actions": {
+            m: {c: tables[id(t)] for c, t in per_cell.items()} for m, per_cell in d.actions.items()
+        },
     }
 
 
@@ -1002,8 +954,8 @@ def diagram_from_doc(doc: dict) -> DiagramBundle:
 
 def functor_to_doc(phi: CatFunctor, gg: FibreFunctor) -> dict:
     return {
-        "on_objects": dict(phi.on_objects),
-        "on_morphisms": dict(phi.on_morphisms),
+        "on_objects": _RowsByKey(phi.on_objects, str),
+        "on_morphisms": _RowsByKey(phi.on_morphisms, str),
         "target": category_to_doc(phi.target, gg),
     }
 
@@ -1059,6 +1011,30 @@ def total_to_doc(t: TotalComplex) -> dict:
         "elements": _Rows(map(list, t.elements), 2),
         "relations": _Rows([[[f, u], [c, v]] for (f, u), (c, v) in t.relations], (2, 2)),
     }
+
+
+def trivialize_to_doc(res: TrivializeResult) -> dict:
+    """The trivialization over a region, or the obstruction loop that refutes one."""
+    if res.ok:
+        t = res.trivialization
+        return {
+            "kind": "trivialization",
+            "region": _Rows(t.region, str),
+            "object": t.object,
+            "charts": _RowsByKey(t.charts, str),
+        }
+    o = res.obstruction
+    return {
+        "kind": "obstruction",
+        "loop": _Rows(o.loop, str),
+        "holonomy": o.holonomy,
+        "detail": o.detail,
+    }
+
+
+def iso_to_doc(res: ReconstructResult) -> dict:
+    """The iso of a verified reconstruction: each cell's coend classes to fibre elements."""
+    return {"cells": _RowsByKey(res.iso or {}, {str: str})}
 
 
 def certificate_to_doc(cert: TrivialityCertificate) -> dict:

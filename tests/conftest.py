@@ -1,6 +1,6 @@
-"""Helpers shared by several test modules: small triangulated tori, the
-principal diagrams of the golden bundles, a groupoid reference, a paused
-collector and a count of the exhaustive law passes."""
+"""Helpers shared by several test modules: small triangulated tori, a
+twisted circle, the principal diagrams of the golden bundles, a groupoid
+reference, a paused collector and a count of the exhaustive law passes."""
 import functools
 import gc
 import random
@@ -66,6 +66,15 @@ def _torus_pullback(n: int, labels):
     vertex_map = {labels[i * n + j]: f"v{i % 3}" for i in range(n) for j in range(n)}
     fbar = cellbase.SimplicialMap.from_vertex_map(b, circle.base, vertex_map)
     return strabundle.pullback(circle, fbar, s).bundle, fbar
+
+
+def build_twisted_circle(cat, ff, obj: str, twist: str) -> strabundle.StratBundle:
+    """The circle ``c3`` with fibre ``obj`` at every cell, every transition the
+    identity of ``obj`` except ``twist`` at its first incidence."""
+    base, strat = corpus.c3()
+    transition = dict.fromkeys(base.incidences, cat.identities[obj])
+    transition[base.incidences[0]] = twist
+    return strabundle.StratBundle(base, strat, cat, ff, dict.fromkeys(base.cells, obj), transition)
 
 
 @functools.cache

@@ -849,6 +849,45 @@ def test_non_string_id_or_wrong_container_in_a_bundle_is_a_document_error(
     assert f"document error: {message}" in capsys.readouterr().err.splitlines()
 
 
+# each damage of a morphism row of bz2_double_cover_c3 and its document error
+MISTYPED_MORPHISMS = {
+    # an id of another type used to die sorting ids, or hashing a list
+    "int-id": (0, "id", 5, "morphism id must be a string, not 5"),
+    "null-id": (0, "id", None, "morphism id must be a string, not None"),
+    "list-id": (1, "id", ["g"], "morphism id must be a string, not ['g']"),
+    "list-tgt": (1, "tgt", ["pt"], "morphism tgt must be a string, not ['pt']"),
+    # and an int src read as an endpoint ended in law violations, exit 1
+    "int-src": (1, "src", 5, "morphism src must be a string, not 5"),
+}
+
+
+@pytest.mark.parametrize("damage", MISTYPED_MORPHISMS)
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_a_mistyped_morphism_row_is_a_document_error(tmp_path, capsys, command, damage):
+    doc = jsonio.read_doc(GOLDEN / "bz2_double_cover_c3.json")
+    index, field, value, message = MISTYPED_MORPHISMS[damage]
+    doc["category"]["morphisms"][index][field] = value
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    assert run([command, str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("morphisms, message", [
+    ({"e": "pt"}, "category morphisms must be a list, not {'e': 'pt'}"),
+    ([{"id": "e", "src": "pt", "tgt": "pt"}, "g"], "morphism must be an object, not 'g'"),
+], ids=["object", "string-row"])
+def test_morphisms_that_are_no_list_of_objects_are_a_document_error(
+    tmp_path, capsys, morphisms, message
+):
+    doc = jsonio.read_doc(GOLDEN / "bz2_double_cover_c3.json")
+    doc["category"]["morphisms"] = morphisms
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    assert run(["validate", str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
+
+
 def _per_cell_table_list(doc):
     per_cell = doc["actions"][_first_key(doc["actions"])]
     per_cell[_first_key(per_cell)] = [["a", "b"]]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from stratabundle import cli, corpus, fincat, funcspace, jsonio, oracle, strabundle, triviality
 from stratabundle.validation import DocumentError
 
-from conftest import build_torus_cover, principal_text
+from conftest import build_shuffled_torus_cover, build_torus_cover, build_twisted_circle, principal_text
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -113,6 +113,44 @@ def test_non_integer_stratum_raises_document_error(value):
     assert jsonio.strat_from_doc({"strata": {"v0": 2}}).strata == {"v0": 2}
 
 
+def _cells_with(*changes):
+    """The cells of the ``c3_complex`` example, each ``(index, key, value)`` of ``changes`` set."""
+    doc = corpus.example_doc("c3_complex")
+    cells = [dict(c, faces=list(c["faces"])) for c in doc["cells"]]
+    for index, key, value in changes:
+        cells[index][key] = value
+    return {"cells": cells}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ([(0, "dim", 1.5)], "dim of cell 'v0' must be an integer, not 1.5"),
+    ([(0, "dim", True)], "dim of cell 'v0' must be an integer, not True"),
+    ([(1, "faces", "v0v1")], "faces of cell 'v0.v1' must be a list, not 'v0v1'"),
+    ([(1, "faces", ["v0", 7])], "face 7 of cell 'v0.v1' must be a string"),
+    ([(2, "stratum", None)], "stratum of cell 'v0.v2' must be an integer, not None"),
+    ([(3, "id", 3)], "cell id must be a string, not 3"),
+    # the first cell with a refusal is named, whichever column refuses later cells
+    ([(4, "dim", "1"), (2, "stratum", 0.5)], "stratum of cell 'v0.v2' must be an integer, not 0.5"),
+    ([(2, "faces", {}), (1, "id", None)], "cell id must be a string, not None"),
+    ([(0, "dim", None), (0, "stratum", None)], "dim of cell 'v0' must be an integer, not None"),
+], ids=["dim", "bool-dim", "faces", "face-type", "stratum", "id", "first-cell", "id-first", "dim-first"])
+def test_a_refused_cell_member_is_named(changes, message):
+    with pytest.raises(DocumentError) as refused:
+        jsonio.complex_from_doc(_cells_with(*changes))
+    assert str(refused.value) == message
+
+
+def test_a_cell_that_is_no_object_or_lacks_a_member_is_malformed():
+    # after the refusals of earlier cells, as the walk over the cells meets it
+    doc = _cells_with((1, "dim", 0.5))
+    doc["cells"][3] = ["v1"]
+    with pytest.raises(DocumentError, match="dim of cell 'v0.v1' must be an integer"):
+        jsonio.complex_from_doc(doc)
+    del doc["cells"][1]["dim"]
+    with pytest.raises(DocumentError, match=r"malformed complex document: KeyError\('dim'\)"):
+        jsonio.complex_from_doc(doc)
+
+
 def test_detect_kind():
     assert jsonio.detect_kind(corpus.example_doc("perm2_category")) == "category"
     assert jsonio.detect_kind(corpus.example_doc("c3_complex")) == "complex"
@@ -186,6 +224,11 @@ MEMBER_KINDS = [
 ]
 
 
+# the kinds of rows that are one member each
+FLAT_KINDS = [str, [str], {str: str}]
+flat_kinds = st.sampled_from(FLAT_KINDS)
+
+
 def member(kind):
     return next(strategy for k, strategy in MEMBER_KINDS if k == kind)
 
@@ -194,6 +237,7 @@ dict_shapes = st.dictionaries(
     row_texts, st.sampled_from([k for k, _ in MEMBER_KINDS]), min_size=1, max_size=3
 )
 row_shapes = st.one_of(
+    flat_kinds,
     st.integers(1, 3),  # flat rows
     st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),  # rows of flat rows
     # keys, mostly sorted; rows built out of sorted order do not fit
@@ -204,6 +248,8 @@ row_shapes = st.one_of(
 
 
 def fitting_rows(shape):
+    if shape in FLAT_KINDS:
+        return member(shape)
     if type(shape) is int:
         return st.lists(row_texts, min_size=shape, max_size=shape)
     if type(shape) is tuple:
@@ -230,8 +276,15 @@ def _reshape(row):
     return st.sampled_from([row[1:], [*row, row[0]]])
 
 
+def _add_leaf(row, key, leaf):
+    """``row`` with one more member ``leaf``, under ``key`` in a dict."""
+    return {**row, key: leaf} if isinstance(row, dict) else [*row, leaf]
+
+
 def misfit_rows(shape):
     rows = fitting_rows(shape)
+    if shape in FLAT_KINDS:  # a row of another type, or one with a leaf that is no string
+        return misfit_leaves | st.tuples(rows, row_texts, misfit_leaves).map(lambda t: _add_leaf(*t))
     return st.one_of(
         st.tuples(rows, st.integers(0, 8), misfit_leaves).map(lambda t: _replace_leaf(*t)),
         rows.flatmap(_reshape),
@@ -245,14 +298,12 @@ def row_tables(shared):
             fitting_rows(shape) | misfit_rows(shape), min_size=1, max_size=5
         )
         lists = rows.map(lambda r: jsonio._Rows(r, shape, shared))
-        if shared or type(shape) is not dict:
-            return lists
         rows = fitting_rows(shape) | misfit_rows(shape)
         # keys that are no strings send the table to the generic encoder
         keyed = st.dictionaries(row_texts, rows, max_size=5) | st.dictionaries(
             st.integers(), rows, min_size=1, max_size=3
         )
-        return lists | keyed.map(lambda r: jsonio._RowsByKey(r, shape))
+        return lists | keyed.map(lambda r: jsonio._RowsByKey(r, shape, shared))
 
     return row_shapes.flatmap(tables)
 
@@ -333,16 +384,22 @@ documents = st.recursive(
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(st.text(), children, max_size=4)
         | st.dictionaries(st.integers(), children, max_size=4)
-        # shared markers, which may nest inside one another
-        | st.lists(children, max_size=4).map(jsonio._SharedList)
-        | st.dictionaries(st.text(), children, max_size=4).map(jsonio._SharedDict)
+        # shared tables of any rows, which may nest inside one another
+        | st.tuples(st.lists(children, max_size=4), flat_kinds).map(
+            lambda t: jsonio._Rows(*t, shared=True)
+        )
+        | st.tuples(st.dictionaries(st.text(), children, max_size=4), flat_kinds).map(
+            lambda t: jsonio._RowsByKey(*t, shared=True)
+        )
         | row_tables(shared=False)
     ),
     max_leaves=30,
 )
 markers = st.one_of(
-    st.lists(documents, max_size=3).map(jsonio._SharedList),
-    st.dictionaries(st.text(), documents, max_size=3).map(jsonio._SharedDict),
+    st.tuples(st.lists(documents, max_size=3), flat_kinds).map(lambda t: jsonio._Rows(*t, shared=True)),
+    st.tuples(st.dictionaries(st.text(), documents, max_size=3), flat_kinds).map(
+        lambda t: jsonio._RowsByKey(*t, shared=True)
+    ),
     row_tables(shared=True),
     row_tables(shared=False),
 )
@@ -448,9 +505,14 @@ class TestCanonDumps:
             # rows that fit, whose keys are spelled in the format
             jsonio._Rows([{"%%": "a"}, {"%%": "b"}], {"%%": str}),
             jsonio._Rows([{"%s": ["b"], "100%": [3]}], {"%s": [str], "100%": [int]}),
+            # rows that are one member each
+            jsonio._RowsByKey({"a": "b", "c": 1}, str, shared=True),
+            jsonio._Rows([["a"], ("b",)], [str]),
+            jsonio._RowsByKey({"a": {"x": "y"}, "b": {1: "z"}}, {str: str}),
         ],
         ids=["bool-dim", "dict-faces", "bool-cycle-type", "null-image", "tuple-closes",
-             "tuple-region", "int-chart", "int-key", "double-percent-key", "percent-keys"],
+             "tuple-region", "int-chart", "int-key", "double-percent-key", "percent-keys",
+             "int-leaf", "tuple-row", "int-row-key"],
     )
     def test_rows_that_do_not_fit_and_keys_with_percent(self, table):
         # cases the hypothesis tests reach only now and then, pinned
@@ -497,16 +559,33 @@ class TestCanonDumps:
         )
         monkeypatch.setattr(jsonio, "_encode", lambda o, nl: encoded.append(id(o)) or encode(o, nl))
         x = corpus.triple_cover_c3()
+        trivial = corpus.trivial_two_sheets_c3()
+        identity = fincat.identity_cat_functor(x.cat)
         docs = [
             jsonio.bundle_to_doc(x),
             jsonio.total_to_doc(strabundle.realize_total(x)),
             jsonio.diagram_to_doc(funcspace.principal_diagram(x)),
             jsonio.certificate_to_doc(triviality.local_triviality_certificate(x)),
             jsonio.covering_to_doc(triviality.covering_space(x)),
+            jsonio.trivialize_to_doc(triviality.trivialize_over(trivial, set(trivial.base.cells))),
+            jsonio.trivialize_to_doc(triviality.trivialize_over(x, set(x.base.cells))),
+            jsonio.iso_to_doc(funcspace.reconstruct_check(x)),
+            jsonio.map_to_doc(*corpus.c6_fold_map()),
+            jsonio.functor_to_doc(identity, x.ff),
+            # empty tables, which the table writer writes too
+            [jsonio._Rows([], 3), jsonio._RowsByKey({}, str), jsonio._RowsByKey({}, str, True)],
         ]
-        tables = [docs[0]["transitions"], docs[0]["category"]["morphisms"],
-                  docs[0]["category"]["compose"], docs[0]["base"]["cells"], docs[1]["elements"],
-                  docs[1]["relations"], docs[3]["stars"], docs[4]["monodromy"]]
+        bundle, category = docs[0], docs[0]["category"]
+        action_tables = [t for per_cell in docs[2]["actions"].values() for t in per_cell.values()]
+        tables = [
+            bundle["transitions"], bundle["base"]["cells"], bundle["fibres"],
+            *(category[k] for k in ("objects", "morphisms", "compose", "identities", "fibres", "actions")),
+            docs[1]["elements"], docs[1]["relations"], docs[3]["stars"], docs[4]["monodromy"],
+            docs[5]["region"], docs[5]["charts"], docs[6]["loop"], docs[7]["cells"],
+            docs[8]["vertex_map"], docs[9]["on_objects"], docs[9]["on_morphisms"],
+            *(t for t in action_tables if t),
+        ]
+        assert [docs[5]["kind"], docs[6]["kind"]] == ["trivialization", "obstruction"]
         assert all(type(t) in (jsonio._Rows, jsonio._RowsByKey) and t for t in tables)
         for doc in docs:
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
@@ -593,6 +672,81 @@ class TestCanonDumps:
         for x in (corpus.double_cover_c3(), corpus.orbit_free_bundle_c3()):
             doc = jsonio.diagram_to_doc(funcspace.principal_diagram(x))
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
+
+
+def _is_flat(v) -> bool:
+    """A scalar, or a plain list or dict of scalars."""
+    t = type(v)
+    if t is dict or t is list or t is tuple:
+        return set(map(type, v.values() if t is dict else v)) <= jsonio._SCALARS
+    return t in jsonio._SCALARS
+
+
+def _command_inputs(tmp_path):
+    """Each document-writing command with its arguments, on three inputs.
+
+    The n = 15 torus cover (every bundle command but ``attach``, which
+    writes by ``bundle_to_doc`` as the others do), a trivial torus, where
+    ``trivialize`` finds a trivialization and ``reconstruct`` writes its
+    iso, a ``perm_category(4)`` bundle with fibres of 4 elements, and every
+    example.
+    """
+    x, fbar = build_shuffled_torus_cover(15, 7)
+    trivial = strabundle.pullback(corpus.trivial_two_sheets_c3(), fbar, x.strat).bundle
+    perm4 = build_twisted_circle(*corpus.perm_category(4), "set4", "p4:1230")
+    docs = {"trivial": jsonio.bundle_to_doc(trivial)}
+    for name, y in (("torus", x), ("perm4", perm4)):
+        docs[name] = jsonio.bundle_to_doc(y)
+        docs[f"{name}-category"] = jsonio.category_to_doc(y.cat, y.ff)
+        docs[f"{name}-functor"] = jsonio.functor_to_doc(fincat.identity_cat_functor(y.cat), y.ff)
+    docs["circle"] = jsonio.bundle_to_doc(corpus.double_cover_c3())
+    docs["map"] = jsonio.map_to_doc(fbar, x.strat)
+    docs["strata"] = {"strata": {c: 1 if x.base.cells[c].dim == 2 else 0 for c in x.base.cells}}
+    for name, doc in docs.items():
+        jsonio.write_doc(tmp_path / name, doc)
+    at = {name: str(tmp_path / name) for name in [*docs, "diagram"]}
+    return [
+        *(["validate", at[b]] for b in ("torus", "perm4")),
+        ["pullback", at["circle"], at["map"]],
+        ["restrict", at["torus"], "--star", min(x.base.cells)],
+        ["product", at["torus"], at["torus"]],
+        ["stratify", at["torus"], at["strata"]],
+        *([command, at[b]] for b in ("torus", "trivial") for command in
+          ("trivialize", "certify", "cover", "total", "reconstruct")),
+        ["reconstruct", at["perm4"]],
+        *(argv for b, obj in (("torus", "set2"), ("perm4", "set4")) for argv in (
+            ["principal", at[b], "-o", at["diagram"]],
+            ["coend", at["diagram"], "--category", at[f"{b}-category"]],
+            ["associate", at[b], at[f"{b}-functor"]],
+            ["fnspace", at[b], "-V", obj],
+        )),
+        *(["example", name] for name in corpus.example_names()),
+    ]
+
+
+def test_no_engine_table_reaches_the_generic_walker(tmp_path, monkeypatch, capsys):
+    # a container of _SMALL flat members or more is a table, which the
+    # builders mark for the table writer; the walker would write it member by member
+    walked = []
+    member_chunks = jsonio._member_chunks
+
+    def recording(o, nl):
+        if len(o) >= jsonio._SMALL and all(map(_is_flat, o.values() if isinstance(o, dict) else o)):
+            walked.append((argv[0], type(o).__name__, len(o)))
+        return member_chunks(o, nl)
+
+    commands = _command_inputs(tmp_path)
+    monkeypatch.setattr(jsonio, "_member_chunks", recording)
+    for argv in commands:
+        out = argv[argv.index("-o") + 1] if "-o" in argv else str(tmp_path / "out.json")
+        assert cli.main([*argv, "-o", out] if "-o" not in argv else argv) == 0, argv
+        assert Path(out).stat().st_size > 0
+    capsys.readouterr()
+    assert walked == []
+    assert {argv[0] for argv in commands} == {
+        "validate", "pullback", "restrict", "product", "stratify", "trivialize", "certify",
+        "cover", "total", "reconstruct", "principal", "coend", "associate", "fnspace", "example",
+    }
 
 
 def _sha256(path) -> str:
@@ -704,10 +858,13 @@ class TestDiagramDocuments:
         doc = jsonio.diagram_to_doc(funcspace.principal_diagram(corpus.triple_cover_c3()))
         assert jsonio.canon_dumps(doc) == reference_dumps(doc)
         core = next(iter(doc["components"].values()))["category"]
+        tables = {id(t) for per_cell in doc["actions"].values() for t in per_cell.values()}
         shared = [rows for rows in encoded if rows.encoded is not None]
-        assert sorted(map(id, shared)) == sorted([id(core["morphisms"]), id(core["compose"])])
-        # the base cells and the transitions of each component
-        assert len(encoded) - len(shared) == 2 * len(doc["components"])
+        # the category core once, and each distinct action table once
+        assert sorted(map(id, shared)) == sorted([*(id(core[k]) for k in jsonio._CATEGORY_CORE), *tables])
+        # of each component the base cells, the transitions and the fibres,
+        # and the fibres and actions of its category
+        assert len(encoded) - len(shared) == 5 * len(doc["components"])
 
     @pytest.fixture
     def category_calls(self, monkeypatch):

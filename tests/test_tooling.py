@@ -471,7 +471,7 @@ def test_cover_builds_no_union_find_beyond_the_basepoint_fibre(monkeypatch, toru
     assert 0 < max(sizes) <= len(x.fibre_set(cert.basepoint))
 
 
-SHARED_MARKERS = {"_SharedList", "_SharedDict", "_Rows", "_RowsByKey"}
+SHARED_MARKERS = {"_Rows", "_RowsByKey"}
 
 
 def test_only_jsonio_builds_shared_containers():

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import io
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from stratabundle import cellbase, cli, corpus, fincat, jsonio, oracle, strabundle, triviality
 from stratabundle.validation import PreconditionError, StructureError
 
-from conftest import build_shuffled_torus_cover
+from conftest import build_shuffled_torus_cover, build_twisted_circle
 
 
 class TestTrivializeOver:
@@ -120,6 +122,29 @@ class TestCoveringSpace:
         x = corpus.triple_cover_c3()
         cov = triviality.covering_space(x)
         assert cov.sheets["v0"] == len(x.fibre_set("v0")) == 3
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_components_over_a_circle_count_as_stirling_numbers(self, n):
+        # a closed form the engine does not compute: the components of the
+        # total space are the cycles of the one twist, and c(n, k) of the n!
+        # permutations of n elements have k cycles
+        cat, ff = corpus.perm_category(n)
+        components, trivialized = Counter(), []
+        for perm in permutations(range(n)):
+            x = build_twisted_circle(cat, ff, f"set{n}", f"p{n}:" + "".join(map(str, perm)))
+            components[triviality.covering_space(x).components] += 1
+            if triviality.trivialize_over(x, set(x.base.cells)).ok:
+                trivialized.append(x.transition[x.base.incidences[0]])
+        assert components == _stirling_first_kind(n)
+        assert trivialized == [cat.identities[f"set{n}"]]
+
+
+def _stirling_first_kind(n: int) -> dict[int, int]:
+    """The unsigned Stirling numbers c(n, k) > 0, by c(m + 1, k) = m c(m, k) + c(m, k - 1)."""
+    row = {0: 1}
+    for m in range(n):
+        row = {k: m * row.get(k, 0) + row.get(k - 1, 0) for k in range(m + 2)}
+    return {k: c for k, c in row.items() if c}
 
 
 class TestStratify:
