@@ -76,10 +76,9 @@ class BaseComplex:
 
     @cached_property
     def vertices_of(self) -> dict[str, tuple[str, ...]]:
-        return {
-            c: tuple(sorted(x for x in self.below[c] if self.cells[x].dim == 0))
-            for c in self.cells
-        }
+        verts = frozenset(c for c, cell in self.cells.items() if cell.dim == 0)
+        below = self.below
+        return {c: tuple(sorted(verts.intersection(below[c]))) for c in self.cells}
 
     @cached_property
     def is_simplicial(self) -> bool:

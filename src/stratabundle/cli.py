@@ -12,6 +12,11 @@ and ``--category``, and ``validate`` and ``reconstruct`` merge every stage
 into the report that ``_report`` writes; a diagram's stage list is
 ``funcspace.diagram_stages``.  No command calls a validator of its own
 beside it.
+
+A command that reads a second category document (``associate``'s functor
+target, ``product``'s second bundle, ``attach``'s piece bundle, ``coend``'s
+``--category``) hands the reader the ``known`` pair of the first, so an
+equal category is one object and its laws are decided once.
 """
 from __future__ import annotations
 
@@ -55,8 +60,24 @@ def _valid_bundle(x: strabundle.StratBundle) -> strabundle.StratBundle:
     return x
 
 
-def _load_bundle(path: str) -> strabundle.StratBundle:
-    return _valid_bundle(jsonio.bundle_from_doc(jsonio.read_doc(path)))
+def _load_bundle(path: str, known=None) -> strabundle.StratBundle:
+    """The gated bundle at ``path``; ``known`` is passed on to ``category_from_doc``."""
+    return _valid_bundle(jsonio.bundle_from_doc(jsonio.read_doc(path), known))
+
+
+def _load_bundle_pair(path: str) -> tuple[strabundle.StratBundle, tuple]:
+    """``_load_bundle(path)`` and its ``(category document, category)`` pair.
+
+    A command hands the pair on as ``known`` to its reads of a second
+    category document, which then reuse an equal category (see
+    ``jsonio.category_from_doc``).  Of the document only the category
+    subtree outlives the read, and only while the caller keeps the pair.
+    """
+    doc = jsonio.read_doc(path)
+    x = jsonio.bundle_from_doc(doc)
+    category = doc["category"]
+    del doc  # the rest of the tree is freed before the gate builds the indexes
+    return _valid_bundle(x), (category, x.cat)
 
 
 def cmd_validate(args) -> int:
@@ -76,9 +97,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_attach(args) -> int:
-    y = _load_bundle(args.bundle)
+    y, known = _load_bundle_pair(args.bundle)
     m, a_cells, base_map, fibre_morphisms = jsonio.attachment_from_doc(
-        jsonio.read_doc(args.attachment), y
+        jsonio.read_doc(args.attachment), y, known=known
     )
     _valid_bundle(m)
     res = strabundle.attach_bundle(y, m, a_cells, base_map, fibre_morphisms)
@@ -109,8 +130,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_product(args) -> int:
-    x = _load_bundle(args.bundle)
-    x2 = _load_bundle(args.other)
+    x, known = _load_bundle_pair(args.bundle)
+    x2 = _load_bundle(args.other, known=known)
     _emit(jsonio.bundle_to_doc(strabundle.fiberwise_product(x, x2)), args.out)
     _say("fibrewise product built")
     return OK
@@ -171,8 +192,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_associate(args) -> int:
-    x = _load_bundle(args.bundle)
-    phi, gg = jsonio.functor_from_doc(jsonio.read_doc(args.functor), x.cat)
+    x, known = _load_bundle_pair(args.bundle)
+    phi, gg = jsonio.functor_from_doc(jsonio.read_doc(args.functor), x.cat, known=known)
     _emit(jsonio.bundle_to_doc(funcspace.associated_bundle(x, phi, gg)), args.out)
     _say("associated bundle built")
     return OK

@@ -713,8 +713,12 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
 
     ``known`` is an earlier ``(document, category)`` pair: when this
     document's category core equals that document's, its category object
-    is reused instead of built again.  A pair listed twice in ``compose``
-    is refused, since a table keyed by pairs would keep only its last row.
+    is reused instead of built again, so the laws it keeps
+    (``FiniteCategory.laws``) are decided once for both; a diagram's later
+    components and each command's second category document are read so.
+    Fibres and actions are read and checked either way.  A pair listed
+    twice in ``compose`` is refused, since a table keyed by pairs would
+    keep only its last row.
     """
     _need(doc, [*_CATEGORY_CORE, "fibres", "actions"], "category")
     fibres = _object(doc["fibres"], "category fibres")
@@ -960,9 +964,12 @@ def functor_to_doc(phi: CatFunctor, gg: FibreFunctor) -> dict:
     }
 
 
-def functor_from_doc(doc: dict, source: FiniteCategory) -> tuple[CatFunctor, FibreFunctor]:
+def functor_from_doc(
+    doc: dict, source: FiniteCategory, known=None
+) -> tuple[CatFunctor, FibreFunctor]:
+    """``known`` is passed on to ``category_from_doc`` for the target."""
     _need(doc, ["on_objects", "on_morphisms", "target"], "functor")
-    target, gg = category_from_doc(doc["target"])
+    target, gg = category_from_doc(doc["target"], known)
     on_objects = dict(_object(doc["on_objects"], "functor on_objects"))
     on_morphisms = dict(_object(doc["on_morphisms"], "functor on_morphisms"))
     _strings(on_objects.values(), "functor image")
@@ -972,11 +979,13 @@ def functor_from_doc(doc: dict, source: FiniteCategory) -> tuple[CatFunctor, Fib
 
 
 def attachment_from_doc(
-    doc: dict, y: StratBundle
+    doc: dict, y: StratBundle, known=None
 ) -> tuple[StratBundle, frozenset, SimplicialMap, dict[str, str]]:
-    """Attachment document: the piece bundle, its attached cells, base map and fibre morphisms."""
+    """Attachment document: the piece bundle, its attached cells, base map and fibre morphisms.
+
+    ``known`` is passed on to ``category_from_doc`` for the piece bundle."""
     _need(doc, ["bundle", "attached_cells", "map", "fibre_morphisms"], "attachment")
-    m = bundle_from_doc(doc["bundle"])
+    m = bundle_from_doc(doc["bundle"], known)
     _strings(_list(doc["attached_cells"], "attached cells"), "attached cell")
     a_cells = frozenset(doc["attached_cells"])
     try:

@@ -83,6 +83,23 @@ def transition_path(x: StratBundle, cell: str, face: str) -> str:
     return mid
 
 
+def transition_paths(x: StratBundle, cell_map: dict[str, str], incidences) -> dict:
+    """``transition_path(x, cell_map[c], cell_map[f])`` for each incidence ``(f, c)``, in order.
+
+    Many incidences map onto one pair of cells, so the path of each
+    distinct pair is found once, at its first incidence: the first pair
+    with no path raises where one call per incidence would.
+    """
+    paths, out = {}, {}
+    for inc in incidences:
+        pair = (cell_map[inc[1]], cell_map[inc[0]])
+        path = paths.get(pair)
+        if path is None:
+            path = paths[pair] = transition_path(x, *pair)
+        out[inc] = path
+    return out
+
+
 def check_bundle_references(x: StratBundle) -> ValidationReport:
     """Base, fibres, transition coverage and typing: the linear stage of ``validate_bundle``."""
     rep = ValidationReport("bundle")
@@ -283,11 +300,11 @@ def validate_fbundle_map(h: FBundleMap) -> ValidationReport:
             rep.add("fibre-typing", f"cell {c}: {mid} has wrong endpoints")
     if not rep.ok:
         return rep
-    for f, c in h.source.base.incidences:
+    paths = transition_paths(h.target, h.base_map.cell_map, h.source.base.incidences)
+    for (f, c), path in paths.items():
         lhs = compose_tables(
             ff.on_morphisms[h.fibre_morphisms[f]], h.source.ff.on_morphisms[h.source.transition[(f, c)]]
         )
-        path = transition_path(h.target, h.base_map.cell_map[c], h.base_map.cell_map[f])
         rhs = compose_tables(ff.on_morphisms[path], ff.on_morphisms[h.fibre_morphisms[c]])
         if lhs != rhs:
             rep.add("naturality", f"square over incidence ({f}, {c}) does not commute")
@@ -404,9 +421,7 @@ def pullback(xprime: StratBundle, fbar: SimplicialMap, w_strat: Stratification) 
             f"{fbar.cell_map[c]} has stratum {j}"
         )
     fibre_obj = {c: xprime.fibre_obj[fbar.cell_map[c]] for c in fbar.source.cells}
-    transition = {}
-    for f, c in fbar.source.incidences:
-        transition[(f, c)] = transition_path(xprime, fbar.cell_map[c], fbar.cell_map[f])
+    transition = transition_paths(xprime, fbar.cell_map, fbar.source.incidences)
     bundle = StratBundle(fbar.source, w_strat, xprime.cat, xprime.ff, fibre_obj, transition)
     covering = FBundleMap(
         bundle, xprime, fbar, {c: xprime.cat.identities[fibre_obj[c]] for c in fbar.source.cells}

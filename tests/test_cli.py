@@ -78,7 +78,7 @@ def test_reconstruct_golden_double_cover(tmp_path):
         assert sorted(table.values()) == ["set2.0", "set2.1"]
 
 
-def test_pullback_golden_and_refusal(tmp_path):
+def test_pullback_golden_and_refusal(tmp_path, capsys):
     bundle = write_example(tmp_path, "double_cover_c3")
     fold = write_example(tmp_path, "c6_fold_map")
     out = tmp_path / "pulled.json"
@@ -96,7 +96,11 @@ def test_pullback_golden_and_refusal(tmp_path):
         jsonio.bundle_to_doc(strabundle.product_bundle(b, s, cat, ff, "pt")),
     )
     refusal = write_example(tmp_path, "refusal_map_into_fan_disk")
+    capsys.readouterr()
     assert run(["pullback", str(disk_bundle), refusal, "-o", str(tmp_path / "no.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "refused: map is not stratum-preserving: cell v0 has stratum 0 but its image w has stratum 1"
+    ]
 
 
 def test_fnspace_principal_coend_chain(tmp_path):

@@ -7,6 +7,8 @@ from stratabundle.cellbase import SimplicialMap
 from stratabundle.strabundle import StratBundle
 from stratabundle.validation import PreconditionError, StructureError
 
+from conftest import build_shuffled_torus_cover
+
 
 def test_product_bundle_is_valid():
     x = corpus.product_bundle_c3()
@@ -153,6 +155,52 @@ class TestPullback:
         rotated = strabundle.pullback(x, rot, x.strat).bundle
         two_step = strabundle.pullback(rotated, fold, fold_strat).bundle
         assert strabundle.bundle_eq(direct, two_step)
+
+    def test_each_image_pairs_path_is_found_once(self, monkeypatch):
+        # the pinned shuffled n = 9 torus: 486 cells over the 6 of the circle
+        x, fbar = build_shuffled_torus_cover(9, 7)
+        circle = corpus.double_cover_c3()
+        cm, incidences = fbar.cell_map, fbar.source.incidences
+        pairs = {(cm[c], cm[f]) for f, c in incidences}
+        assert len(pairs) < len(incidences)
+        calls = []
+        original = strabundle.transition_path
+        monkeypatch.setattr(
+            strabundle, "transition_path", lambda *args: calls.append(args[1:]) or original(*args)
+        )
+        res = strabundle.pullback(circle, fbar, x.strat)
+        assert sorted(calls) == sorted(pairs)
+        expected = {(f, c): original(circle, cm[c], cm[f]) for f, c in incidences}
+        assert list(res.bundle.transition.items()) == list(expected.items())
+        calls.clear()
+        assert strabundle.validate_fbundle_map(res.covering).ok
+        assert sorted(calls) == sorted(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_paths_raise_at_the_first_failing_incidence(self, data):
+        # the fold with up to two cells sent elsewhere, most often no
+        # simplicial map: the memo gives the paths or the error that one
+        # call per incidence, in order, gives
+        x = corpus.double_cover_c3()
+        fold, _ = corpus.c6_fold_map()
+        cell_map = dict(fold.cell_map)
+        moved = st.tuples(st.sampled_from(sorted(cell_map)), st.sampled_from(sorted(x.base.cells)))
+        cell_map.update(data.draw(st.lists(moved, max_size=2)))
+        incidences = fold.source.incidences
+
+        def outcome(paths):
+            try:
+                return list(paths().items())
+            except StructureError as exc:
+                return str(exc)
+
+        assert outcome(lambda: strabundle.transition_paths(x, cell_map, incidences)) == outcome(
+            lambda: {
+                (f, c): strabundle.transition_path(x, cell_map[c], cell_map[f])
+                for f, c in incidences
+            }
+        )
 
     def test_non_stratum_preserving_is_refused(self):
         cat, ff = corpus.bz2_category()

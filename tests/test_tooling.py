@@ -20,6 +20,8 @@ from stratabundle import (
 )
 from stratabundle.validation import StructureError
 
+from conftest import build_twisted_circle
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -89,6 +91,36 @@ def test_bundle_commands_read_bundles_through_the_loader():
         and node.value.id == "jsonio"
     )
     assert sorted(set(direct)) == sorted(UNGATED_COMMANDS)
+
+
+# the loaders of a command's first bundle, and the readers a command may call
+# after one, each of which builds a category from a second category document
+BUNDLE_LOADERS = {"_load_bundle", "_load_bundle_pair"}
+SECOND_CATEGORY_READERS = BUNDLE_LOADERS | {"functor_from_doc", "attachment_from_doc"}
+
+
+def test_a_second_category_read_is_handed_the_first_bundles_category():
+    # without the known pair an equal category is built and gated twice
+    tree = ast.parse((ROOT / "src" / "stratabundle" / "cli.py").read_text(encoding="utf-8"))
+    second_reads, unpaired = set(), []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        calls = sorted(
+            (node for node in ast.walk(fn) if isinstance(node, ast.Call)),
+            key=lambda node: (node.lineno, node.col_offset),
+        )
+        names = [getattr(c.func, "attr", getattr(c.func, "id", None)) for c in calls]
+        first = next((i for i, name in enumerate(names) if name in BUNDLE_LOADERS), None)
+        if first is None:
+            continue
+        for call, name in list(zip(calls, names))[first + 1:]:
+            if name in SECOND_CATEGORY_READERS:
+                second_reads.add(fn.name)
+                if not any(k.arg == "known" for k in call.keywords):
+                    unpaired.append(f"{fn.name}: {name}")
+    assert unpaired == []
+    assert second_reads == {"cmd_associate", "cmd_attach", "cmd_product"}
 
 
 def test_no_command_runs_a_validator_of_its_own():
@@ -285,6 +317,86 @@ def test_coend_decides_its_category_once(category_validations, tmp_path):
     argv = ["coend", str(diagram), "--category", str(category), "-o", str(tmp_path / "out.json")]
     assert cli.main(argv) == 0
     assert len(category_validations) == 1
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """``record(module, name)`` wraps that function to append its arguments to a list."""
+
+    def record(module, name):
+        calls, original = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    return record
+
+
+def test_associate_reads_an_equal_target_as_the_bundles_category(
+    category_validations, recorded, tmp_path
+):
+    # the wide category's identity functor: one perm_category(5), decided once
+    cat, ff = corpus.perm_category(5)
+    bundle, functor = tmp_path / "bundle.json", tmp_path / "functor.json"
+    jsonio.write_doc(bundle, jsonio.bundle_to_doc(build_twisted_circle(cat, ff, "set5", "p5:12340")))
+    jsonio.write_doc(functor, jsonio.functor_to_doc(fincat.identity_cat_functor(cat), ff))
+    associated = recorded(funcspace, "associated_bundle")
+    out = tmp_path / "out.json"
+    assert cli.main(["associate", str(bundle), str(functor), "-o", str(out)]) == 0
+    (x, phi, _), = associated
+    assert phi.target is x.cat
+    assert category_validations == [x.cat]
+    assert out.read_bytes() == bundle.read_bytes()
+
+
+def test_associate_builds_a_target_that_differs_by_one_composite(
+    category_validations, tmp_path, capsys
+):
+    # the refusal of test_associate_refuses_a_functor_whose_target_is_no_category,
+    # reached through a target category of its own
+    doc = jsonio.read_doc(ROOT / "tests" / "golden" / "bz2_trivializer_functor.json")
+    assert doc["target"]["compose"].pop() == ["g", "g", "e"]
+    functor, out = tmp_path / "functor.json", tmp_path / "out.json"
+    jsonio.write_doc(functor, doc)
+    bundle = str(ROOT / "tests" / "golden" / "bz2_double_cover_c3.json")
+    assert cli.main(["associate", bundle, str(functor), "-o", str(out)]) == 1
+    assert len(category_validations) == 2
+    assert category_validations[0] is not category_validations[1]
+    assert "invalid: category invalid: compose-missing: (g, g)" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+def test_product_reads_the_second_bundles_equal_category_as_the_first(
+    category_validations, recorded, tmp_path
+):
+    products = recorded(strabundle, "fiberwise_product")
+    golden = ROOT / "tests" / "golden"
+    argv = ["product", str(golden / "double_cover_c3.json"), str(golden / "product_bundle_c3.json")]
+    assert cli.main([*argv, "-o", str(tmp_path / "out.json")]) == 0
+    (x, x2), = products
+    assert x2.cat is x.cat
+    assert category_validations == [x.cat]
+
+
+def test_attach_reads_the_piece_bundles_equal_category_as_the_bundles(
+    category_validations, recorded, tmp_path
+):
+    cat, ff = corpus.bz2_category()
+    m_base = cellbase.simplex_complex(["u0", "u1", "u2"])
+    m = strabundle.product_bundle(m_base, cellbase.single_stratum(m_base), cat, ff, "pt")
+    top = cellbase.simplex_name(["u0", "u1", "u2"])
+    attachment = tmp_path / "attachment.json"
+    jsonio.write_doc(attachment, {
+        "bundle": jsonio.bundle_to_doc(m),
+        "attached_cells": sorted(c for c in m_base.cells if c != top),
+        "map": {"vertex_map": {"u0": "v0", "u1": "v1", "u2": "v2"}},
+        "fibre_morphisms": {c: "e" for c in m_base.cells if c != top},
+    })
+    attached = recorded(strabundle, "attach_bundle")
+    y = ROOT / "tests" / "golden" / "trivial_two_sheets_c3.json"
+    assert cli.main(["attach", str(y), str(attachment), "-o", str(tmp_path / "out.json")]) == 0
+    (y, m, *_), = attached
+    assert m.cat is y.cat
+    assert category_validations == [y.cat]
 
 
 @pytest.fixture
