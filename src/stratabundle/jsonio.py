@@ -659,14 +659,23 @@ def _string(value, what: str) -> str:
 
 
 def _strings(values, what: str) -> None:
-    """``_string`` on every value, in C-level passes when all of them are strings."""
-    try:
-        distinct = set(values)  # ids repeat, and a string caches its hash
-    except TypeError:  # an unhashable value, which is no string
-        distinct = values
-    if not set(map(type, distinct)) <= {str}:
+    """``_string`` on every value, in one C-level pass when all of them are strings."""
+    if not set(map(type, values)) <= {str}:
         for value in values:
             _string(value, what)
+
+
+def _refuse_repeats(keys, table: str, name=repr) -> None:
+    """Refuse the first key that ``keys`` lists twice.
+
+    A table read into a dict keeps only the last row of a repeated key, so
+    each reader calls this only once its dict came out shorter than its rows.
+    """
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise DocumentError(f"{table} lists {name(key)} more than once")
+        seen.add(key)
 
 
 def _list(value, what: str) -> list:
@@ -716,9 +725,9 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
     is reused instead of built again, so the laws it keeps
     (``FiniteCategory.laws``) are decided once for both; a diagram's later
     components and each command's second category document are read so.
-    Fibres and actions are read and checked either way.  A pair listed
-    twice in ``compose`` is refused, since a table keyed by pairs would
-    keep only its last row.
+    Fibres and actions are read and checked either way.  A morphism id or
+    a ``compose`` pair listed twice is refused, since a table keyed by them
+    would keep only its last row.
     """
     _need(doc, [*_CATEGORY_CORE, "fibres", "actions"], "category")
     fibres = _object(doc["fibres"], "category fibres")
@@ -748,17 +757,15 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
             morphisms = list(map(itemgetter("id", "src", "tgt"), morphisms))
             for field, column in zip(("id", "src", "tgt"), zip(*morphisms)):
                 _strings(column, f"morphism {field}")
-            get = _own_strings(mid for mid, _, _ in morphisms).get
+            own = _own_strings(mid for mid, _, _ in morphisms)
+            if len(own) != len(morphisms):
+                _refuse_repeats((mid for mid, _, _ in morphisms), "category morphisms")
+            get = own.get
             # a list of another length raises; an unknown id keeps its own text
             compose = {(get(g, g), get(f, f)): get(gf, gf) for g, f, gf in rows}
-            if len(compose) != len(rows):  # a later row would overwrite an earlier one
-                seen = set()
-                for g, f, _ in rows:
-                    if (g, f) in seen:
-                        raise DocumentError(
-                            f"category compose lists the pair ({g}, {f}) more than once"
-                        )
-                    seen.add((g, f))
+            if len(compose) != len(rows):
+                pairs = ((g, f) for g, f, _ in rows)
+                _refuse_repeats(pairs, "category compose", "the pair (%s, %s)".__mod__)
             identities = {v: get(i, i) for v, i in identities.items()}
             cat = fincat.category(doc["objects"], morphisms, compose, identities)
         ff = fincat.fibre_functor(fibres, actions)
@@ -801,6 +808,8 @@ def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
     try:
         ids, dims, faces, strata = _cell_columns(doc["cells"])
         own = _own_strings(ids)
+        if len(own) != len(ids):
+            _refuse_repeats(ids, "complex cells")
         cells = {
             cid: Cell(cid, dim, tuple(sorted({own.get(f, f) for f in fs})))
             for cid, dim, fs in zip(ids, dims, faces)
@@ -885,6 +894,33 @@ def bundle_to_doc(x: StratBundle, core: dict | None = None) -> dict:
     }
 
 
+_TRANSITION_MEMBERS = itemgetter("face", "cell", "mor")
+
+
+def _transitions(rows, get) -> dict:
+    """A bundle's transitions, keyed by (face, cell), every member checked.
+
+    ``get`` gives a known cell id its cell's own string.  The members are
+    checked in C-level passes over the built table.  Only when one refuses
+    a value, or a row is no object with the three keys, are the rows walked
+    in order to raise the first refusal with its message.
+    """
+    try:
+        transition = {(get(f, f), get(c, c)): m for f, c, m in map(_TRANSITION_MEMBERS, rows)}
+        fits = set(map(type, _flatten(transition))) | set(map(type, transition.values())) <= {str}
+    except (KeyError, TypeError):  # a missing key, a row that is no object, a list id:
+        fits = False  # the walk meets it
+    if not fits:
+        for row in rows:
+            _string(row["face"], "transition face")
+            _string(row["cell"], "transition cell")
+            _string(row["mor"], "transition morphism")
+    if len(transition) != len(rows):
+        keys = map(itemgetter("face", "cell"), rows)
+        _refuse_repeats(keys, "bundle transitions", "the face %r of cell %r".__mod__)
+    return transition
+
+
 def bundle_from_doc(doc: dict, known=None) -> StratBundle:
     """``known`` is passed on to ``category_from_doc``."""
     _need(doc, ["base", "category", "fibres", "transitions"], "bundle")
@@ -892,14 +928,10 @@ def bundle_from_doc(doc: dict, known=None) -> StratBundle:
     cat, ff = category_from_doc(doc["category"], known)
     ids = _own_strings(base.cells)
     try:
-        transition = {
-            (ids.get(t["face"], t["face"]), ids.get(t["cell"], t["cell"])): t["mor"]
-            for t in doc["transitions"]
-        }
+        transition = _transitions(doc["transitions"], ids.get)
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed bundle document: {exc!r}") from exc
     fibres = {ids.get(c, c): o for c, o in _object(doc["fibres"], "bundle fibres").items()}
-    _strings(transition.values(), "transition morphism")
     _strings(fibres.values(), "fibre object")
     return StratBundle(base, strat, cat, ff, fibres, transition)
 

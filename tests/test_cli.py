@@ -794,6 +794,23 @@ NON_STRING_IDS = {
         lambda doc: doc["transitions"][0].__setitem__("mor", ["x"]),
         "transition morphism must be a string, not ['x']",
     ),
+    # an endpoint of another type used to reach the engine, which died
+    # sorting it among the string ids, or named it as a spurious transition
+    "transition-face": (
+        lambda doc: doc["transitions"][0].__setitem__("face", 3),
+        "transition face must be a string, not 3",
+    ),
+    "transition-cell": (
+        lambda doc: doc["transitions"][0].__setitem__("cell", None),
+        "transition cell must be a string, not None",
+    ),
+    "transition-face-int-and-string": (
+        lambda doc: (
+            doc["transitions"][0].__setitem__("face", 3),
+            doc["transitions"][1].__setitem__("face", "zz"),
+        ),
+        "transition face must be a string, not 3",
+    ),
     "fibre-object": (_set("fibres", "v0", ["x"]), "fibre object must be a string, not ['x']"),
     "category-object": (
         _set("category", "objects", [["set2"]]), "category object must be a string, not ['set2']"
@@ -1180,6 +1197,41 @@ def test_a_repeated_compose_pair_is_a_document_error(tmp_path, capsys, kind, bef
     assert run(argv) == 3
     message = "document error: category compose lists the pair (p2:10, p2:10) more than once"
     assert message in capsys.readouterr().err.splitlines()
+
+
+# each table of double_cover_c3 with a row listed twice, and its document error
+REPEATED_ROWS = {
+    "cells": (
+        lambda doc: doc["base"]["cells"].append(doc["base"]["cells"][0]),
+        "complex cells lists 'v0' more than once",
+    ),
+    "morphisms": (
+        lambda doc: doc["category"]["morphisms"].append(doc["category"]["morphisms"][2]),
+        "category morphisms lists 'p2:10' more than once",
+    ),
+    "compose": (
+        lambda doc: doc["category"]["compose"].append(doc["category"]["compose"][3]),
+        "category compose lists the pair (p2:10, p2:01) more than once",
+    ),
+    "transitions": (
+        lambda doc: doc["transitions"].append({"cell": "v0.v1", "face": "v0", "mor": "p2:10"}),
+        "bundle transitions lists the face 'v0' of cell 'v0.v1' more than once",
+    ),
+}
+
+
+@pytest.mark.parametrize("table", REPEATED_ROWS)
+@pytest.mark.parametrize("command", ["validate", "cover"])
+def test_a_repeated_row_is_a_document_error(tmp_path, capsys, command, table):
+    # read into a dict, the later row used to replace the earlier one without a
+    # word: a second (v0, v0.v1) transition through p2:10 split the cover in two
+    doc = jsonio.read_doc(GOLDEN / "double_cover_c3.json")
+    damage, message = REPEATED_ROWS[table]
+    damage(doc)
+    path = tmp_path / "bad.json"
+    jsonio.write_doc(path, doc)
+    assert run([command, str(path)]) == 3
+    assert f"document error: {message}" in capsys.readouterr().err.splitlines()
 
 
 @pytest.mark.parametrize("cells, message", [

@@ -1,14 +1,18 @@
-"""Every bundle command on mutated golden bundles, ``coend`` on mutated
-principal diagrams, and a command on each other mutated document slot
-(attachment, functor, map, stratification, ``--category``, and the
-complex and category that ``validate`` reads) ends in a documented exit.
+"""Every command that reads a document, on that document mutated, ends in a
+documented exit.
 
-Each command reads its bundle through the stage list that ``validate``
-merges, and ``coend`` validates its diagram as ``validate`` does, so a
-command may exit 0 only on a document that ``validate`` accepts; no
-mutation may let an exception escape ``cli.main``.
+Each slot is a document some commands read: a golden bundle under every
+bundle command, its principal diagram under ``coend``, and the attachment,
+functor, map, stratification, ``--category`` and complex documents.  Each
+case applies one or two mutations from one table to a slot's document.  No
+mutation may let an exception escape ``cli.main``.  Where ``validate`` reads
+the slot's kind, a command may exit 0 only on a document that ``validate``
+accepts: every bundle command reads its bundle through the stage list that
+``validate`` merges, and ``coend`` validates its diagram as ``validate`` does.
 """
+import copy
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -58,7 +62,51 @@ def commands(name, path, work):
 def work(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     jsonio.write_doc(work / "attachment.json", _attachment_doc())
+    (work / "diagram.json").write_text(principal_text("double_cover_c3"), encoding="utf-8")
+    for name in BUNDLES:
+        jsonio.write_doc(work / f"{name}.category.json", _golden(name)["category"])
     return work
+
+
+def _path(name):
+    return str(GOLDEN / f"{name}.json")
+
+
+def _diagram(name):
+    return json.loads(principal_text(name))
+
+
+def _coend(name, path, work):
+    return [["coend", path, "--category", str(work / f"{name}.category.json")]]
+
+
+def _strata(name):
+    return {"strata": {c["id"]: c["stratum"] for c in _golden(name)["base"]["cells"]}}
+
+
+# each document slot, grouped by the prefix of its name: a builder of its
+# document, the kind validate reads it as (or None), and the commands that
+# read it, given its path p and the work directory w
+SLOTS = {
+    **{f"bundle:{n}": (partial(_golden, n), "bundle", partial(commands, n)) for n in BUNDLES},
+    **{f"diagram:{n}": (partial(_diagram, n), "diagram", partial(_coend, n)) for n in BUNDLES},
+    "document:attachment": (lambda: json.loads(jsonio.canon_dumps(_attachment_doc())), None,
+                            lambda p, w: [["attach", _path("trivial_two_sheets_c3"), p]]),
+    "document:functor": (partial(_golden, "bz2_trivializer_functor"), None,
+                         lambda p, w: [["associate", _path("bz2_double_cover_c3"), p]]),
+    "document:map": (partial(_golden, "c6_fold_map"), None,
+                     lambda p, w: [["pullback", _path("double_cover_c3"), p]]),
+    "document:stratification": (partial(_strata, "disk_trivial_two_strata"), None,
+                                lambda p, w: [["stratify", _path("disk_trivial_two_strata"), p]]),
+    "document:category": (partial(_golden, "perm2_category"), "category",
+                          lambda p, w: [["coend", str(w / "diagram.json"), "--category", p]]),
+    "document:complex": (partial(_golden, "c3_complex"), "complex", lambda p, w: []),
+}
+
+
+def _pick(draw, items):
+    """One of ``items``, or None when there are none."""
+    return draw(st.sampled_from(items)) if items else None
 
 
 def _places(node, found):
@@ -83,29 +131,9 @@ def _containers(node, found):
     return found
 
 
-def rename_id(doc, draw):
-    node, key, is_key = draw(st.sampled_from(_places(doc, [])))
-    if is_key:
-        node[key + "~"] = node.pop(key)
-    else:
-        node[key] += "~"
-
-
-def list_for_string(doc, draw):
-    strings = [p for p in _places(doc, []) if not p[2]]
-    if strings:  # a stratification document holds none
-        node, key, _ = draw(st.sampled_from(strings))
-        node[key] = [node[key]]
-
-
-def _entry(doc, draw):
-    node = draw(st.sampled_from(_containers(doc, [])))
-    return node, draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-
-
-def drop_entry(doc, draw):
-    node, key = _entry(doc, draw)
-    del node[key]
+def _holder(doc, draw, key):
+    """A category (holding "compose") or bundle (holding "transitions") of ``doc``, or None."""
+    return _pick(draw, [n for n in _containers(doc, []) if isinstance(n, dict) and key in n])
 
 
 def _parallel(cat_doc, mid):
@@ -114,148 +142,103 @@ def _parallel(cat_doc, mid):
 
 
 def other_action_table(doc, draw):
-    cat = doc["category"]
-    mid = draw(st.sampled_from(sorted(cat["actions"])))
-    others = [m for m in _parallel(cat, mid) if cat["actions"][m] != cat["actions"][mid]]
-    if others:
-        cat["actions"][mid] = dict(cat["actions"][draw(st.sampled_from(others))])
+    if cat := _holder(doc, draw, "compose"):
+        mid = draw(st.sampled_from(sorted(cat["actions"])))
+        others = [m for m in _parallel(cat, mid) if cat["actions"][m] != cat["actions"][mid]]
+        if other := _pick(draw, others):
+            cat["actions"][mid] = dict(cat["actions"][other])
 
 
 def other_composite(doc, draw):
-    entry = draw(st.sampled_from(doc["category"]["compose"]))
-    others = _parallel(doc["category"], entry[2])
-    if others:
-        entry[2] = draw(st.sampled_from(others))
+    if cat := _holder(doc, draw, "compose"):
+        entry = draw(st.sampled_from(cat["compose"]))
+        entry[2] = _pick(draw, _parallel(cat, entry[2])) or entry[2]
 
 
 def other_transition(doc, draw):
-    transition = draw(st.sampled_from(doc["transitions"]))
-    others = _parallel(doc["category"], transition["mor"])
-    if others:
-        transition["mor"] = draw(st.sampled_from(others))
+    if bundle := _holder(doc, draw, "transitions"):
+        t = draw(st.sampled_from(bundle["transitions"]))
+        t["mor"] = _pick(draw, _parallel(bundle["category"], t["mor"])) or t["mor"]
+
+
+def _entry(doc, draw):
+    """A container of ``doc`` and one of its keys, or None when ``doc`` has no members."""
+    if node := _pick(draw, _containers(doc, [])):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        return node, draw(st.sampled_from(keys))
+
+
+def drop_entry(doc, draw):
+    if entry := _entry(doc, draw):
+        node, key = entry
+        del node[key]
 
 
 def other_type(doc, draw):
-    node, key = _entry(doc, draw)
-    node[key] = draw(st.sampled_from([3, None, True, "x", [node[key]], {"x": node[key]}]))
+    if entry := _entry(doc, draw):
+        node, key = entry
+        node[key] = draw(st.sampled_from([3, None, True, "x", [node[key]], {"x": node[key]}]))
 
 
+def list_for_string(doc, draw):
+    if place := _pick(draw, [p for p in _places(doc, []) if not p[2]]):
+        node, key, _ = place
+        node[key] = [node[key]]
+
+
+def rename_id(doc, draw):
+    if place := _pick(draw, _places(doc, [])):
+        node, key, is_key = place
+        if is_key:
+            node[key + "~"] = node.pop(key)
+        else:
+            node[key] += "~"
+
+
+def repeat_row(doc, draw):
+    if rows := _pick(draw, [n for n in _containers(doc, []) if isinstance(n, list)]):
+        row = copy.deepcopy(draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+
+
+# the category-aware mutations come first, and a case applies its mutations
+# in this order: a structural edit may remove the rows that _parallel reads
 MUTATIONS = {
     f.__name__: f
-    for f in (rename_id, list_for_string, drop_entry, other_action_table, other_composite,
-              other_transition)
+    for f in (other_action_table, other_composite, other_transition,
+              drop_entry, other_type, list_for_string, rename_id, repeat_row)
 }
 
 
 @st.composite
-def mutants(draw):
-    name = draw(st.sampled_from(BUNDLES))
-    kind = draw(st.sampled_from(sorted(MUTATIONS)))
-    doc = _golden(name)
-    MUTATIONS[kind](doc, draw)
-    return name, kind, doc
+def mutants(draw, group):
+    slot = draw(st.sampled_from([s for s in SLOTS if s.startswith(f"{group}:")]))
+    kinds = draw(st.lists(st.sampled_from(list(MUTATIONS)), min_size=1, max_size=2))
+    kinds.sort(key=list(MUTATIONS).index)
+    doc = SLOTS[slot][0]()
+    for kind in kinds:
+        MUTATIONS[kind](doc, draw)
+    return slot, kinds, doc
 
 
+@pytest.mark.parametrize("group", ["bundle", "diagram", "document"])
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(mutants())
-def test_no_bundle_command_accepts_what_validate_refuses(work, case):
-    name, kind, doc = case
+@given(data=st.data())
+def test_no_command_accepts_what_validate_refuses(work, group, data):
+    slot, kinds, doc = data.draw(mutants(group))
+    _, kind, argvs = SLOTS[slot]
+    # written canonically, so a diagram's unmutated components repeat their core text
     path = work / "mutant.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    jsonio.write_doc(path, doc)
     out = str(work / "out")
-    valid = cli.main(["validate", str(path), "-o", out])
-    assert valid in EXITS
-    for argv in commands(name, str(path), work):
+    # a kind validate does not read leaves a command's exit unconstrained
+    valid = cli.main(["validate", str(path), "--kind", kind, "-o", out]) if kind else 0
+    assert valid in EXITS, (slot, kinds)
+    for argv in argvs(str(path), work):
         # in process: an uncaught error fails the test as a traceback would
         code = cli.main([*argv, "-o", out])
-        assert code in EXITS, (name, kind, argv)
-        assert code != 0 or valid == 0, (name, kind, argv)
-
-
-# the mutations that take a bundle document, applied to one component of a diagram
-COMPONENT_MUTATIONS = {"other_action_table", "other_composite", "other_transition"}
-
-
-@st.composite
-def diagram_mutants(draw):
-    name = draw(st.sampled_from(BUNDLES))
-    kind = draw(st.sampled_from(sorted(MUTATIONS)))
-    doc = json.loads(principal_text(name))
-    target = doc
-    if kind in COMPONENT_MUTATIONS:
-        target = doc["components"][draw(st.sampled_from(sorted(doc["components"])))]
-    MUTATIONS[kind](target, draw)
-    return name, kind, doc
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(diagram_mutants())
-def test_coend_accepts_no_diagram_that_validate_refuses(work, case):
-    name, kind, doc = case
-    # written canonically, so the unmutated components repeat their core text
-    path = work / "diagram.json"
-    jsonio.write_doc(path, doc)
-    category = work / f"{name}.category.json"
-    if not category.exists():
-        jsonio.write_doc(category, _golden(name)["category"])
-    out = str(work / "out")
-    valid = cli.main(["validate", str(path), "-o", out])
-    assert valid in EXITS
-    code = cli.main(["coend", str(path), "--category", str(category), "-o", out])
-    assert code in EXITS, (name, kind)
-    assert code != 0 or valid == 0, (name, kind)
-
-
-def _strata(name):
-    return {"strata": {c["id"]: c["stratum"] for c in _golden(name)["base"]["cells"]}}
-
-
-def _path(name):
-    return str(GOLDEN / f"{name}.json")
-
-
-# every other document slot: the document to mutate, and a command that reads it at "@"
-SLOTS = {
-    "attachment": (_attachment_doc, ["attach", _path("trivial_two_sheets_c3"), "@"]),
-    "functor": (
-        lambda: _golden("bz2_trivializer_functor"),
-        ["associate", _path("bz2_double_cover_c3"), "@"],
-    ),
-    "map": (lambda: _golden("c6_fold_map"), ["pullback", _path("double_cover_c3"), "@"]),
-    "stratification": (
-        lambda: _strata("disk_trivial_two_strata"),
-        ["stratify", _path("disk_trivial_two_strata"), "@"],
-    ),
-    "category": (lambda: _golden("perm2_category"), ["coend", "@diagram", "--category", "@"]),
-    "complex": (lambda: _golden("c3_complex"), ["validate", "@"]),
-    "validated-category": (lambda: _golden("perm2_category"), ["validate", "@"]),
-}
-# the mutations that need no bundle document, and one that puts a value of another type anywhere
-SLOT_MUTATIONS = {f.__name__: f for f in (drop_entry, list_for_string, other_type, rename_id)}
-
-
-@st.composite
-def slot_mutants(draw):
-    slot = draw(st.sampled_from(sorted(SLOTS)))
-    kind = draw(st.sampled_from(sorted(SLOT_MUTATIONS)))
-    doc = SLOTS[slot][0]()
-    SLOT_MUTATIONS[kind](doc, draw)
-    return slot, kind, doc
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(slot_mutants())
-def test_no_document_slot_lets_an_error_escape(work, case):
-    slot, kind, doc = case
-    path = work / "slot.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    diagram = work / "double_cover_c3.principal.json"
-    if not diagram.exists():
-        diagram.write_text(principal_text("double_cover_c3"), encoding="utf-8")
-    names = {"@": str(path), "@diagram": str(diagram)}
-    argv = [names.get(a, a) for a in SLOTS[slot][1]]
-    # in process: an uncaught error fails the test as a traceback would
-    assert cli.main([*argv, "-o", str(work / "out")]) in EXITS, (slot, kind)
+        assert code in EXITS, (slot, kinds, argv)
+        assert code != 0 or valid == 0, (slot, kinds, argv)
 
 
 def _give_p3_021_the_table_of_p3_102(doc):
