@@ -225,7 +225,7 @@ def cmd_cover(args) -> int:
     x = _load_bundle(args.bundle)
     cert = triviality.covering_space(x)
     if args.dot:
-        Path(args.dot).write_text(jsonio.total_to_dot(cert.total), encoding="utf-8")
+        jsonio.write_atomic(args.dot, [jsonio.total_to_dot(cert.total)])
     _emit(jsonio.covering_to_doc(cert), args.out)
     sheets = ", ".join(f"{c}: {n}" for c, n in sorted(cert.sheets.items()))
     _say(f"covering with {cert.components} component(s); sheets {{{sheets}}}")
@@ -281,10 +281,12 @@ def cmd_example(args) -> int:
 def cmd_total(args) -> int:
     x = _load_bundle(args.bundle)
     total = strabundle.realize_total(x)
-    if args.dot:
+    if not args.dot:
+        _emit(jsonio.total_to_doc(total), args.out)
+    elif args.out:
+        jsonio.write_atomic(args.out, [jsonio.total_to_dot(total)])
+    else:
         sys.stdout.write(jsonio.total_to_dot(total))
-        return OK
-    _emit(jsonio.total_to_doc(total), args.out)
     return OK
 
 

@@ -17,6 +17,11 @@ its document's objects and one piece of text, not the whole text on top;
 containers are written whole by ``_encode``; strings are escaped with the
 C-backed ``json.encoder.encode_basestring``.
 
+The writer writes documents, not any JSON: tables by their row templates,
+and otherwise dicts with string keys, lists, tuples, strings, ints, bools
+and ``None``.  Anything else (a float, a key that is no string, a value of
+a subclass such as an ``IntEnum``) raises ``TypeError``.
+
 Every engine table is built by this module as one of two private markers:
 ``_Rows``, a list, or ``_RowsByKey``, a dict from string keys, each with a
 ``shape`` for its rows and a ``shared`` flag.  A shape is the kind of rows
@@ -28,14 +33,14 @@ from ``%``-formats of its rows, one piece per block of rows with the leaves
 escaped in one pass; no generator step or join per row.  A row's format
 depends on its indent and on its signature, the lengths of its variable
 members and the integers it holds, which the format spells out; each
-distinct signature's format is made once per table written.  When a row
+distinct signature's format is made once per table written.  A row that
 does not fit the shape (another type, length or key set, a member of
-another type, a ``bool`` where an integer is due) or a key is no string,
-the table is streamed as a plain list or dict, and a block with a leaf
-that is no string is written by ``_encode``, so the bytes never change.
-Any other container, such as a document's top level, a report or a
-manifest, is streamed by ``_member_chunks``: each member that holds a
-container or is itself large on its own, the rest gathered into pieces.
+another type, a ``bool`` where an integer is due) raises ``TypeError``
+before its table is written, and a leaf or key that is no string raises
+it as it is escaped.  Any other container, such as a document's top
+level, a report or a manifest, is streamed by ``_member_chunks``: each
+member that holds a container or is itself large on its own, the rest
+gathered into pieces.
 
 A diagram document holds the same tables at many places: every component
 carries the one structure category, and the ``actions`` block repeats each
@@ -84,6 +89,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -100,12 +106,11 @@ from .validation import DocumentError
 
 _encode_str = json.encoder.encode_basestring
 _int_repr = int.__repr__
-_float_repr = float.__repr__
 _flatten = chain.from_iterable
 _BLOCK = 1024  # rows per %-format: enough to amortise the call, few enough to hold no large copy
 _FLUSH = 1 << 20  # characters: about the most text a streamed container gathers into one piece
 _SMALL = 64  # members: fewer in a flat container or a table's row, and it is written whole
-_SCALARS = {str, int, float, bool, type(None)}
+_SCALARS = {str, int, bool, type(None)}
 
 
 class _Rows(list):
@@ -116,8 +121,9 @@ class _Rows(list):
     tuple of widths for rows of flat rows, such as ``(2, 2)`` for ``[[a, b],
     [c, d]]``, or a dict from each key of rows ``{key: member, ...}``, built
     in sorted key order, to the kind of that member: ``str``, ``int``,
-    ``[str]``, ``[int]`` or ``{str: str}``.  Widths and shapes are not
-    empty.  A ``shared`` table caches its text per indent.
+    ``[str]``, ``[int]`` or ``{str: str}``, at least one of them a kind
+    of string leaves.  Widths and shapes are not empty.  A ``shared``
+    table caches its text per indent.
     """
 
     __slots__ = ("shape", "encoded")
@@ -148,9 +154,10 @@ def canon_chunks(doc):
 def canon_dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` and a newline.
 
-    Types, key conversion, float spellings and the ``TypeError`` for
-    values ``json`` cannot encode are those of ``json.dumps``; documents
-    are trees, so a circular reference is not detected.
+    ``doc`` holds tables and the plain values of the module docstring;
+    anything else, and a table row that does not fit its shape, raises
+    ``TypeError``.  Documents are trees, so a circular reference is not
+    detected.
     """
     return "".join(canon_chunks(doc))
 
@@ -185,14 +192,13 @@ def _member_chunks(o, nl: str):
     the others is gathered and flushed at ``_FLUSH`` characters.
     """
     if not o:
-        yield "{}" if isinstance(o, dict) else "[]"
+        yield "{}" if type(o) is dict else "[]"
         return
     inner = nl + "  "
     sep = "," + inner
-    if isinstance(o, dict):
-        # json sorts the items, not the keys, and converts keys after sorting
-        items = sorted(o.items())
-        heads = [_encode_str(k if type(k) is str else _key_str(k)) + ": " for k, _ in items]
+    if type(o) is dict:
+        items = sorted(o.items())  # the keys are distinct strings
+        heads = [_encode_str(k) + ": " for k, _ in items]
         values = [v for _, v in items]
         text, closing = "{" + inner, nl + "}"
     else:
@@ -225,31 +231,14 @@ def _encode(o, nl: str) -> str:
         return _encode_list(o, nl)
     if t is int:
         return _int_repr(o)
-    if t is _Rows or t is _RowsByKey:
-        if o.encoded is None:
-            return "".join(_row_chunks(o, nl))
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    if t is _Rows or t is _RowsByKey:  # shared: _value_chunks streams the others
         text = o.encoded.get(nl)
         if text is None:
             text = o.encoded[nl] = "".join(_row_chunks(o, nl))
         return text
-    # json's own order of tests, so subclasses encode as json encodes them
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        return _float_str(o)
-    if isinstance(o, (list, tuple)):
-        return _encode_list(o, nl)
-    if isinstance(o, dict):
-        return _encode_dict(o, nl)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    raise TypeError(f"a document holds no value of type {t.__name__}: {o!r:.80}")
 
 
 def _join(opening: str, parts: list[str], sep: str, closing: str) -> str:
@@ -281,11 +270,8 @@ def _encode_list(lst, nl: str) -> str:
 
 def _encode_dict(dct, nl: str) -> str:
     inner = nl + "  "
-    # json sorts the items, not the keys, and converts keys after sorting
     parts = [
-        _encode_str(k if type(k) is str else _key_str(k))
-        + ": "
-        + (_encode_str(v) if type(v) is str else _encode(v, inner))
+        _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _encode(v, inner))
         for k, v in sorted(dct.items())
     ]
     return _container(parts, nl, "{}")
@@ -296,25 +282,18 @@ def _row_chunks(rows, nl: str):
 
     The first block holds ``_SMALL`` rows, and each later one is sized
     from the blocks before to about ``_FLUSH`` characters and at most
-    ``_BLOCK`` rows.  A table with a row that does not fit its shape, or a
-    key that is no string, is streamed by ``_member_chunks``; a block with
-    a leaf that is no string is written by ``_encode``, which gives the
-    template's text for every row that fits it.
+    ``_BLOCK`` rows.  A row that does not fit the table's shape raises
+    ``TypeError`` before the first piece, and a leaf or key that is no
+    string raises it in the piece that holds it.
     """
     if not rows:
         yield "[]" if type(rows) is _Rows else "{}"
         return
-    keys, values, plan = None, rows, None
-    if type(rows) is _Rows:
-        plan = _row_plan(rows.shape, rows)
-    elif set(map(type, rows)) == {str}:
+    keys, values = None, rows
+    if type(rows) is _RowsByKey:
         keys = sorted(rows)  # json sorts the items; the keys are distinct
         values = list(map(rows.__getitem__, keys))
-        plan = _row_plan(rows.shape, values)
-    if plan is None:
-        yield from _member_chunks(rows, nl)
-        return
-    signatures, leaves, template = plan
+    signatures, leaves, template = _row_plan(rows.shape, values)
     inner = nl + "  "
     sep = "," + inner
     head = "" if keys is None else "%s: "
@@ -336,13 +315,7 @@ def _row_chunks(rows, nl: str):
             flat = _flatten(leaves(part))
         else:
             flat = _flatten(map(chain, zip(keys[start:stop]), leaves(part)))
-        try:
-            body = form % tuple(map(_encode_str, flat))
-        except TypeError:  # a leaf that is no string
-            texts = [_encode(r, inner) for r in part]
-            if keys is not None:
-                texts = [_encode_str(k) + ": " + t for k, t in zip(keys[start:stop], texts)]
-            body = sep.join(texts)
+        body = form % tuple(map(_encode_str, flat))
         yield text + body
         text = sep
         step = min(_BLOCK, 2 * step, step * _FLUSH // len(body)) or 1
@@ -351,7 +324,7 @@ def _row_chunks(rows, nl: str):
 
 
 def _row_plan(shape, rows):
-    """How to write ``rows`` by template, or None when some row does not fit ``shape``.
+    """How to write the non-empty ``rows`` by template; ``TypeError`` if a row does not fit ``shape``.
 
     Returns ``(signatures, leaves, template)``.  ``leaves(part)`` gives one
     iterable per row that chains to the row's string leaves in template
@@ -365,27 +338,28 @@ def _row_plan(shape, rows):
     """
     if shape in (str, [str], {str: str}):  # rows that are one member each
         if shape is not str and set(map(type, rows)) != {type(shape)}:
-            return None
+            raise _misfit(shape)
         signatures = None if shape is str else partial(_signature_column, shape)
         return signatures, partial(_leaf_column, shape), partial(_member_template, shape)
     if type(shape) is int:
-        if set(map(type, rows)) == {list} and set(map(len, rows)) == {shape}:
-            return None, iter, lambda sig, nl: _container(["%s"] * shape, nl)
-        return None
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {shape}:
+            raise _misfit(shape)
+        return None, iter, lambda sig, nl: _container(["%s"] * shape, nl)
     if type(shape) is tuple:
         n = len(shape)
-        if set(map(type, rows)) == {list} and set(map(len, rows)) == {n}:
-            members = list(_flatten(rows))
-            if set(map(type, members)) == {list} and all(
-                set(map(len, members[j::n])) == {k} for j, k in enumerate(shape)
-            ):
-                return None, _flatten, lambda sig, nl: _container(
-                    [_container(["%s"] * k, nl + "  ") for k in shape], nl
-                )
-        return None
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+            raise _misfit(shape)
+        members = list(_flatten(rows))
+        if set(map(type, members)) != {list} or any(
+            set(map(len, members[j::n])) != {k} for j, k in enumerate(shape)
+        ):
+            raise _misfit(shape)
+        return None, partial(map, _flatten), lambda sig, nl: _container(
+            [_container(["%s"] * k, nl + "  ") for k in shape], nl
+        )
     kinds = sorted(shape.items())
     if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {tuple(k for k, _ in kinds)}:
-        return None
+        raise _misfit(shape)
     for key, kind in kinds:
         if kind is not str:
             column = list(map(itemgetter(key), rows))
@@ -397,13 +371,11 @@ def _row_plan(shape, rows):
             else:
                 fits = types == {type(kind)}
             if not fits:
-                return None
+                raise _misfit(shape)
     spelled = [(itemgetter(k), kind) for k, kind in kinds if kind is not str]
     slotted = [(itemgetter(k), kind) for k, kind in kinds if kind is not int and kind != [int]]
     if not spelled:
         return None, partial(map, dict.values), lambda sig, nl: _dict_row_template(kinds, sig, nl)
-    if not slotted:  # no string leaves: the generic encoder writes it
-        return None
 
     def signatures(part):
         return zip(*[_signature_column(kind, map(get, part)) for get, kind in spelled])
@@ -412,6 +384,12 @@ def _row_plan(shape, rows):
         return map(chain, *[_leaf_column(kind, map(get, part)) for get, kind in slotted])
 
     return signatures, leaves, lambda sig, nl: _dict_row_template(kinds, sig, nl)
+
+
+def _misfit(shape) -> TypeError:
+    """The error for a row that does not fit ``shape``, spelled as in ``_Rows``."""
+    spelled = repr(shape).replace("<class '", "").replace("'>", "")
+    return TypeError(f"a row does not fit the table shape {spelled}")
 
 
 def _signature_column(kind, column):
@@ -458,43 +436,22 @@ def _dict_row_template(kinds, sig, nl: str) -> str:
     return _container(slots, nl, "{}")
 
 
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_str(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return _int_repr(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return _float_repr(x)
-
-
 def write_doc(path, doc) -> None:
-    """Stream ``canon_chunks(doc)`` to a sibling temp file, then rename it over ``path``.
+    """The document ``doc`` at ``path``, written by ``write_atomic``."""
+    write_atomic(path, canon_chunks(doc))
 
-    If encoding or writing fails, the temp file is removed and ``path``
-    keeps the bytes it had.
+
+def write_atomic(path, pieces) -> None:
+    """Stream the text ``pieces`` to a sibling temp file, then rename it over ``path``.
+
+    The one writer of files: if making a piece or writing fails, the temp
+    file is removed and ``path`` keeps the bytes it had.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.writelines(canon_chunks(doc))
+            f.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -686,6 +643,17 @@ def _list(value, what: str) -> list:
     return value
 
 
+@contextmanager
+def _malformed(kind: str, *errors):
+    """Re-raise ``errors`` met in the block, but a ``DocumentError``, as a malformed ``kind`` document."""
+    try:
+        yield
+    except DocumentError:
+        raise
+    except errors as exc:
+        raise DocumentError(f"malformed {kind} document: {exc!r}") from exc
+
+
 _CATEGORY_CORE = ("objects", "morphisms", "compose", "identities")
 
 
@@ -732,7 +700,7 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
     _need(doc, [*_CATEGORY_CORE, "fibres", "actions"], "category")
     fibres = _object(doc["fibres"], "category fibres")
     actions = _object(doc["actions"], "category actions")
-    try:
+    with _malformed("category", KeyError, TypeError, ValueError):
         for v, elements in fibres.items():
             _strings(_list(elements, f"fibre of {v!r}"), "fibre element")
         for m, table in actions.items():
@@ -769,10 +737,6 @@ def category_from_doc(doc: dict, known=None) -> tuple[FiniteCategory, FibreFunct
             identities = {v: get(i, i) for v, i in identities.items()}
             cat = fincat.category(doc["objects"], morphisms, compose, identities)
         ff = fincat.fibre_functor(fibres, actions)
-    except DocumentError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed category document: {exc!r}") from exc
     return cat, ff
 
 
@@ -805,7 +769,7 @@ def _own_strings(keys) -> dict[str, str]:
 
 def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
     _need(doc, ["cells"], "complex")
-    try:
+    with _malformed("complex", KeyError, TypeError, ValueError):
         ids, dims, faces, strata = _cell_columns(doc["cells"])
         own = _own_strings(ids)
         if len(own) != len(ids):
@@ -814,10 +778,6 @@ def complex_from_doc(doc: dict) -> tuple[BaseComplex, Stratification]:
             cid: Cell(cid, dim, tuple(sorted({own.get(f, f) for f in fs})))
             for cid, dim, fs in zip(ids, dims, faces)
         }
-    except DocumentError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed complex document: {exc!r}") from exc
     return BaseComplex(cells), Stratification(dict(zip(ids, strata)))
 
 
@@ -871,10 +831,8 @@ def map_from_doc(doc: dict, target: BaseComplex) -> tuple[SimplicialMap, Stratif
     _need(doc, ["vertex_map", "source"], "simplicial-map")
     source, strat = complex_from_doc(doc["source"])
     vertex_map = _vertex_map(doc)
-    try:
+    with _malformed("map", KeyError, TypeError):
         smap = SimplicialMap.from_vertex_map(source, target, vertex_map)
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"malformed map document: {exc!r}") from exc
     return smap, strat
 
 
@@ -927,10 +885,8 @@ def bundle_from_doc(doc: dict, known=None) -> StratBundle:
     base, strat = complex_from_doc(doc["base"])
     cat, ff = category_from_doc(doc["category"], known)
     ids = _own_strings(base.cells)
-    try:
+    with _malformed("bundle", KeyError, TypeError):
         transition = _transitions(doc["transitions"], ids.get)
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"malformed bundle document: {exc!r}") from exc
     fibres = {ids.get(c, c): o for c, o in _object(doc["fibres"], "bundle fibres").items()}
     _strings(fibres.values(), "fibre object")
     return StratBundle(base, strat, cat, ff, fibres, transition)
@@ -1020,13 +976,11 @@ def attachment_from_doc(
     m = bundle_from_doc(doc["bundle"], known)
     _strings(_list(doc["attached_cells"], "attached cells"), "attached cell")
     a_cells = frozenset(doc["attached_cells"])
-    try:
+    with _malformed("attachment", KeyError, TypeError):
         vertex_map = _vertex_map(_object(doc["map"], "attachment map"))
         smap = SimplicialMap.from_vertex_map(
             cellbase.subcomplex(m.base, a_cells), y.base, vertex_map
         )
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"malformed attachment document: {exc!r}") from exc
     fibre_morphisms = _object(doc["fibre_morphisms"], "fibre morphisms")
     _strings(fibre_morphisms.values(), "fibre morphism")
     return m, a_cells, smap, fibre_morphisms
@@ -1034,17 +988,13 @@ def attachment_from_doc(
 
 def strat_from_doc(doc: dict) -> Stratification:
     _need(doc, ["strata"], "stratification")
-    try:
+    with _malformed("stratification", TypeError, ValueError):
         return Stratification(
             {
                 c: _integer(k, f"stratum of cell {c!r}")
                 for c, k in _object(doc["strata"], "strata").items()
             }
         )
-    except DocumentError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed stratification document: {exc!r}") from exc
 
 
 def total_to_doc(t: TotalComplex) -> dict:

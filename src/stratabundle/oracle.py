@@ -460,6 +460,12 @@ def _find_fold(rng: SplitMix64, gen: GeneratedBundle) -> SimplicialMap | None:
     return None
 
 
+def _doubled(x: StratBundle) -> StratBundle:
+    """The disjoint union of two copies of ``x``, cell ``c`` of copy ``i`` relabelled ``c~i``."""
+    copies = [strabundle.relabel_bundle(x, lambda c, i=i: f"{c}~{i}") for i in range(2)]
+    return strabundle.disjoint_union_bundle(*copies)
+
+
 def _check_pullback(spec: InstanceSpec):
     instance, invalid = _valid_instance(spec)
     if invalid:
@@ -472,10 +478,7 @@ def _check_pullback(spec: InstanceSpec):
             fbar = payload
             pulled = strabundle.pullback(z, fbar, z.strat)
         else:
-            copies = [
-                strabundle.relabel_bundle(z, lambda c, i=i: f"{c}~{i}") for i in range(2)
-            ]
-            doubled = strabundle.disjoint_union_bundle(copies[0], copies[1])
+            doubled = _doubled(z)
             cm = {f"{c}~{i}": c for c in z.base.cells for i in range(2)}
             vmm = {f"{v}~{i}": v for v in z.base.vertices() for i in range(2)}
             fbar = SimplicialMap(doubled.base, z.base, vmm, cm)
@@ -526,13 +529,7 @@ def _commuted_square(z: StratBundle, gen: GeneratedBundle, kind: str, fbar: Simp
         res = strabundle.attach_bundle(y_w, m, a_cells, h.base_map, dict(h.fibre_morphisms))
         return res.bundle, res.square
     # two disjoint copies folding back onto the original
-    def lab(i):
-        return lambda c: f"{c}~{i}"
-
-    y_copies = [strabundle.relabel_bundle(y, lab(i)) for i in range(2)]
-    y_w = strabundle.disjoint_union_bundle(y_copies[0], y_copies[1])
-    m_copies = [strabundle.relabel_bundle(m, lab(i)) for i in range(2)]
-    m_w = strabundle.disjoint_union_bundle(m_copies[0], m_copies[1])
+    y_w, m_w = _doubled(y), _doubled(m)
     a_w = frozenset(f"{c}~{i}" for c in a_cells for i in range(2))
     hv = {}
     hc = {}

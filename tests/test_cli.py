@@ -164,6 +164,20 @@ def test_attach_product_stratify_cover(tmp_path):
     assert (tmp_path / "g.dot").read_text().startswith("graph total {")
 
 
+def test_total_dot_goes_to_the_out_path_or_to_stdout(tmp_path, capsys):
+    bundle = write_example(tmp_path, "double_cover_c3")
+    x = jsonio.bundle_from_doc(jsonio.read_doc(bundle))
+    dot = jsonio.total_to_dot(strabundle.realize_total(x))
+    out = tmp_path / "total.dot"
+    assert run(["total", bundle, "--dot", "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == dot
+    assert capsys.readouterr().out == ""
+    assert run(["total", bundle, "--dot"]) == 0
+    assert capsys.readouterr().out == dot
+    # written by rename, so no temp file is left beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["double_cover_c3.json", "total.dot"]
+
+
 def test_trivialize_and_certify(tmp_path):
     bundle = write_example(tmp_path, "double_cover_c3")
     out = tmp_path / "t.json"

@@ -184,36 +184,13 @@ def reference_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-)
+# the scalars a document holds: no float, which no document has
+scalars = st.none() | st.booleans() | st.integers() | st.text()
 
 
-class Name(str):
-    pass
-
-
-# leaves of row tables: text json must escape, text with % (the templates
-# are %-formats) and a str subclass, which json writes as its text
-row_texts = (
-    st.text(max_size=6)
-    | st.sampled_from(["%s", "%%", "100%", "a\nb", "\u00e9\u2603", '"q"\\'])
-    | st.text(max_size=4).map(Name)
-)
-misfit_leaves = (
-    st.integers()
-    | st.none()
-    | st.booleans()
-    | st.lists(row_texts, max_size=2)
-    | st.lists(row_texts, max_size=2).map(tuple)  # json writes it as a list
-    | st.lists(st.integers(), max_size=2).map(lambda ints: [*ints, True])  # a bool among ints
-    | st.dictionaries(row_texts, st.integers() | st.none(), min_size=1, max_size=2)
-    | st.dictionaries(st.integers(), row_texts, min_size=1, max_size=2)
-)
+# leaves of row tables: text json must escape, and text with % (the
+# templates are %-formats)
+row_texts = st.text(max_size=6) | st.sampled_from(["%s", "%%", "100%", "a\nb", "\u00e9\u2603", '"q"\\'])
 # the member kinds of a dict row, each with its members
 MEMBER_KINDS = [
     (str, row_texts),
@@ -233,17 +210,18 @@ def member(kind):
     return next(strategy for k, strategy in MEMBER_KINDS if k == kind)
 
 
+# dict rows' shapes: keys in sorted order, and a kind of string leaves among the members
 dict_shapes = st.dictionaries(
     row_texts, st.sampled_from([k for k, _ in MEMBER_KINDS]), min_size=1, max_size=3
-)
+).filter(lambda shape: any(kind not in (int, [int]) for kind in shape.values()))
 row_shapes = st.one_of(
     flat_kinds,
     st.integers(1, 3),  # flat rows
     st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),  # rows of flat rows
-    # keys, mostly sorted; rows built out of sorted order do not fit
     dict_shapes.map(lambda shape: dict(sorted(shape.items()))),
-    dict_shapes,
-    st.lists(row_texts, min_size=1, max_size=3, unique=True).map(lambda ks: dict.fromkeys(ks, str)),
+    st.lists(row_texts, min_size=1, max_size=3, unique=True).map(
+        lambda ks: dict.fromkeys(sorted(ks), str)
+    ),
 )
 
 
@@ -254,56 +232,21 @@ def fitting_rows(shape):
         return st.lists(row_texts, min_size=shape, max_size=shape)
     if type(shape) is tuple:
         return st.tuples(*map(fitting_rows, shape)).map(list)
-    return st.fixed_dictionaries({k: member(kind) for k, kind in shape.items()})
+    return st.fixed_dictionaries({k: member(kind) for k, kind in shape.items()}).map(_sorted_row)
 
 
-def _replace_leaf(row, index, leaf):
-    """``row`` with its leaf number ``index`` (in template order) replaced by ``leaf``."""
-    if isinstance(row, dict):
-        key = list(row)[index % len(row)]
-        return {**row, key: leaf}
-    if isinstance(row[0], list):
-        i = index % len(row)
-        return [*row[:i], _replace_leaf(row[i], index, leaf), *row[i + 1:]]
-    i = index % len(row)
-    return [*row[:i], leaf, *row[i + 1:]]
-
-
-def _reshape(row):
-    """A row of another length or key set: one member dropped, or one added."""
-    if isinstance(row, dict):
-        return st.sampled_from([dict(list(row.items())[1:]), {**row, "zz-extra": "v"}])
-    return st.sampled_from([row[1:], [*row, row[0]]])
-
-
-def _add_leaf(row, key, leaf):
-    """``row`` with one more member ``leaf``, under ``key`` in a dict."""
-    return {**row, key: leaf} if isinstance(row, dict) else [*row, leaf]
-
-
-def misfit_rows(shape):
-    rows = fitting_rows(shape)
-    if shape in FLAT_KINDS:  # a row of another type, or one with a leaf that is no string
-        return misfit_leaves | st.tuples(rows, row_texts, misfit_leaves).map(lambda t: _add_leaf(*t))
-    return st.one_of(
-        st.tuples(rows, st.integers(0, 8), misfit_leaves).map(lambda t: _replace_leaf(*t)),
-        rows.flatmap(_reshape),
-        rows.map(tuple),  # a tuple row, which json writes as a list
-    )
+def _sorted_row(row: dict) -> dict:
+    """``row`` built in sorted key order, as a dict row of a table is."""
+    return dict(sorted(row.items()))
 
 
 def row_tables(shared):
     def tables(shape):
-        rows = st.lists(fitting_rows(shape), max_size=5) | st.lists(
-            fitting_rows(shape) | misfit_rows(shape), min_size=1, max_size=5
+        rows = st.lists(fitting_rows(shape), max_size=5)
+        keyed = st.dictionaries(row_texts, fitting_rows(shape), max_size=5)
+        return rows.map(lambda r: jsonio._Rows(r, shape, shared)) | keyed.map(
+            lambda r: jsonio._RowsByKey(r, shape, shared)
         )
-        lists = rows.map(lambda r: jsonio._Rows(r, shape, shared))
-        rows = fitting_rows(shape) | misfit_rows(shape)
-        # keys that are no strings send the table to the generic encoder
-        keyed = st.dictionaries(row_texts, rows, max_size=5) | st.dictionaries(
-            st.integers(), rows, min_size=1, max_size=3
-        )
-        return lists | keyed.map(lambda r: jsonio._RowsByKey(r, shape, shared))
 
     return row_shapes.flatmap(tables)
 
@@ -338,41 +281,16 @@ def _awkward_member(kind):
 
 
 def _engine_row(shape):
-    return st.fixed_dictionaries({k: _awkward_member(kind) for k, kind in sorted(shape.items())})
-
-
-def _spoil(row, key, how):
-    """``row`` with the member ``key`` made into something the template cannot write."""
-    value = row[key]
-    if how == "tuple" and isinstance(value, list):
-        return {**row, key: tuple(value)}
-    if how == "bool":
-        return {**row, key: [*value, True] if isinstance(value, list) else True}
-    if how == "extra":
-        return {**row, "zz": "extra"}
-    if how == "missing":
-        return {k: v for k, v in row.items() if k != key}
-    if isinstance(value, dict):
-        return {**row, key: {**value, "k": 1}}  # a value that is no string
-    return {**row, key: [*value, 1] if isinstance(value, list) else None}
+    return st.fixed_dictionaries({k: _awkward_member(kind) for k, kind in shape.items()}).map(_sorted_row)
 
 
 def engine_tables():
     def tables(name):
         shape = ENGINE_SHAPES[name]
-        fit = _engine_row(shape)
-        spoilt = st.tuples(
-            fit,
-            st.sampled_from(sorted(shape)),
-            st.sampled_from(["tuple", "bool", "extra", "missing", "leaf"]),
-        ).map(lambda t: _spoil(*t))
-        rows = st.lists(fit, max_size=6) | st.lists(fit | spoilt, min_size=1, max_size=6)
         if name == "stars":
-            keyed = st.dictionaries(awkward_ids, fit, max_size=6) | st.dictionaries(
-                awkward_ids, fit | spoilt, min_size=1, max_size=6
-            )
+            keyed = st.dictionaries(awkward_ids, _engine_row(shape), max_size=6)
             return keyed.map(lambda r: jsonio._RowsByKey(r, shape))
-        return rows.map(lambda r: jsonio._Rows(r, shape))
+        return st.lists(_engine_row(shape), max_size=6).map(lambda r: jsonio._Rows(r, shape))
 
     return st.sampled_from(sorted(ENGINE_SHAPES)).flatmap(tables)
 
@@ -383,26 +301,12 @@ documents = st.recursive(
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(st.text(), children, max_size=4)
-        | st.dictionaries(st.integers(), children, max_size=4)
-        # shared tables of any rows, which may nest inside one another
-        | st.tuples(st.lists(children, max_size=4), flat_kinds).map(
-            lambda t: jsonio._Rows(*t, shared=True)
-        )
-        | st.tuples(st.dictionaries(st.text(), children, max_size=4), flat_kinds).map(
-            lambda t: jsonio._RowsByKey(*t, shared=True)
-        )
+        | row_tables(shared=True)
         | row_tables(shared=False)
     ),
     max_leaves=30,
 )
-markers = st.one_of(
-    st.tuples(st.lists(documents, max_size=3), flat_kinds).map(lambda t: jsonio._Rows(*t, shared=True)),
-    st.tuples(st.dictionaries(st.text(), documents, max_size=3), flat_kinds).map(
-        lambda t: jsonio._RowsByKey(*t, shared=True)
-    ),
-    row_tables(shared=True),
-    row_tables(shared=False),
-)
+markers = row_tables(shared=True) | row_tables(shared=False)
 # one marker object at two indents, so a cached encoding is reused or
 # re-encoded at the other indent
 documents_with_sharing = documents | st.tuples(markers, documents).map(
@@ -425,12 +329,79 @@ def _cover_doc(x):
 # of flat rows and of nested rows, a table with one long row, records of
 # long strings, and members far above the piece size
 streamed_documents = {
-    "scalar-table": {f"k{i:05}": [f"v{i}", i, i / 7, None, i > 9][i % 5] for i in range(5000)},
+    "scalar-table": {f"k{i:05}": [f"v{i}", i, -i, None, i > 9][i % 5] for i in range(5000)},
     "row-table": [{"id": f"c{i}", "faces": [f"f{i}", f"g{i}"], "dim": i % 3} for i in range(3000)],
     "one-long-row": [[f"a{i}"] for i in range(200)] + [[f"b{i}" for i in range(100)]],
     "long-strings": {"a": ["x" * 300_000] * 12, "b": "y" * 1_500_000, "c": 1},
     "growing-members": [["z" * n] for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000)] * 10,
     "nested-tables": {f"m{i}": {f"c{j}": f"e{(i * j) % 11}" for j in range(i)} for i in range(150)},
+}
+
+
+def _compose_rows(count, misfit=None):
+    """``count`` compose rows of strings; with ``misfit``, that row's middle leaf an int."""
+    rows = [[f"g{i}", f"f{i % 7}", f"%{i}\u00e9"] for i in range(count)]
+    if misfit is not None:
+        rows[misfit][1] = misfit
+    return rows
+
+
+class Name(str):
+    pass
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+# what no document holds: table rows that do not fit their shape, among
+# them rows with the right number of leaves, which would fill the template,
+# and values of other types
+REFUSED = {
+    "bool-dim": jsonio._Rows([_CELL, {**_CELL, "dim": True}], ENGINE_SHAPES["cells"]),
+    "dict-faces": jsonio._Rows([_CELL, {**_CELL, "faces": {"a": "b"}}], ENGINE_SHAPES["cells"]),
+    "bool-cycle-type": jsonio._Rows(
+        [_MONODROMY, {**_MONODROMY, "cycle_type": [1, True]}], ENGINE_SHAPES["monodromy"]
+    ),
+    "null-image": jsonio._Rows(
+        [_MONODROMY, {**_MONODROMY, "permutation": {"0": None}}], ENGINE_SHAPES["monodromy"]
+    ),
+    "tuple-closes": jsonio._Rows(
+        [_MONODROMY, {**_MONODROMY, "closes": ("a", "b")}], ENGINE_SHAPES["monodromy"]
+    ),
+    "tuple-region": jsonio._RowsByKey(
+        {"a": _STAR, "b": {**_STAR, "region": ("a",)}}, ENGINE_SHAPES["stars"]
+    ),
+    "int-chart": jsonio._RowsByKey({"a": _STAR, "b": {**_STAR, "charts": {"a": 1}}}, ENGINE_SHAPES["stars"]),
+    "int-key": jsonio._RowsByKey({2: _STAR, 1: _STAR}, ENGINE_SHAPES["stars"]),
+    "int-leaf": jsonio._RowsByKey({"a": "b", "c": 1}, str, shared=True),
+    "tuple-row": jsonio._Rows([["a"], ("b",)], [str]),
+    "int-row-key": jsonio._RowsByKey({"a": {"x": "y"}, "b": {1: "z"}}, {str: str}),
+    "first-misfit": jsonio._Rows(_compose_rows(2 * 1024 + 7, 0), 3),
+    "last-misfit": jsonio._Rows(_compose_rows(2 * 1024 + 7, -1), 3, shared=True),
+    "flat": jsonio._Rows([["a", "b", "c"], ["d", "e"], ["f", "g", "h", "i"]], 3),
+    "widths": jsonio._Rows([[["a"], ["b", "c"]], [["d", "e"], ["f"]]], (1, 2)),
+    "row-count": jsonio._Rows([[["a"], ["b"]], [["c"], ["d"], []]], (1, 1)),
+    "keys": jsonio._Rows(
+        [{"cell": "a", "mor": "b"}, {"cell": "c", "face": "d", "mor": "e", "x": "f"}],
+        {"cell": str, "face": str, "mor": str},
+    ),
+    "variable": jsonio._Rows(
+        [{"faces": ["a"], "id": "b"}, {"faces": [], "id": "c", "x": "d"}], {"faces": [str], "id": str}
+    ),
+    "float": {"ratio": 0.5},
+    "nan": [float("nan")],
+    "float-key": {1.5: True},
+    "int-key-of-a-record": {"a": {2: False}},
+    "bool-key": {True: 1},
+    "null-key": {None: 1},
+    "str-subclass": [Name("n")],
+    "int-subclass": {"colour": Colour.RED},
+    "dict-subclass": OrderedDict(a=1),
+    "set-value": {"a": {1}},
+    "tuple-key": {("a",): 1},
+    "mixed-keys": {"a": 1, 1: 2},
+    "object": [object()],
 }
 
 
@@ -484,8 +455,7 @@ class TestCanonDumps:
     @settings(max_examples=400, deadline=None)
     @given(engine_tables())
     def test_variable_row_tables_equal_json_dumps(self, table):
-        # awkward ids, empty members, and rows that do not fit: a missing or
-        # extra key, a bool, a tuple member or a leaf that is no string
+        # awkward ids and empty members
         for doc in (table, {"deeper": [table]}):
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
         with mock.patch.multiple(jsonio, _SMALL=2, _FLUSH=8, _BLOCK=2):
@@ -494,64 +464,44 @@ class TestCanonDumps:
     @pytest.mark.parametrize(
         "table",
         [
-            jsonio._Rows([_CELL, {**_CELL, "dim": True}], ENGINE_SHAPES["cells"]),
-            jsonio._Rows([_CELL, {**_CELL, "faces": {"a": "b"}}], ENGINE_SHAPES["cells"]),
-            jsonio._Rows([_MONODROMY, {**_MONODROMY, "cycle_type": [1, True]}], ENGINE_SHAPES["monodromy"]),
-            jsonio._Rows([_MONODROMY, {**_MONODROMY, "permutation": {"0": None}}], ENGINE_SHAPES["monodromy"]),
-            jsonio._Rows([_MONODROMY, {**_MONODROMY, "closes": ("a", "b")}], ENGINE_SHAPES["monodromy"]),
-            jsonio._RowsByKey({"a": _STAR, "b": {**_STAR, "region": ("a",)}}, ENGINE_SHAPES["stars"]),
-            jsonio._RowsByKey({"a": _STAR, "b": {**_STAR, "charts": {"a": 1}}}, ENGINE_SHAPES["stars"]),
-            jsonio._RowsByKey({2: _STAR, 1: _STAR}, ENGINE_SHAPES["stars"]),
             # rows that fit, whose keys are spelled in the format
             jsonio._Rows([{"%%": "a"}, {"%%": "b"}], {"%%": str}),
             jsonio._Rows([{"%s": ["b"], "100%": [3]}], {"%s": [str], "100%": [int]}),
-            # rows that are one member each
-            jsonio._RowsByKey({"a": "b", "c": 1}, str, shared=True),
-            jsonio._Rows([["a"], ("b",)], [str]),
-            jsonio._RowsByKey({"a": {"x": "y"}, "b": {1: "z"}}, {str: str}),
         ],
-        ids=["bool-dim", "dict-faces", "bool-cycle-type", "null-image", "tuple-closes",
-             "tuple-region", "int-chart", "int-key", "double-percent-key", "percent-keys",
-             "int-leaf", "tuple-row", "int-row-key"],
+        ids=["double-percent-key", "percent-keys"],
     )
     def test_rows_that_do_not_fit_and_keys_with_percent(self, table):
-        # cases the hypothesis tests reach only now and then, pinned
+        # cases the hypothesis tests reach only now and then, pinned; rows
+        # that do not fit are in test_what_no_document_holds_is_refused
         for doc in (table, {"deeper": [table]}):
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
 
     @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2 * 1024 + 7])
-    @pytest.mark.parametrize("misfit", [None, 0, -1], ids=["fits", "first-misfit", "last-misfit"])
-    def test_row_tables_over_several_blocks(self, tmp_path, count, misfit):
-        rows = [[f"g{i}", f"f{i % 7}", f"%{i}\u00e9"] for i in range(count)]
-        if misfit is not None:
-            rows[misfit][1] = misfit  # an int leaf, in the first or the last block
+    def test_row_tables_over_several_blocks(self, tmp_path, count):
+        rows = _compose_rows(count)
         for shared in (False, True):
             table = jsonio._Rows(rows, 3, shared)
             doc = {"compose": table, "again": [table]}
             assert jsonio.canon_dumps(doc) == reference_dumps(doc)
             assert written(tmp_path / "doc.json", doc) == reference_dumps(doc)
 
-    @pytest.mark.parametrize(
-        "rows, shape",
-        [
-            ([["a", "b", "c"], ["d", "e"], ["f", "g", "h", "i"]], 3),
-            ([[["a"], ["b", "c"]], [["d", "e"], ["f"]]], (1, 2)),
-            ([[["a"], ["b"]], [["c"], ["d"], []]], (1, 1)),
-            ([{"cell": "a", "mor": "b"}, {"cell": "c", "face": "d", "mor": "e", "x": "f"}],
-             {"cell": str, "face": str, "mor": str}),
-            ([{"faces": ["a"], "id": "b"}, {"faces": [], "id": "c", "x": "d"}],
-             {"faces": [str], "id": str}),
-        ],
-        ids=["flat", "widths", "row-count", "keys", "variable"],
-    )
-    def test_misfit_rows_with_the_right_number_of_leaves(self, rows, shape):
-        # one row short and one long: the leaves would fill the template
-        table = jsonio._Rows(rows, shape)
-        assert jsonio.canon_dumps(table) == reference_dumps(table)
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_what_no_document_holds_is_refused(self, tmp_path, name):
+        # the writer writes documents: a value of another type, or a table
+        # row that does not fit its shape, raises and leaves the target as it was
+        target = tmp_path / "doc.json"
+        for doc in (REFUSED[name], {"deeper": [REFUSED[name]]}):
+            with pytest.raises(TypeError):
+                jsonio.canon_dumps(doc)
+            target.write_bytes(b"earlier bytes\n")
+            with pytest.raises(TypeError):
+                jsonio.write_doc(target, doc)
+            assert list(tmp_path.iterdir()) == [target]
+            assert target.read_bytes() == b"earlier bytes\n"
 
     def test_the_engine_tables_fit_their_templates(self, monkeypatch):
-        # a row that does not fit sends its whole table to the generic
-        # walker, and a leaf that is no string its block to _encode
+        # a row that does not fit, or a leaf that is no string, would raise;
+        # no table reaches the generic walker and no row _encode
         streamed, encoded = [], []
         member_chunks, encode = jsonio._member_chunks, jsonio._encode
         monkeypatch.setattr(
@@ -598,42 +548,9 @@ class TestCanonDumps:
         assert jsonio.canon_dumps(doc) == reference_dumps(doc)
         assert "é" in jsonio.canon_dumps(doc)
 
-    def test_subclasses_and_special_keys_follow_json(self):
-        class Colour(enum.IntEnum):
-            RED = 1
-
-        class Name(str):
-            pass
-
-        class Ratio(float):
-            pass
-
-        doc = OrderedDict(
-            b=[Colour.RED, Name("n"), Ratio(0.5), float("nan"), float("-inf"), (), {}, []],
-            a={1.5: True, float("nan"): None, 2: False},
-        )
-        keyed = [{True: 1}, {None: 1}, {Colour.RED: 1}, {Name("k"): 1}, {float("inf"): 1}]
-        for value in (doc, *keyed, "top", 7, None, 1e300):
-            assert jsonio.canon_dumps(value) == reference_dumps(value)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [{"a": {1}}, {("a",): 1}, {"a": 1, 1: 2}, [object()]],
-        ids=["set-value", "tuple-key", "mixed-keys", "object"],
-    )
-    def test_unencodable_raises_the_same_type_error(self, doc):
-        with pytest.raises(TypeError) as expected:
-            reference_dumps(doc)
-        with pytest.raises(TypeError) as got:
-            jsonio.canon_dumps(doc)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
-
     def test_a_failed_write_leaves_no_temp_file_and_the_target_untouched(self, tmp_path):
         rows = [[f"g{i}", f"f{i}", f"h{i}"] for i in range(3 * 1024)]
         doc = {"compose": jsonio._Rows(rows, 3), "tail": [f"x{i}" for i in range(5000)] + [object()]}
-        with pytest.raises(TypeError) as expected:
-            reference_dumps(doc)
         # the writer has streamed much of the document when the leaf fails
         pieces = jsonio.canon_chunks(doc)
         streamed = []
@@ -643,10 +560,8 @@ class TestCanonDumps:
         assert len(streamed) > 3 and sum(map(len, streamed)) > 100_000
         target = tmp_path / "doc.json"
         target.write_bytes(b"earlier bytes\n")
-        with pytest.raises(TypeError) as got:
+        with pytest.raises(TypeError):
             jsonio.write_doc(target, doc)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == b"earlier bytes\n"
 
