@@ -19,8 +19,9 @@ C-backed ``json.encoder.encode_basestring``.
 
 The writer writes documents, not any JSON: tables by their row templates,
 and otherwise dicts with string keys, lists, tuples, strings, ints, bools
-and ``None``.  Anything else (a float, a key that is no string, a value of
-a subclass such as an ``IntEnum``) raises ``TypeError``.
+and ``None``.  Anything else (a float, a key that is no string, a plain
+value of a subclass such as an ``IntEnum``) raises ``TypeError``; a ``str``
+subclass used as a key or a table leaf is written as its text.
 
 Every engine table is built by this module as one of two private markers:
 ``_Rows``, a list, or ``_RowsByKey``, a dict from string keys, each with a
@@ -36,11 +37,10 @@ members and the integers it holds, which the format spells out; each
 distinct signature's format is made once per table written.  A row that
 does not fit the shape (another type, length or key set, a member of
 another type, a ``bool`` where an integer is due) raises ``TypeError``
-before its table is written, and a leaf or key that is no string raises
-it as it is escaped.  Any other container, such as a document's top
-level, a report or a manifest, is streamed by ``_member_chunks``: each
-member that holds a container or is itself large on its own, the rest
-gathered into pieces.
+before its table is written.  Any other container, such as a document's
+top level, a report or a manifest, is streamed by ``_member_chunks``: each
+member that holds a container or is large on its own, the rest gathered
+into pieces.
 
 A diagram document holds the same tables at many places: every component
 carries the one structure category, and the ``actions`` block repeats each
@@ -135,7 +135,7 @@ class _Rows(list):
 
 
 class _RowsByKey(dict):
-    """A dict from string keys to rows of a ``shape``, as in ``_Rows``."""
+    """A dict from string keys to rows of a ``shape``, as in ``_Rows``, but never a tuple of widths."""
 
     __slots__ = ("shape", "encoded")
 
@@ -238,7 +238,7 @@ def _encode(o, nl: str) -> str:
         if text is None:
             text = o.encoded[nl] = "".join(_row_chunks(o, nl))
         return text
-    raise TypeError(f"a document holds no value of type {t.__name__}: {o!r:.80}")
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _join(opening: str, parts: list[str], sep: str, closing: str) -> str:
@@ -327,14 +327,14 @@ def _row_plan(shape, rows):
     """How to write the non-empty ``rows`` by template; ``TypeError`` if a row does not fit ``shape``.
 
     Returns ``(signatures, leaves, template)``.  ``leaves(part)`` gives one
-    iterable per row that chains to the row's string leaves in template
-    order; the leaves are typed as they are escaped, since
-    ``encode_basestring`` refuses anything but a string.  ``template(sig,
-    nl)`` is the ``%``-format of a row with signature ``sig`` that starts on
-    the line ``nl``.  ``signatures(part)`` gives each row's signature: the
-    lengths of its ``[str]`` and ``{str: str}`` members and the values of
-    its ``int`` and ``[int]`` members, which the template spells out.  It is
-    None when every row has the signature ``()``, as rows of strings do.
+    iterable per row (per member for a tuple shape, which no ``_RowsByKey``
+    has) that chains to the string leaves in template order; they are typed
+    as they are escaped, since ``encode_basestring`` refuses anything but a
+    string.  ``template(sig, nl)`` is the ``%``-format of a row with
+    signature ``sig`` that starts on the line ``nl``.  ``signatures(part)``
+    gives each row's signature: the lengths of its ``[str]`` and ``{str:
+    str}`` members and the values of its ``int`` and ``[int]`` members,
+    which the template spells out; None when every row's is ``()``.
     """
     if shape in (str, [str], {str: str}):  # rows that are one member each
         if shape is not str and set(map(type, rows)) != {type(shape)}:
@@ -354,7 +354,7 @@ def _row_plan(shape, rows):
             set(map(len, members[j::n])) != {k} for j, k in enumerate(shape)
         ):
             raise _misfit(shape)
-        return None, partial(map, _flatten), lambda sig, nl: _container(
+        return None, _flatten, lambda sig, nl: _container(
             [_container(["%s"] * k, nl + "  ") for k in shape], nl
         )
     kinds = sorted(shape.items())

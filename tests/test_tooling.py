@@ -472,40 +472,18 @@ def test_documents_are_written_only_by_the_canonical_writer():
     assert offenders == []
 
 
-def _writes_a_file(call: ast.Call) -> bool:
-    """Whether ``call`` is ``write_text``, ``write_bytes`` or an ``open`` in a writing mode."""
-    name = getattr(call.func, "attr", getattr(call.func, "id", ""))
-    if name in ("write_text", "write_bytes"):
-        return True
-    if name != "open":
-        return False
-    # open(path, mode) or path.open(mode); a mode that is no constant may write
-    position = 1 if isinstance(call.func, ast.Name) else 0
-    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
-    if mode is None and len(call.args) > position:
-        mode = call.args[position]
-    if mode is None:
-        return False
-    return not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
-
-
 def test_files_are_written_only_by_the_temp_and_rename_helper():
-    # every output is written atomically; a file opened for writing anywhere
-    # else would leave a half-written output where a command fails midway
-    writers = set()
-    for folder in ("src", "scripts"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            owner = {}  # call -> the innermost function that makes it
-            for fn in ast.walk(tree):  # outer functions come before the ones they hold
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    owner.update((node, fn.name) for node in ast.walk(fn))
-            writers.update(
-                f"{path.relative_to(ROOT)}:{owner.get(node, '<module>')}"
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call) and _writes_a_file(node)
-            )
-    assert writers == {"src/stratabundle/jsonio.py:write_atomic"}
+    # every output is written atomically; a file written anywhere else would
+    # leave a half-written output where a command fails midway
+    writes = re.compile(r"\bopen\(|\.write_(text|bytes)\(")
+    hits = [
+        f"{path.relative_to(ROOT)}: {line.strip()}"
+        for folder in ("src", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if writes.search(line)
+    ]
+    assert hits == ['src/stratabundle/jsonio.py: with open(tmp, "w", encoding="utf-8") as f:']  # write_atomic
 
 
 def test_documents_are_read_only_by_jsonio():
