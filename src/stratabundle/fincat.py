@@ -42,6 +42,18 @@ go through one kernel, ``_law_failures``; only a failure on the
 generators, or of an earlier stage, pays for its exhaustive pass,
 ``_failing_pairs``, which names every failing pair.  A category's own
 laws are decided once, by ``FiniteCategory.laws``.
+
+Image inverses are decided once per (category, fibre functor) pair.  The
+category keeps one lazily filled ``ImageInverses`` table per functor in
+``inverse_tables``, left out of ``==`` and ``repr``, and
+``image_inverse``, ``is_iso_in_image`` and every caller that holds the
+table read it.  So the bundle gate, the certificate sweep,
+``validate_trivialization``, ``stratify_bundle`` and the suite
+generators share one answer per morphism for a whole command or suite
+instance.  Both caches rest on one invariant: no code edits a category's
+``morphisms``, ``compose_table`` or ``identities``, or a fibre functor's
+``on_objects`` or ``on_morphisms``, after building it; code that wants a
+changed one builds a new one.
 """
 from __future__ import annotations
 
@@ -80,6 +92,10 @@ class FiniteCategory:
     compose_table: dict[tuple[str, str], str]
     identities: dict[str, str]
     homs: dict[tuple[str, str], tuple[str, ...]] = field(init=False)
+    # ``image_inverses`` tables by the id of their fibre functor
+    inverse_tables: dict[int, ImageInverses] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         buckets: dict[tuple[str, str], list[str]] = {}
@@ -414,17 +430,53 @@ def _failing_pairs(cat: FiniteCategory, holds) -> list:
     return [pair for pair in cat.compose_table if not holds(*pair)]
 
 
-def image_inverse(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> str | None:
-    """A two-sided inverse of ``mid`` up to image equality, if one exists."""
-    m = cat.morphisms[mid]
+class ImageInverses(dict):
+    """Image inverses of one category's morphisms under one fibre functor, by morphism id.
+
+    Each entry is worked out on its first lookup and kept; see the module
+    docstring.  The table holds its functor, so the functor's ``id``, its
+    key in ``FiniteCategory.inverse_tables``, is never reused while the
+    table lives.  It holds the category's ``morphisms`` and ``homs`` but not
+    the category, so the two form no reference cycle.
+    """
+
+    __slots__ = ("ff", "mors", "homs")
+
+    def __init__(self, cat: FiniteCategory, ff: FibreFunctor):
+        super().__init__()
+        self.ff, self.mors, self.homs = ff, cat.morphisms, cat.homs
+
+    def __missing__(self, mid: str) -> str | None:
+        inverse = self[mid] = _find_image_inverse(self, mid)
+        return inverse
+
+
+def _find_image_inverse(table: ImageInverses, mid: str) -> str | None:
+    """The least morphism back from the target of ``mid`` to its source whose
+    action inverts that of ``mid`` on both sides, worked out afresh."""
+    m, ff = table.mors[mid], table.ff
     id_src = identity_table(ff.on_objects[m.src])
     id_tgt = identity_table(ff.on_objects[m.tgt])
     tab = ff.on_morphisms[mid]
-    for u in cat.hom(m.tgt, m.src):
+    for u in table.homs.get((m.tgt, m.src), ()):
         utab = ff.on_morphisms[u]
         if compose_tables(utab, tab) == id_src and compose_tables(tab, utab) == id_tgt:
             return u
     return None
+
+
+def image_inverses(cat: FiniteCategory, ff: FibreFunctor) -> ImageInverses:
+    """The one table of ``ff``'s image inverses on ``cat``, kept on ``cat``."""
+    table = cat.inverse_tables.get(id(ff))
+    # a deep-copied category's tables hold copies of their functors under the originals' ids
+    if table is None or table.ff is not ff:
+        table = cat.inverse_tables[id(ff)] = ImageInverses(cat, ff)
+    return table
+
+
+def image_inverse(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> str | None:
+    """A two-sided inverse of ``mid`` up to image equality, if one exists."""
+    return image_inverses(cat, ff)[mid]
 
 
 def is_iso_in_image(cat: FiniteCategory, ff: FibreFunctor, mid: str) -> bool:
@@ -482,14 +534,18 @@ def hom_fibre_functor(cat: FiniteCategory, v: str) -> FibreFunctor:
     """Fibre functor sending an object to the hom-set out of ``v``.
 
     Elements are the morphism identifiers of hom(v, -); a morphism acts by
-    post-composition.
+    post-composition.  ``cat`` must be lawful (``cat.laws.ok``), so every
+    composite is read straight from ``compose_table``: ``diagram_stages``
+    calls this after its laws stage, and ``funcspace.function_bundle`` on
+    a gated bundle.
     """
     if v not in cat.objects:
         raise StructureError(f"unknown object {v}")
     on_objects = {w: tuple(cat.hom(v, w)) for w in cat.objects}
+    compose = cat.compose_table
     on_morphisms = {}
     for m in cat.morphisms.values():
-        on_morphisms[m.id] = {f: cat.compose(m.id, f) for f in cat.hom(v, m.src)}
+        on_morphisms[m.id] = {f: compose[(m.id, f)] for f in cat.hom(v, m.src)}
     return FibreFunctor(on_objects, on_morphisms)
 
 

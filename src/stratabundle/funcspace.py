@@ -59,6 +59,7 @@ def function_bundle(x: StratBundle, v: str) -> StratBundle:
 
     Fibre objects and transitions are unchanged; only the fibre functor
     is replaced by the hom functor at ``v``, acting by post-composition.
+    ``x`` must pass ``strabundle.bundle_stages``, so its category is lawful.
     """
     x = _faithful_input(x)
     ff_v = fincat.hom_fibre_functor(x.cat, v)
@@ -66,7 +67,10 @@ def function_bundle(x: StratBundle, v: str) -> StratBundle:
 
 
 def principal_diagram(x: StratBundle) -> DiagramBundle:
-    """All function bundles of ``x`` together with the pre-composition actions."""
+    """All function bundles of ``x`` together with the pre-composition actions.
+
+    ``x`` must pass ``strabundle.bundle_stages``, so its category is lawful.
+    """
     x = _faithful_input(x)
     components = {v: function_bundle(x, v) for v in x.cat.objects}
     actions = _precomposition_tables(x.cat, x.fibre_obj, x.base.sorted_cells())
@@ -81,8 +85,11 @@ def _precomposition_tables(
     """``{g: {c: {alpha: alpha.g}}}`` over alpha: tgt g -> W_c, for ``c`` in ``cells``.
 
     One table is built per (g, W_c) and shared by every cell with that
-    fibre object.
+    fibre object.  ``cat`` must be lawful, so every composite is read
+    straight from ``compose_table``: ``diagram_stages`` calls this after
+    its laws stage, and ``principal_diagram`` on a gated bundle.
     """
+    compose = cat.compose_table
     memo: dict[tuple[str, str], dict[str, str]] = {}
     tables = {}
     for g in cat.morphisms.values():
@@ -91,7 +98,7 @@ def _precomposition_tables(
             w = fibre_obj[c]
             key = (g.id, w)
             if key not in memo:
-                memo[key] = {alpha: cat.compose(alpha, g.id) for alpha in cat.hom(g.tgt, w)}
+                memo[key] = {alpha: compose[(alpha, g.id)] for alpha in cat.hom(g.tgt, w)}
             per_cell[c] = memo[key]
         tables[g.id] = per_cell
     return tables

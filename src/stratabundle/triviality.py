@@ -18,8 +18,10 @@ Charts are composed by lookups in the category's ``compose_table``.
 ``trivialize_over`` first checks that every transition of its region has
 an image inverse.  The certificate needs no such scan: its groupoid check
 on the faithful image already gives every morphism an inverse in the
-image, so each transition's inverse is looked up once, on first use, and
-shared by all the stars of the sweep, as is every chart compatibility.
+image.  Each inverse is worked out once, on first use, in the category's
+table for the bundle's functor (``fincat.image_inverses``), which the
+whole command shares: the gate, every star of the sweep and every later
+check.  Each chart compatibility is tested once per sweep.
 The sweep builds each closed star with ``cellbase.star_cells``.
 
 ``covering_space`` counts the components of the total space as the orbits
@@ -102,11 +104,15 @@ class _Lazy(dict):
 
 
 class _Memo:
-    """Image inverses by morphism id, chart compatibility by (chart_f, transition, chart_c)."""
+    """Image inverses by morphism id, chart compatibility by (chart_f, transition, chart_c).
+
+    ``inverses`` is the category's own table for the bundle's functor,
+    ``fincat.image_inverses``, so it outlives the memo.
+    """
 
     def __init__(self, x: StratBundle):
-        cat, ff, on = x.cat, x.ff, x.ff.on_morphisms
-        self.inverses = _Lazy(lambda mid: fincat.image_inverse(cat, ff, mid))
+        on = x.ff.on_morphisms
+        self.inverses = fincat.image_inverses(x.cat, x.ff)
         # whether chart_f after the transition acts as chart_c
         self.compatible = _Lazy(
             lambda key: fincat.compose_tables(on[key[0]], on[key[1]]) == on[key[2]]

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -385,6 +387,51 @@ def test_image_inverse_and_iso():
     assert fincat.image_inverse(cat, ff, "q") is None
     assert fincat.is_iso_in_image(cat, ff, "e")
     assert not fincat.is_iso_in_image(cat, ff, "q")
+
+
+class TestImageInverseTable:
+    """One table of image inverses per (category, fibre functor) pair, kept on the category."""
+
+    def test_two_functors_on_one_category_keep_their_own_answers(self):
+        swap = fincat.fibre_functor(
+            {"X": ["a", "b"]}, {"e": {"a": "a", "b": "b"}, "g": {"a": "b", "b": "a"}}
+        )
+        collapse = fincat.fibre_functor(
+            {"X": ["a", "b"]}, {"e": {"a": "a", "b": "b"}, "g": {"a": "a", "b": "a"}}
+        )
+        for first, second in ((swap, collapse), (collapse, swap)):
+            cat = z2_category()
+            for ff in (first, second, first):
+                assert fincat.image_inverse(cat, ff, "g") == ("g" if ff is swap else None)
+        assert fincat.image_inverses(cat, swap) is not fincat.image_inverses(cat, collapse)
+
+    def test_one_functor_on_two_categories_keeps_their_own_answers(self):
+        # the table reads only endpoints, hom-sets and actions, so no composites are needed
+        ff = fincat.fibre_functor(
+            {"X": ["a", "b"]},
+            {m: {"a": "a", "b": "b"} if m == "e" else {"a": "b", "b": "a"} for m in "efg"},
+        )
+        two = fincat.category(["X"], [(m, "X", "X") for m in "eg"], {}, {"X": "e"})
+        three = fincat.category(["X"], [(m, "X", "X") for m in "efg"], {}, {"X": "e"})
+        assert fincat.image_inverse(two, ff, "g") == "g"
+        assert fincat.image_inverse(three, ff, "g") == "f"
+        assert fincat.image_inverse(two, ff, "g") == "g"
+
+    def test_equality_repr_and_replace_ignore_the_table(self):
+        cat, ff = corpus.orbit_z2_category()
+        fresh, _ = corpus.orbit_z2_category()
+        before = repr(cat)
+        assert fincat.image_inverse(cat, ff, "g") == "g"
+        assert cat.inverse_tables and not fresh.inverse_tables
+        assert cat == fresh and repr(cat) == before == repr(fresh)
+        replaced = dataclasses.replace(cat)
+        assert replaced == cat and replaced.inverse_tables == {}
+
+    def test_a_deep_copy_keeps_no_answer_for_the_original_functor(self):
+        cat, ff = corpus.orbit_z2_category()
+        fincat.image_inverse(cat, ff, "g")
+        copied = copy.deepcopy(cat)  # its table is keyed by the id of ``ff``
+        assert fincat.image_inverses(copied, ff).ff is ff
 
 
 def copy_category(cat, compose=None):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from conftest import is_groupoid
@@ -131,6 +132,24 @@ class TestSuites:
             assert whole.passes == sum(r.passes for r in singles), name
             assert whole.failures == [d for r in singles for d in r.failures], name
             assert whole.invalid_inputs == [d for r in singles for d in r.invalid_inputs], name
+
+    @pytest.mark.parametrize("name", sorted(oracle.SUITES))
+    def test_each_image_inverse_is_worked_out_once(self, monkeypatch, name):
+        # the generator, the gate, the attachment rounds and the suite's own
+        # checks (the bundle suite's certificate, star checks and
+        # stratify_bundle) share the category's table for each functor
+        worked_out = []
+        find_image_inverse = fincat._find_image_inverse
+
+        def counting(table, mid):
+            worked_out.append((table, mid))  # holds the table, so no id below is reused
+            return find_image_inverse(table, mid)
+
+        monkeypatch.setattr(fincat, "_find_image_inverse", counting)
+        rep = oracle.run_suite(name, oracle.InstanceSpec(seed=1), 4)
+        assert rep.passes == rep.instances == 4
+        per_triple = Counter((id(t.mors), id(t.ff), mid) for t, mid in worked_out)
+        assert per_triple and max(per_triple.values()) == 1
 
     def test_negative_control_is_classified_as_invalid(self):
         spec = oracle.InstanceSpec(seed=1, groupoid_only=True)

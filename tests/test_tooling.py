@@ -308,6 +308,63 @@ def test_only_the_laws_property_decides_a_category():
     assert callers == ["fincat.FiniteCategory.laws"]
 
 
+# what a category or fibre functor is made of; ``FiniteCategory.laws`` and
+# the category's image-inverse tables keep answers about them
+BUILT_ONCE = {"morphisms", "compose_table", "identities", "on_objects", "on_morphisms"}
+DICT_EDITS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def test_no_code_edits_a_category_or_fibre_functor_after_building_it():
+    # an edit would leave a kept answer stale; code that wants a changed
+    # category or functor builds a new one
+    def part(node, aliases):
+        # ``ff.on_morphisms``, ``ff.on_morphisms[m]``, or a name bound to one
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Name):
+            return node.id in aliases
+        return isinstance(node, ast.Attribute) and node.attr in BUILT_ONCE
+
+    def own_nodes(scope):
+        # the nodes of ``scope`` outside the functions defined in it
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo += ast.iter_child_nodes(node)
+
+    offenders = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.Lambda)):
+                continue
+            nodes = list(own_nodes(scope))
+            aliases = set()
+            for node in nodes:
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = [(target, node.value)]
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                            pairs = zip(target.elts, node.value.elts)
+                        aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and part(v, ())}
+            for node in nodes:
+                if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                    edited = (
+                        isinstance(node, ast.Attribute) and node.attr in BUILT_ONCE
+                        or isinstance(node, ast.Subscript) and part(node.value, aliases)
+                    )
+                else:
+                    edited = (
+                        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in DICT_EDITS and part(node.func.value, aliases)
+                    )
+                if edited:
+                    offenders.add(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert sorted(offenders) == []
+
+
 def test_coend_decides_its_category_once(category_validations, tmp_path):
     # the diagram check and the bundle gate read one category object
     x = corpus.double_cover_c3()
@@ -534,17 +591,17 @@ def test_certificate_copies_no_star_and_composes_once_per_chart_triple(monkeypat
 
 
 def test_certificate_finds_each_inverse_once_and_sorts_no_incidences(monkeypatch, torus_cover):
-    # the groupoid check finds every morphism's image inverse once and the stars
-    # reuse them; a per-star invertibility scan or incidence sort would only
-    # show as a slower certify op
+    # the groupoid check works out every morphism's image inverse once, in the
+    # uncached kernel, and the stars reuse them; a per-star invertibility scan
+    # or incidence sort would only show as a slower certify op
     x = torus_cover(15)
     x.base.adjacency  # the complex's own index, sorted once per complex
     asked, sorted_pairs = [], []
-    image_inverse = fincat.image_inverse
+    find_image_inverse = fincat._find_image_inverse
 
-    def counting_inverse(cat, ff, mid):
+    def counting_inverse(table, mid):
         asked.append(mid)
-        return image_inverse(cat, ff, mid)
+        return find_image_inverse(table, mid)
 
     def counting_sorted(items, **kwargs):
         out = sorted(items, **kwargs)
@@ -552,7 +609,7 @@ def test_certificate_finds_each_inverse_once_and_sorts_no_incidences(monkeypatch
             sorted_pairs.append(out)
         return out
 
-    monkeypatch.setattr(fincat, "image_inverse", counting_inverse)
+    monkeypatch.setattr(fincat, "_find_image_inverse", counting_inverse)
     for module in (triviality, cellbase):
         monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
     cert = triviality.local_triviality_certificate(x)

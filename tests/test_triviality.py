@@ -292,18 +292,19 @@ class TestTorusCrossChecks:
 
 
 class TestImageInverseCalls:
-    """The certificate asks once per morphism, the validator once per distinct transition morphism."""
+    """The certificate works out each morphism's inverse once, the validator each
+    distinct transition morphism's; calls of the uncached kernel are counted."""
 
     @pytest.fixture
     def asked(self, monkeypatch):
         calls = []
-        original = fincat.image_inverse
+        original = fincat._find_image_inverse
 
-        def counting(cat, ff, mid):
+        def counting(table, mid):
             calls.append(mid)
-            return original(cat, ff, mid)
+            return original(table, mid)
 
-        monkeypatch.setattr(fincat, "image_inverse", counting)
+        monkeypatch.setattr(fincat, "_find_image_inverse", counting)
         return calls
 
     @pytest.mark.parametrize("n", [3, 6])
