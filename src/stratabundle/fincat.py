@@ -155,17 +155,23 @@ def concrete_category(fibres, morphisms, actions) -> tuple[FiniteCategory, Fibre
     composition and include the identity of every fibre.  Composites and
     identities are then looked up by table, and the category axioms hold
     because composition of functions is associative and unital.
+
+    Each morphism's image tuple is taken once, and the morphisms are
+    grouped by target, so each composable pair costs one ``map`` of the
+    outer table over the inner image.  ``compose`` is filled g-major, the
+    f for each g in ``morphisms`` order.
     """
-    by_table = {(s, t, tuple(actions[mid][e] for e in fibres[s])): mid for mid, s, t in morphisms}
+    images = {mid: tuple(map(actions[mid].__getitem__, fibres[s])) for mid, s, _ in morphisms}
+    by_table = {(s, t, images[mid]): mid for mid, s, t in morphisms}
     identities = {v: by_table[(v, v, tuple(elems))] for v, elems in fibres.items()}
+    into: dict[str, list[tuple[str, str]]] = {}
+    for f, src_f, tgt_f in morphisms:
+        into.setdefault(tgt_f, []).append((f, src_f))
     compose = {}
     for g, src_g, tgt_g in morphisms:
-        outer = actions[g]
-        for f, src_f, tgt_f in morphisms:
-            if tgt_f == src_g:
-                inner = actions[f]
-                image = tuple(outer[inner[e]] for e in fibres[src_f])
-                compose[(g, f)] = by_table[(src_f, tgt_g, image)]
+        outer = actions[g].__getitem__
+        for f, src_f in into.get(src_g, ()):
+            compose[(g, f)] = by_table[(src_f, tgt_g, tuple(map(outer, images[f])))]
     return category(fibres, morphisms, compose, identities), fibre_functor(fibres, actions)
 
 

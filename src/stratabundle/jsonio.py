@@ -111,6 +111,7 @@ _BLOCK = 1024  # rows per %-format: enough to amortise the call, few enough to h
 _FLUSH = 1 << 20  # characters: about the most text a streamed container gathers into one piece
 _SMALL = 64  # members: fewer in a flat container or a table's row, and it is written whole
 _SCALARS = {str, int, bool, type(None)}
+_NOT_A_STRING = "first argument must be a string"  # _encode_str's TypeError, given no string
 
 
 class _Rows(list):
@@ -146,9 +147,47 @@ class _RowsByKey(dict):
 
 
 def canon_chunks(doc):
-    """The text of ``canon_dumps(doc)`` as pieces, in order; see the module docstring."""
-    yield from _value_chunks(doc, "\n")
+    """The text of ``canon_dumps(doc)`` as pieces, in order; see the module docstring.
+
+    ``encode_basestring``'s ``TypeError``, which names neither a key nor
+    its container, is raised again naming the first key that is no string
+    and the path to its container, if the document holds one.  Other
+    errors, such as ``sorted``'s on keys of mixed types, keep ``json``'s
+    text.
+    """
+    try:
+        yield from _value_chunks(doc, "\n")
+    except TypeError as err:
+        found = _first_non_string_key(doc) if _NOT_A_STRING in str(err) else None
+        if found is None:
+            raise
+        path, key = found
+        where = "document" + "".join(f"[{p!r}]" for p in path)
+        raise TypeError(f"key {key!r} of {where} is not a string") from err
     yield "\n"
+
+
+def _first_non_string_key(doc):
+    """``(path, key)`` for the first key of ``doc`` that is no string, or None.
+
+    Depth first, a dict's own keys before its members'; each container is
+    walked once, so a cycle ends the walk.  Only a failed write walks.
+    """
+    stack, seen = [((), doc)], set()
+    while stack:
+        path, o = stack.pop()
+        if id(o) in seen:
+            continue
+        if isinstance(o, dict):
+            seen.add(id(o))
+            for k in o:
+                if not isinstance(k, str):
+                    return path, k
+            stack.extend((path + (k,), v) for k, v in reversed(o.items()))
+        elif isinstance(o, (list, tuple)):
+            seen.add(id(o))
+            stack.extend((path + (i,), v) for i, v in reversed(list(enumerate(o))))
+    return None
 
 
 def canon_dumps(doc) -> str:

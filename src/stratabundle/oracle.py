@@ -93,11 +93,44 @@ class InstanceSpec:
         return replace(self, seed=seed)
 
 
-def _random_table(rng: SplitMix64, src_elems, tgt_elems, bijective: bool) -> tuple:
+def _random_table(rng: SplitMix64, n_src: int, n_tgt: int, bijective: bool) -> tuple:
+    """A random function's images, as indices into the target fibre; a bijection if asked."""
     if bijective:
-        order = rng.sample_indices(len(tgt_elems), len(tgt_elems))
-        return tuple(tgt_elems[i] for i in order)
-    return tuple(rng.choice(tgt_elems) for _ in src_elems)
+        return tuple(rng.sample_indices(n_tgt, n_tgt))
+    return tuple(rng.below(n_tgt) for _ in range(n_src))
+
+
+def _compose(inner: tuple, outer: tuple) -> tuple:
+    """Index table of ``outer`` after ``inner``: the one place the closure composes two tables."""
+    return tuple(map(outer.__getitem__, inner))
+
+
+def _close(tables: dict[tuple[str, str, tuple], None]) -> bool:
+    """Close ``tables`` under composition in place; False once it holds more than the cap.
+
+    Semi-naive: each table, when first reached, is composed with every
+    table reached before it, in both orders, and with itself.  So each
+    composable ordered pair of the closure is composed exactly once
+    (Bancilhon & Ramakrishnan, "An amateur's introduction to recursive
+    query processing strategies", SIGMOD 1986).  A table is
+    ``(src, tgt, images)``, the images being indices into ``tgt``'s fibre.
+    """
+    into: dict[str, list] = {}
+    out_of: dict[str, list] = {}
+    reached = list(tables)
+    for key in reached:
+        src, tgt, table = key
+        into.setdefault(tgt, []).append(key)
+        composites = [(s, tgt, _compose(inner, table)) for s, _, inner in into.get(src, ())]
+        composites += [(src, t, _compose(table, outer)) for _, t, outer in out_of.get(tgt, ())]
+        out_of.setdefault(src, []).append(key)
+        for new in composites:
+            if new not in tables:
+                tables[new] = None
+                if len(tables) > _MORPHISM_CAP:
+                    return False
+                reached.append(new)
+    return True
 
 
 def gen_category(spec: InstanceSpec, rng: SplitMix64 | None = None) -> tuple[FiniteCategory, FibreFunctor]:
@@ -108,6 +141,11 @@ def gen_category(spec: InstanceSpec, rng: SplitMix64 | None = None) -> tuple[Fin
     generators are bijections added together with their inverses, making
     the closure a groupoid.  The fibre functor is the tautological one and
     is faithful by construction.
+
+    ``_close`` closes the identities and generators under composition,
+    composing each ordered pair of tables once.  A closure of more than
+    ``_MORPHISM_CAP`` tables overflows, and the generators are drawn
+    again with one fewer; the closure draws nothing from ``rng``.
     """
     rng = rng or SplitMix64(spec.seed)
     n_obj = 1 + rng.below(spec.max_objects)
@@ -118,56 +156,32 @@ def gen_category(spec: InstanceSpec, rng: SplitMix64 | None = None) -> tuple[Fin
     for gen_budget in range(2 * n_obj, -1, -1):
         tables: dict[tuple[str, str, tuple], None] = {}
         for v in objects:
-            tables[(v, v, tuple(elems[v]))] = None
+            tables[(v, v, tuple(range(sizes[v])))] = None
         for k in range(gen_budget):
             src = rng.choice(objects)
             if spec.groupoid_only or k == 0:
                 # always seed at least one invertible generator
                 candidates = [w for w in objects if sizes[w] == sizes[src]]
                 tgt = rng.choice(candidates)
-                table = _random_table(rng, elems[src], elems[tgt], True)
+                table = _random_table(rng, sizes[src], sizes[tgt], True)
                 tables[(src, tgt, table)] = None
-                inverse = tuple(
-                    elems[src][list(table).index(e)] for e in elems[tgt]
-                )
-                tables[(tgt, src, inverse)] = None
+                tables[(tgt, src, tuple(table.index(i) for i in range(sizes[tgt])))] = None
             else:
                 tgt = rng.choice(objects)
-                tables[(src, tgt, _random_table(rng, elems[src], elems[tgt], False))] = None
-        # close under composition
-        grown = True
-        overflow = False
-        while grown and not overflow:
-            grown = False
-            existing = list(tables)
-            for (s1, t1, tab1) in existing:
-                for (s2, t2, tab2) in existing:
-                    if t1 != s2:
-                        continue
-                    lookup = dict(zip(elems[s2], tab2))
-                    composite = tuple(lookup[v] for v in tab1)
-                    key = (s1, t2, composite)
-                    if key not in tables:
-                        tables[key] = None
-                        grown = True
-                        if len(tables) > _MORPHISM_CAP:
-                            overflow = True
-                            break
-                if overflow:
-                    break
-        if not overflow:
+                tables[(src, tgt, _random_table(rng, sizes[src], sizes[tgt], False))] = None
+        if _close(tables):
             break
 
-    ordered = sorted(tables)
+    named = sorted((s, t, tuple(map(elems[t].__getitem__, table))) for s, t, table in tables)
     ids = {}
     rank: dict[tuple[str, str], int] = {}
-    for key in ordered:
+    for key in named:
         s, t, _ = key
         k = rank.get((s, t), 0)
         rank[(s, t)] = k + 1
         ids[key] = f"{s}>{t}#{k}"
-    morphisms = [(ids[key], key[0], key[1]) for key in ordered]
-    actions = {ids[key]: dict(zip(elems[key[0]], key[2])) for key in ordered}
+    morphisms = [(ids[key], key[0], key[1]) for key in named]
+    actions = {ids[key]: dict(zip(elems[key[0]], key[2])) for key in named}
     return fincat.concrete_category(elems, morphisms, actions)
 
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 from collections import OrderedDict
@@ -401,6 +402,18 @@ REFUSED = {
     "tuple-key": {("a",): 1},
 }
 
+# the path to the container, and the first key that is no string, of the
+# REFUSED documents that hold such a key
+REFUSED_KEYS = {
+    "int-key": ("", 2),
+    "int-row-key": ("['b']", 1),
+    "float-key": ("", 1.5),
+    "int-key-of-a-record": ("['a']", 2),
+    "bool-key": ("", True),
+    "null-key": ("", None),
+    "tuple-key": ("", ("a",)),
+}
+
 
 class TestCanonDumps:
     @settings(max_examples=600, deadline=None)
@@ -485,13 +498,19 @@ class TestCanonDumps:
     @pytest.mark.parametrize("name", REFUSED)
     def test_what_no_document_holds_is_refused(self, tmp_path, name):
         # the writer writes documents: a value of another type, or a table
-        # row that does not fit its shape, raises and leaves the target as it was
+        # row that does not fit its shape, raises and leaves the target as it was;
+        # a key that is no string is named with the path to its container
         target = tmp_path / "doc.json"
-        for doc in (REFUSED[name], {"deeper": [REFUSED[name]]}):
-            with pytest.raises(TypeError):
+        for doc, prefix in ((REFUSED[name], ""), ({"deeper": [REFUSED[name]]}, "['deeper'][0]")):
+            if name in REFUSED_KEYS:
+                path, key = REFUSED_KEYS[name]
+                text = re.escape(f"key {key!r} of document{prefix}{path} is not a string")
+            else:
+                text = None
+            with pytest.raises(TypeError, match=text):
                 jsonio.canon_dumps(doc)
             target.write_bytes(b"earlier bytes\n")
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=text):
                 jsonio.write_doc(target, doc)
             assert list(tmp_path.iterdir()) == [target]
             assert target.read_bytes() == b"earlier bytes\n"

@@ -53,6 +53,173 @@ class TestGenCategory:
             assert is_groupoid(cat)[0]
 
 
+# The ``_reference_*`` functions below are the implementations from before
+# ``gen_category`` closed its tables semi-naively on fibre indices and
+# ``concrete_category`` composed image tuples: a closure that recomposes
+# every ordered pair of named tables each round, and a compose loop over
+# every pair of morphisms.  The engine must build the same categories, in
+# the same insertion orders, and leave the stream where they left it.
+
+
+def _reference_concrete_category(fibres, morphisms, actions):
+    by_table = {(s, t, tuple(actions[mid][e] for e in fibres[s])): mid for mid, s, t in morphisms}
+    identities = {v: by_table[(v, v, tuple(elems))] for v, elems in fibres.items()}
+    compose = {}
+    for g, src_g, tgt_g in morphisms:
+        outer = actions[g]
+        for f, src_f, tgt_f in morphisms:
+            if tgt_f == src_g:
+                inner = actions[f]
+                image = tuple(outer[inner[e]] for e in fibres[src_f])
+                compose[(g, f)] = by_table[(src_f, tgt_g, image)]
+    return fincat.category(fibres, morphisms, compose, identities), fincat.fibre_functor(fibres, actions)
+
+
+def _reference_random_table(rng, src_elems, tgt_elems, bijective):
+    if bijective:
+        order = rng.sample_indices(len(tgt_elems), len(tgt_elems))
+        return tuple(tgt_elems[i] for i in order)
+    return tuple(rng.choice(tgt_elems) for _ in src_elems)
+
+
+def _reference_gen_category(spec, rng, overflows):
+    n_obj = 1 + rng.below(spec.max_objects)
+    objects = [f"V{i}" for i in range(n_obj)]
+    sizes = {v: 1 + rng.below(spec.max_fibre_size) for v in objects}
+    elems = {v: tuple(f"{v}.{i}" for i in range(sizes[v])) for v in objects}
+
+    for gen_budget in range(2 * n_obj, -1, -1):
+        tables = {}
+        for v in objects:
+            tables[(v, v, tuple(elems[v]))] = None
+        for k in range(gen_budget):
+            src = rng.choice(objects)
+            if spec.groupoid_only or k == 0:
+                candidates = [w for w in objects if sizes[w] == sizes[src]]
+                tgt = rng.choice(candidates)
+                table = _reference_random_table(rng, elems[src], elems[tgt], True)
+                tables[(src, tgt, table)] = None
+                inverse = tuple(elems[src][list(table).index(e)] for e in elems[tgt])
+                tables[(tgt, src, inverse)] = None
+            else:
+                tgt = rng.choice(objects)
+                tables[(src, tgt, _reference_random_table(rng, elems[src], elems[tgt], False))] = None
+        grown = True
+        overflow = False
+        while grown and not overflow:
+            grown = False
+            existing = list(tables)
+            for (s1, t1, tab1) in existing:
+                for (s2, t2, tab2) in existing:
+                    if t1 != s2:
+                        continue
+                    lookup = dict(zip(elems[s2], tab2))
+                    composite = tuple(lookup[v] for v in tab1)
+                    key = (s1, t2, composite)
+                    if key not in tables:
+                        tables[key] = None
+                        grown = True
+                        if len(tables) > oracle._MORPHISM_CAP:
+                            overflow = True
+                            break
+                if overflow:
+                    break
+        if not overflow:
+            break
+        overflows.append(spec)
+
+    ordered = sorted(tables)
+    ids = {}
+    rank = {}
+    for key in ordered:
+        s, t, _ = key
+        k = rank.get((s, t), 0)
+        rank[(s, t)] = k + 1
+        ids[key] = f"{s}>{t}#{k}"
+    morphisms = [(ids[key], key[0], key[1]) for key in ordered]
+    actions = {ids[key]: dict(zip(elems[key[0]], key[2])) for key in ordered}
+    return _reference_concrete_category(elems, morphisms, actions)
+
+
+def _assert_same_category(built, reference):
+    (cat, ff), (ref_cat, ref_ff) = built, reference
+    assert cat == ref_cat
+    assert ff == ref_ff
+    assert list(cat.morphisms) == list(ref_cat.morphisms)
+    assert list(cat.compose_table) == list(ref_cat.compose_table)
+    assert list(cat.identities) == list(ref_cat.identities)
+    assert list(ff.on_morphisms) == list(ref_ff.on_morphisms)
+
+
+REFERENCE_SEEDS = range(100)
+
+
+@pytest.mark.parametrize("max_objects", [1, 2, 3, 4])
+@pytest.mark.parametrize("groupoid_only", [False, True])
+def test_gen_category_matches_the_round_based_reference(monkeypatch, max_objects, groupoid_only):
+    closures, overflows = [], []
+    close = oracle._close
+
+    def counting(tables):
+        closed = close(tables)
+        closures.append(closed)
+        return closed
+
+    monkeypatch.setattr(oracle, "_close", counting)
+    for max_fibre_size in range(1, 6):
+        for seed in REFERENCE_SEEDS:
+            spec = oracle.InstanceSpec(
+                seed=seed, max_objects=max_objects, max_fibre_size=max_fibre_size,
+                groupoid_only=groupoid_only,
+            )
+            rng, ref_rng = oracle.SplitMix64(seed), oracle.SplitMix64(seed)
+            built = oracle.gen_category(spec, rng)
+            _assert_same_category(built, _reference_gen_category(spec, ref_rng, overflows))
+            assert rng.state == ref_rng.state
+    assert closures.count(False) == len(overflows)
+    assert closures.count(True) == 5 * len(REFERENCE_SEEDS)
+    assert overflows  # the retry path is exercised, not only the first closure
+
+
+@pytest.mark.parametrize("groupoid_only", [False, True])
+def test_the_closure_composes_each_ordered_pair_once(monkeypatch, groupoid_only):
+    composed, checked = Counter(), []
+    close, compose = oracle._close, oracle._compose
+
+    def counting_compose(inner, outer):
+        composed[inner, outer] += 1
+        return compose(inner, outer)
+
+    def checking_close(tables):
+        composed.clear()
+        seeds = len(tables)
+        closed = close(tables)
+        if closed and len(tables) > seeds:
+            expected = Counter(
+                (inner, outer) for _, t, inner in tables for s, _, outer in tables if t == s
+            )
+            assert composed == expected
+            checked.append(len(tables))
+        return closed
+
+    monkeypatch.setattr(oracle, "_compose", counting_compose)
+    monkeypatch.setattr(oracle, "_close", checking_close)
+    for seed in range(200):
+        oracle.gen_category(oracle.InstanceSpec(seed=seed, groupoid_only=groupoid_only))
+    assert len(checked) > 100 and max(checked) > 20
+
+
+@pytest.mark.parametrize("build, arg", [
+    (corpus.perm_category, 4),
+    (corpus.finset_category, (1, 2, 3)),
+    (corpus.finset_category, (2, 0, 1)),
+])
+def test_corpus_categories_match_the_reference_compose_loop(monkeypatch, build, arg):
+    built = build(arg)
+    monkeypatch.setattr(fincat, "concrete_category", _reference_concrete_category)
+    _assert_same_category(built, build(arg))
+
+
 class TestGenBundle:
     def test_same_seed_same_serialization(self):
         spec = oracle.InstanceSpec(seed=11)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratabundle import cellbase, cli, corpus, fincat, jsonio, oracle, strabundle, triviality
-from stratabundle.validation import PreconditionError, StructureError
+from stratabundle.validation import PreconditionError, StructureError, first_failure
 
 from conftest import build_shuffled_torus_cover, build_twisted_circle
 
@@ -127,16 +127,26 @@ class TestCoveringSpace:
     def test_components_over_a_circle_count_as_stirling_numbers(self, n):
         # a closed form the engine does not compute: the components of the
         # total space are the cycles of the one twist, and c(n, k) of the n!
-        # permutations of n elements have k cycles
+        # permutations of n elements have k cycles; every twist is a bundle
         cat, ff = corpus.perm_category(n)
         components, trivialized = Counter(), []
         for perm in permutations(range(n)):
             x = build_twisted_circle(cat, ff, f"set{n}", f"p{n}:" + "".join(map(str, perm)))
+            assert first_failure(strabundle.bundle_stages(x)) is None
             components[triviality.covering_space(x).components] += 1
             if triviality.trivialize_over(x, set(x.base.cells)).ok:
                 trivialized.append(x.transition[x.base.incidences[0]])
         assert components == _stirling_first_kind(n)
         assert trivialized == [cat.identities[f"set{n}"]]
+
+
+@pytest.mark.parametrize("n, counts", [
+    (3, [2, 3, 1]),
+    (4, [6, 11, 6, 1]),
+    (5, [24, 50, 35, 10, 1]),
+])
+def test_the_stirling_recurrence_gives_the_tabled_numbers(n, counts):
+    assert _stirling_first_kind(n) == dict(enumerate(counts, start=1))
 
 
 def _stirling_first_kind(n: int) -> dict[int, int]:
