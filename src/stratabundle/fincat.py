@@ -54,11 +54,18 @@ instance.  Both caches rest on one invariant: no code edits a category's
 ``morphisms``, ``compose_table`` or ``identities``, or a fibre functor's
 ``on_objects`` or ``on_morphisms``, after building it; code that wants a
 changed one builds a new one.
+
+A product category stores no composition table.  Composition in A x B
+is componentwise, so its ``compose_table`` is a read-only mapping that
+reads each composite through the two factors' tables; every other
+category keeps a plain dict.
 """
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 from .validation import StructureError, ValidationReport
@@ -89,7 +96,8 @@ def is_bijective_table(table: dict[str, str], target_elements) -> bool:
 class FiniteCategory:
     objects: tuple[str, ...]
     morphisms: dict[str, Morphism]
-    compose_table: dict[tuple[str, str], str]
+    # a dict, except for ``product_category``'s read-through table
+    compose_table: Mapping[tuple[str, str], str]
     identities: dict[str, str]
     homs: dict[tuple[str, str], tuple[str, ...]] = field(init=False)
     # ``image_inverses`` tables by the id of their fibre functor
@@ -591,6 +599,59 @@ def _elements(ff: FibreFunctor):
         yield from tab.values()
 
 
+class _ProductCompose(Mapping):
+    """The composition table of A x B, read through the tables of A and B.
+
+    ``(g, f)`` maps to the pair id of ``(g1 . f1, g2 . f2)`` where g and f
+    are the pair ids of ``(g1, g2)`` and ``(f1, f2)``; a pair that is not
+    composable in both factors, or an id that names no product morphism,
+    raises ``KeyError``, as in a dict.  Nothing is stored per composite:
+    a lookup splits g and f into their factor ids, reads the two factor
+    composites and takes their pair id from the ``mor_ids`` rows.  Keys,
+    values and items run A-major, B-minor, the order of a dict filled by
+    looping over A's table and, within each A composite, over B's.
+    """
+
+    __slots__ = ("_a", "_b", "_mor_ids", "_pair_of")
+
+    def __init__(self, compose_a, compose_b, mor_ids: dict[str, dict[str, str]]):
+        self._a, self._b, self._mor_ids = compose_a, compose_b, mor_ids
+        self._pair_of = {pid: (x, y) for x, row in mor_ids.items() for y, pid in row.items()}
+
+    def __getitem__(self, key):
+        g, f = key
+        (g1, g2), (f1, f2) = self._pair_of[g], self._pair_of[f]
+        return self._mor_ids[self._a[g1, f1]][self._b[g2, f2]]
+
+    def __len__(self):
+        return len(self._a) * len(self._b)
+
+    def __iter__(self):
+        return map(itemgetter(0), self._items())
+
+    def items(self):
+        return _ProductItems(self)
+
+    def _items(self):
+        """``((g, f), gf)`` for every composite, the ids copied out of the ``mor_ids`` rows."""
+        mor_ids, b = self._mor_ids, self._b
+        b_gs = [g for g, _ in b]
+        b_fs = [f for _, f in b]
+        b_cs = list(b.values())
+        return chain.from_iterable(
+            zip(
+                zip(map(mor_ids[g1].__getitem__, b_gs), map(mor_ids[f1].__getitem__, b_fs)),
+                map(mor_ids[c1].__getitem__, b_cs),
+            )
+            for (g1, f1), c1 in self._a.items()
+        )
+
+
+class _ProductItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
 def product_category(
     cat_a: FiniteCategory,
     ff_a: FibreFunctor,
@@ -602,11 +663,14 @@ def product_category(
     Every pair id comes from one of three tables, of morphisms, objects
     and elements, so equal ids are one string and ``pair_id`` runs once
     per table cell; the loops below copy ids out of those rows.  Dicts
-    are filled A-major, B-minor.  Both categories must pass
-    ``check_category_references`` and ``check_composition``, and each
-    fibre functor must give every object a fibre and every morphism a
-    table; the tables may name elements outside their fibres.  Raises
-    ``StructureError`` when two pairs get one id.
+    are filled A-major, B-minor.  No composite is stored: the
+    ``compose_table`` is a ``_ProductCompose`` that reads each one
+    through the factors' tables and the morphism rows, in the same
+    order.  Both categories must pass ``check_category_references`` and
+    ``check_composition``, and each fibre functor must give every object
+    a fibre and every morphism a table; the tables may name elements
+    outside their fibres.  Raises ``StructureError`` when two pairs get
+    one id.
     """
     mor_ids = _pair_ids(cat_a.morphisms, cat_b.morphisms, "morphism")
     obj_ids = _pair_ids(cat_a.objects, cat_b.objects, "object")
@@ -622,13 +686,7 @@ def product_category(
         tgts = map(obj_ids[m.tgt].__getitem__, b_tgts)
         mors.update(zip(ids, map(Morphism, ids, srcs, tgts)))
 
-    b_gs = [g for g, _ in cat_b.compose_table]
-    b_fs = [f for _, f in cat_b.compose_table]
-    b_cs = list(cat_b.compose_table.values())
-    compose = {}
-    for (g1, f1), c1 in cat_a.compose_table.items():
-        keys = zip(map(mor_ids[g1].__getitem__, b_gs), map(mor_ids[f1].__getitem__, b_fs))
-        compose.update(zip(keys, map(mor_ids[c1].__getitem__, b_cs)))
+    compose = _ProductCompose(cat_a.compose_table, cat_b.compose_table, mor_ids)
     identities = {
         obj_ids[a][b]: mor_ids[cat_a.identities[a]][cat_b.identities[b]]
         for a in cat_a.objects

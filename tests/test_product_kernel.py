@@ -4,13 +4,20 @@
 calls ``pair_id`` once per composite and once per table entry, so equal
 ids are separate strings.  The engine must build equal categories and
 fibre functors, with every dict in the same insertion order, while
-formatting each pair id once and sharing it wherever it appears.
+formatting each pair id once and sharing it wherever it appears.  The
+product's composition table is read through the factors' tables, and it
+must answer every lookup as the reference's dict does.
 """
 import dataclasses
+import gc
 import itertools
+import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 
-from stratabundle import fincat, jsonio, oracle, strabundle
+import pytest
+
+from stratabundle import corpus, fincat, jsonio, oracle, strabundle
 from stratabundle.fincat import FibreFunctor, FiniteCategory, Morphism, pair_id
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,8 +62,8 @@ def _reference_product_category(cat_a, ff_a, cat_b, ff_b):
 
 
 def _ordered(value):
-    """``value`` with every dict replaced by its item list, so order counts in ``==``."""
-    if isinstance(value, dict):
+    """``value`` with every mapping replaced by its item list, so order counts in ``==``."""
+    if isinstance(value, Mapping):
         return [(k, _ordered(v)) for k, v in value.items()]
     if isinstance(value, (FiniteCategory, FibreFunctor)):
         return [_ordered(getattr(value, f.name)) for f in dataclasses.fields(value)]
@@ -183,3 +190,102 @@ def test_the_fibrewise_product_takes_its_ids_from_the_category():
         assert v == pair_id(xa.fibre_obj[c], xb.fibre_obj[c])
     for key, m in prod.transition.items():
         assert m == pair_id(xa.transition[key], xb.transition[key])
+
+
+def _arrow_category():
+    """a -> b by u, with fibres {x} and {y, z}: pairs (u, u) and (ida, u) do not compose."""
+    cat = fincat.category(
+        ["a", "b"],
+        [("ida", "a", "a"), ("idb", "b", "b"), ("u", "a", "b")],
+        {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("u", "ida"): "u", ("idb", "u"): "u"},
+        {"a": "ida", "b": "idb"},
+    )
+    ff = fincat.fibre_functor(
+        {"a": ["x"], "b": ["y", "z"]},
+        {"ida": {"x": "x"}, "idb": {"y": "y", "z": "z"}, "u": {"x": "z"}},
+    )
+    return cat, ff
+
+
+def _factors(name):
+    """The factor pair of a fiberwise seed, ``seed<n>``, or the hand-built pair."""
+    if name == "arrow x perm2":
+        return (*_arrow_category(), *corpus.perm_category(2))
+    xa, xb = oracle._gen_pair(ACCEPTANCE.with_seed(int(name.removeprefix("seed"))))
+    return xa.cat, xa.ff, xb.cat, xb.ff
+
+
+@pytest.mark.parametrize("name", ["seed1", "seed2", "seed34", "seed49", "arrow x perm2"])
+def test_the_read_through_table_answers_as_the_reference_dict(name):
+    factors = _factors(name)
+    ref = _reference_product_category(*factors)[0]
+    want = ref.compose_table
+    table = fincat.product_category(*factors)[0].compose_table
+    assert not isinstance(table, dict)
+    missing = object()
+    for key in itertools.product(ref.morphisms, repeat=2):
+        assert table.get(key, missing) == want.get(key, missing)
+        assert (key in table) == (key in want)
+    assert len(table) == len(want)
+    assert list(table) == list(want)
+    assert list(table.items()) == list(want.items())
+    assert list(table.values()) == list(want.values())
+    assert table == want and want == table
+    g, f = next(iter(want))
+    for key in (("nowhere", f), (g, "nowhere"), ("nowhere", "nowhere")):
+        with pytest.raises(KeyError):
+            table[key]
+
+
+def test_the_read_through_table_refuses_pairs_that_do_not_compose():
+    cat, _ = fincat.product_category(*_arrow_category(), *corpus.perm_category(2))
+    uu = pair_id("u", "p2:01")
+    assert cat.compose_table[(uu, pair_id("ida", "p2:10"))] == pair_id("u", "p2:10")
+    with pytest.raises(KeyError):
+        cat.compose_table[(uu, uu)]
+    # composable in A, not in B
+    assert (pair_id("idb", "p1:0"), uu) not in cat.compose_table
+    assert fincat.validate_category(cat).ok
+
+
+def test_the_fiberwise_suite_reads_no_product_composite(monkeypatch):
+    reads = []
+    for name in ("__getitem__", "__iter__", "_items"):
+        original = getattr(fincat._ProductCompose, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            reads.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(fincat._ProductCompose, name, counting)
+    built = []
+    product_category = fincat.product_category
+
+    def recording(*args):
+        built.append(product_category(*args))
+        return built[-1]
+
+    monkeypatch.setattr(fincat, "product_category", recording)
+    for seed in range(1, 51):
+        assert oracle._check_fiberwise(ACCEPTANCE.with_seed(seed)) == ("pass", "", "")
+    assert len(built) == 50 and reads == []
+    # the wrapper sees a read
+    cat = built[-1][0]
+    i = next(iter(cat.identities.values()))
+    assert cat.compose_table.get((i, i)) == i
+    assert reads == ["__getitem__"]
+
+
+def test_the_largest_fiberwise_check_stays_small_in_memory(collector_off):
+    # with its 68,544 composites stored in a dict, this check peaked at 6.84 MiB
+    spec = ACCEPTANCE.with_seed(49)
+    assert oracle._check_fiberwise(spec) == ("pass", "", "")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert oracle._check_fiberwise(spec) == ("pass", "", "")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
